@@ -35,11 +35,11 @@ from .domain import (
 from .dual_solver import (
     DualSolution,
     PairWeightMatrix,
+    assignment_relaxation,
     build_weights,
     distance_objective,
     dual_objective,
     lp_bound,
-    refine_local,
     solve_brute,
     solve_matching,
 )

@@ -51,9 +51,7 @@ _CONFIG_KEYS = {
     "sphere_points",
     "fd_step_rel",
     "solver",
-    "primal_method",
     "eps_primal",
-    "tol_reg",
     "seed",
     "out",
     "dump",
@@ -71,9 +69,7 @@ class RunConfig:
     sphere_points: int | None = None
     fd_step_rel: float = 1e-4
     solver: str = "auto"
-    primal_method: str = "cutting-plane"
     eps_primal: float = 1e-6
-    tol_reg: float | None = None
     seed: int = 0
     out: str | None = None
     dump: str | None = None
@@ -85,8 +81,6 @@ class RunConfig:
             raise ValueError("sphere_points must be at least 1")
         if self.fd_step_rel <= 0 or self.eps_primal <= 0:
             raise ValueError("steps and tolerances must be positive")
-        if self.tol_reg is not None and self.tol_reg <= 0:
-            raise ValueError("tol_reg override must be positive")
         if bool(self.builtin) == bool(self.field_csv):
             raise ValueError("give exactly one of --builtin or --field")
         if self.field_csv and not self.domain:
@@ -96,7 +90,6 @@ class RunConfig:
     def pipeline(self) -> factorize.PipelineConfig:
         return factorize.PipelineConfig(
             dual_method=self.solver,
-            primal_method=self.primal_method,
             radius_margin=self.radius_margin,
             sphere_points=self.sphere_points,
             fd_step_rel=self.fd_step_rel,
@@ -209,13 +202,13 @@ def _cmd_decompose(cfg: RunConfig) -> int:
 
 def _cmd_dual(cfg: RunConfig) -> int:
     dom, fld, _ = _load_problem(cfg)
-    sol = dual_solver.solve(dom, fld, method=cfg.solver, seed=cfg.seed)
+    sol = dual_solver.solve(dom, fld, method=cfg.solver)
     _emit(
         {
             "D": sol.value,
             "sigma": [int(k) for k in sol.sigma.sigma],
             "method": sol.method,
-            "optimality": sol.optimality,
+            "certificate": sol.certificate,
             "bound": sol.bound,
         },
         cfg.out,
@@ -225,10 +218,9 @@ def _cmd_dual(cfg: RunConfig) -> int:
 
 def _cmd_primal(cfg: RunConfig) -> int:
     dom, fld, _ = _load_problem(cfg)
-    pcfg = primal_solver.PrimalConfig(
-        method=cfg.primal_method, eps_rel=cfg.eps_primal, seed=cfg.seed
+    sol = primal_solver.minimize_primal(
+        dom, fld, primal_solver.PrimalConfig(cfg.eps_primal)
     )
-    sol = primal_solver.minimize_primal(dom, fld, pcfg)
     _emit(
         {
             "P": sol.value,
@@ -283,7 +275,6 @@ def _cmd_verify(cfg: RunConfig, sigma_path: str | None, kernel_path: str | None)
         }
         payload["selfdual_sum"] = value
         payload["selfdual_verdict"] = verdict
-    if kernel is not None and sigma is not None:
         ball = ball_radius(dom, fld, cfg.radius_margin)
         pset = build_dual_points(dom, fld, ball, cfg.sphere_points, cfg.seed)
         hreg = regularize(kernel, dom, pset)
@@ -299,7 +290,7 @@ def _cmd_transport(cfg: RunConfig) -> int:
     mu_hat, nu_hat = transport.build_pair_measures(dom, fld)
     if cfg.dump:
         transport.export_atoms_csv(cfg.dump, mu_hat)
-    sol = dual_solver.solve(dom, fld, method=cfg.solver, seed=cfg.seed)
+    sol = dual_solver.solve(dom, fld, method=cfg.solver)
     plan = transport.parametrize_map(dom, fld, sol.sigma)
     _emit(
         {
@@ -382,17 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius-margin", dest="radius_margin", type=float)
         p.add_argument("--pset-m", dest="sphere_points", type=int)
         p.add_argument("--fd-step-rel", dest="fd_step_rel", type=float)
-        p.add_argument(
-            "--solver", choices=["auto", "matching", "brute", "local"], default=None
-        )
-        p.add_argument(
-            "--primal-method",
-            dest="primal_method",
-            choices=["cutting-plane", "subgradient"],
-            default=None,
-        )
+        p.add_argument("--solver", choices=dual_solver.METHODS, default=None)
         p.add_argument("--eps-primal", dest="eps_primal", type=float)
-        p.add_argument("--tol-reg", dest="tol_reg", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="write the JSON payload here")
         p.add_argument("--dump", help="write the plot-ready CSV here")

@@ -1,23 +1,24 @@
 """Maximize the pairing objective over measure preserving involutions.
 
 Over equal-measure cells an involution is a partition of the indices into
-fixed points and 2-cycles, so the objective splits into per-index diagonal
-terms plus per-pair surpluses. Maximizing it is exactly a maximum-weight
-matching problem (not necessarily perfect) on the reduced pair weights,
-which the primary path solves with an exact blossom matcher. A brute-force
-enumerator certifies small instances and a hill climber covers sizes past
-the matching budget.
+fixed points and 2-cycles, and sum_i C[i, s(i)] = sum_i S[i, s(i)] with
+S = (C + C^T) / 2. The primary path solves the max-weight assignment on S
+(its value bounds every involution, and it is the LP dual of the kernel
+primal) and rounds the optimal permutation cycle by cycle: fixed points,
+2-cycles and even cycles round without loss, so the involution meets the
+bound. Only an odd cycle, a half-integral vertex of the fractional
+matching polytope, sends the instance to the exact blossom matcher on the
+reduced pair weights. A brute-force enumerator certifies small instances.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import networkx as nx
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment
 
 from .domain import (
     DiscreteDomain,
@@ -36,15 +37,12 @@ __all__ = [
     "all_involutions",
     "solve_brute",
     "solve_matching",
-    "refine_local",
+    "assignment_relaxation",
     "lp_bound",
-    "lp_relaxation",
     "solve",
 ]
 
 BRUTE_LIMIT = 12
-LOCAL_THRESHOLD = 2000
-LP_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,12 @@ def _pairing_matrix(dom: DiscreteDomain, fld: SampledField) -> np.ndarray:
     """C[i, j] = <u_i, x_j>."""
     check_pairing(dom, fld)
     return fld.values @ dom.points.T
+
+
+def _symmetric_pairing(dom: DiscreteDomain, fld: SampledField) -> np.ndarray:
+    """S = (C + C^T) / 2, symmetric bit for bit, with S[i, i] == C[i, i]."""
+    c = _pairing_matrix(dom, fld)
+    return 0.5 * (c + c.T)
 
 
 def build_weights(dom: DiscreteDomain, fld: SampledField) -> PairWeightMatrix:
@@ -105,9 +109,11 @@ def distance_objective(dom: DiscreteDomain, fld: SampledField, s: Involution) ->
 class DualSolution:
     sigma: Involution
     value: float
-    method: str  # "brute" | "matching" | "local"
-    optimality: str  # "exact" | "heuristic"
-    bound: float | None = None
+    method: str  # "assignment" | "matching" | "brute"
+    # what backs optimality: "assignment-bound-tight", "blossom-fallback"
+    # (odd cycle), "blossom" or "brute"; every path is exact
+    certificate: str
+    bound: float | None = None  # assignment bound, set by solve
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +164,7 @@ def solve_brute(dom: DiscreteDomain, fld: SampledField) -> DualSolution:
     sigs = all_involutions(n)
     vals = c[np.arange(n)[None, :], sigs].sum(axis=1) * dom.cell_measure
     k = int(np.argmax(vals))  # first max = lexicographically smallest optimum
-    return DualSolution(Involution(sigs[k]), float(vals[k]), "brute", "exact")
+    return DualSolution(Involution(sigs[k]), float(vals[k]), "brute", "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -184,194 +190,114 @@ def solve_matching(dom: DiscreteDomain, fld: SampledField) -> DualSolution:
         for a, b in nx.max_weight_matching(g, maxcardinality=False):
             sigma[a], sigma[b] = b, a
     s = Involution(sigma)
-    return DualSolution(s, dual_objective(dom, fld, s), "matching", "exact")
+    return DualSolution(s, dual_objective(dom, fld, s), "matching", "blossom")
 
 
 # ---------------------------------------------------------------------------
-# local search fallback
+# assignment core
 
 
-def refine_local(
-    dom: DiscreteDomain,
-    fld: SampledField,
-    start: Involution,
-    max_iters: int = 10_000,
-) -> DualSolution:
-    """Hill climb from a starting involution.
+def assignment_relaxation(
+    dom: DiscreteDomain, fld: SampledField
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Max-weight assignment on S = (C + C^T) / 2 with its dual potentials.
 
-    Moves: break a pair into two fixed points, join two fixed points into a
-    pair, swap partners between two pairs. Each sweep collects improving
-    moves, then applies them greedily by gain on disjoint index sets, so
-    the value never decreases and large instances converge in few sweeps.
+    For an involution sum_i C[i, s(i)] = sum_i S[i, s(i)], so the optimal
+    permutation perm bounds every involution value from above; the bound
+    mu * sum_i S[i, perm(i)] is also the optimum of the symmetric doubly
+    stochastic relaxation. The assignment duals a_i + b_j >= S[i, j], tight
+    on perm, come from Bellman-Ford on the reduced costs, and pot = a + b
+    satisfies pot_i >= diag_i, pot_i + pot_j >= w[i, j] and
+    sum(pot) * mu == bound up to rounding.
     """
-    if start.n != dom.n:
-        raise ValueError("involution length does not match domain")
-    weights = build_weights(dom, fld)
-    red = weights.reduced
-    sigma = start.sigma.copy()
+    s = _symmetric_pairing(dom, fld)
     n = dom.n
-
-    for _ in range(max_iters):
-        moves = _improving_moves(red, sigma, n)
-        if not moves:
+    _, perm = linear_sum_assignment(s, maximize=True)
+    # b_perm(i) <= b_j + S[i, perm(i)] - S[i, j]: shortest paths in the
+    # graph whose edge j -> k has length[k, j], from a source at distance 0
+    owner = np.empty(n, dtype=np.intp)
+    owner[perm] = np.arange(n)
+    rows = s[owner]
+    length = np.diag(rows)[:, None] - rows  # zero diagonal keeps b_k itself
+    b = np.zeros(n)
+    for _ in range(n + 1):  # an optimal perm leaves no negative cycle
+        nb = (b[None, :] + length).min(axis=1)
+        if np.array_equal(nb, b):
             break
-        moves.sort(key=lambda m: -m[0])
-        touched = np.zeros(n, dtype=bool)
-        applied = False
-        for _gain, involved, assign in moves:
-            if touched[list(involved)].any():
-                continue
-            for src, dst in assign:
-                sigma[src] = dst
-            touched[list(involved)] = True
-            applied = True
-        if not applied:
-            break
-
-    s = Involution(sigma)
-    return DualSolution(s, dual_objective(dom, fld, s), "local", "heuristic")
+        b = nb
+    tight = s[np.arange(n), perm]
+    pot = tight - b[perm] + b
+    return perm, pot, float(tight.sum() * dom.cell_measure)
 
 
-def _improving_moves(red, sigma, n):
-    """Positive-gain moves of the three kinds, capped per kind at 4n."""
-    idx = np.arange(n)
-    heads = np.flatnonzero(idx < sigma)
-    tails = sigma[heads]
-    fixed = np.flatnonzero(sigma == idx)
-    cap = 4 * n
-    moves = []
+def _round_cycles(s: np.ndarray, perm: np.ndarray) -> np.ndarray | None:
+    """Involution of the same value as an optimal permutation, or None.
 
-    if heads.size:
-        gains = -red[heads, tails]
-        for k in _top_positive(gains, cap):
-            i, j = int(heads[k]), int(tails[k])
-            moves.append((float(gains[k]), (i, j), [(i, i), (j, j)]))
-    if fixed.size > 1:
-        sub = np.triu(red[np.ix_(fixed, fixed)], 1)
-        for k in _top_positive(sub.ravel(), cap):
-            a, b = divmod(int(k), fixed.size)
-            i, j = int(fixed[a]), int(fixed[b])
-            moves.append((float(sub[a, b]), (i, j), [(i, j), (j, i)]))
-    if heads.size > 1:
-        base = red[heads, tails]
-        straight = (
-            red[np.ix_(heads, heads)]
-            + red[np.ix_(tails, tails)]
-            - base[:, None]
-            - base[None, :]
-        )
-        crossed = (
-            red[np.ix_(heads, tails)]
-            + red[np.ix_(tails, heads)]
-            - base[:, None]
-            - base[None, :]
-        )
-        for gmat, cross in ((np.triu(straight, 1), False), (np.triu(crossed, 1), True)):
-            for k in _top_positive(gmat.ravel(), cap):
-                a, b = divmod(int(k), heads.size)
-                i, j = int(heads[a]), int(tails[a])
-                p, q = int(heads[b]), int(tails[b])
-                if cross:
-                    p, q = q, p
-                moves.append(
-                    (float(gmat[a, b]), (i, j, p, q), [(i, p), (p, i), (j, q), (q, j)])
-                )
-    return moves
-
-
-def _top_positive(flat, cap):
-    """Indices of the largest strictly positive entries, at most cap of them."""
-    if flat.size > cap:
-        cand = np.argpartition(-flat, cap - 1)[:cap]
-    else:
-        cand = np.arange(flat.size)
-    cand = cand[flat[cand] > 0]
-    return cand[np.argsort(-flat[cand], kind="stable")]
-
-
-# ---------------------------------------------------------------------------
-# fractional relaxation
-
-
-def lp_relaxation(
-    dom: DiscreteDomain, fld: SampledField, cap: int = LP_CAP
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Relax over symmetric doubly stochastic couplings.
-
-    Variables are the diagonal and strict upper triangle of a symmetric
-    nonnegative matrix with unit row sums. Returns the bound together with
-    the optimal diagonal and upper-triangle entries, which the primal
-    solver reuses to seed its cut pool (their support marks the binding
-    pieces at the optimum).
+    Fixed points and 2-cycles are kept. An even cycle becomes the better of
+    its two alternating halves (the first, from its smallest index, on a
+    tie): the halves sum to twice the cycle's value, so the better one
+    loses nothing. An odd cycle has no such rounding.
     """
-    n = dom.n
-    if n > cap:
-        raise ValueError(f"dense relaxation capped at n={cap}, got n={n}")
-    weights = build_weights(dom, fld)
-    if n == 1:
-        return float(weights.diag[0] * dom.cell_measure), np.ones(1), np.zeros(0)
-    iu, ju = np.triu_indices(n, k=1)
-    nvar = n + len(iu)
-    cobj = np.concatenate([weights.diag, weights.w[iu, ju]])
-    rows = np.concatenate([np.arange(n), iu, ju])
-    cols = np.concatenate([np.arange(n), n + np.arange(len(iu)), n + np.arange(len(iu))])
-    a_eq = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, nvar)
-    )
-    res = linprog(-cobj, A_eq=a_eq, b_eq=np.ones(n), bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"relaxation LP failed: {res.message}")
-    return float(-res.fun * dom.cell_measure), res.x[:n], res.x[n:]
+    n = len(perm)
+    sigma = perm.copy()
+    seen = np.zeros(n, dtype=bool)
+    for start in range(n):
+        if seen[start]:
+            continue
+        cyc = [start]
+        k = perm[start]
+        while k != start:
+            cyc.append(k)
+            k = perm[k]
+        seen[cyc] = True
+        if len(cyc) <= 2:
+            continue
+        if len(cyc) % 2:
+            return None
+        cyc = np.array(cyc)
+        nxt = np.roll(cyc, -1)
+        links = s[cyc, nxt]  # link t joins cyc[t] and cyc[t + 1]
+        off = 0 if links[0::2].sum() >= links[1::2].sum() else 1
+        a, b = cyc[off::2], nxt[off::2]
+        sigma[a], sigma[b] = b, a
+    return sigma
 
 
-def lp_bound(dom: DiscreteDomain, fld: SampledField, cap: int = LP_CAP) -> float:
+def lp_bound(dom: DiscreteDomain, fld: SampledField) -> float:
     """Upper bound on every involution value (the relaxation optimum)."""
-    return lp_relaxation(dom, fld, cap)[0]
+    return assignment_relaxation(dom, fld)[2]
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
+
+METHODS = ("auto", "matching", "brute")
 
 
 def solve(
     dom: DiscreteDomain,
     fld: SampledField,
     method: str = "auto",
-    local_threshold: int = LOCAL_THRESHOLD,
-    lp_cap: int = LP_CAP,
-    seed: int = 0,
+    relaxation: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> DualSolution:
-    """Pick the solver path: exact matching up to the size threshold, then
-    greedy-start local search with the relaxation bound attached when the
-    dense LP is still affordable."""
+    """Best involution, with the assignment bound attached.
+
+    "auto" rounds the optimal assignment cycle by cycle, which is exact and
+    meets the bound unless the permutation has an odd cycle; then the
+    blossom matcher solves the whole instance. "matching" and "brute" run
+    the oracles directly. A precomputed assignment_relaxation can be passed
+    so that one assignment solve serves both the dual and the primal.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown dual method {method!r}; know {', '.join(METHODS)}")
+    perm, _, bound = relaxation or assignment_relaxation(dom, fld)
     if method == "brute":
-        return solve_brute(dom, fld)
-    if method == "matching" or (method == "auto" and dom.n <= local_threshold):
-        return solve_matching(dom, fld)
-    if method not in ("auto", "local"):
-        raise ValueError(f"unknown dual method {method!r}")
-    start = _greedy_start(dom, fld, seed)
-    sol = refine_local(dom, fld, start)
-    bound = None
-    if dom.n <= lp_cap:
-        bound = lp_bound(dom, fld, lp_cap)
-    return DualSolution(sol.sigma, sol.value, "local", "heuristic", bound)
-
-
-def _greedy_start(dom: DiscreteDomain, fld: SampledField, seed: int) -> Involution:
-    """Pair indices greedily by descending positive surplus."""
-    weights = build_weights(dom, fld)
-    n = dom.n
-    iu, ju = np.triu_indices(n, k=1)
-    vals = weights.reduced[iu, ju]
-    order = np.argsort(-vals, kind="stable")
-    sigma = np.arange(n)
-    used = np.zeros(n, dtype=bool)
-    for k in order:
-        if vals[k] <= 0:
-            break
-        i, j = int(iu[k]), int(ju[k])
-        if not used[i] and not used[j]:
-            sigma[i], sigma[j] = j, i
-            used[i] = used[j] = True
-    return Involution(sigma)
+        return replace(solve_brute(dom, fld), bound=bound)
+    if method == "auto":
+        sigma = _round_cycles(_symmetric_pairing(dom, fld), perm)
+        if sigma is not None:
+            s = Involution(sigma)
+            value = dual_objective(dom, fld, s)
+            return DualSolution(s, value, "assignment", "assignment-bound-tight", bound)
+    cert = "blossom" if method == "matching" else "blossom-fallback"
+    return replace(solve_matching(dom, fld), certificate=cert, bound=bound)

@@ -1,7 +1,8 @@
 """End-to-end factorization pipeline and its diagnostics.
 
-decompose() solves the involution dual and the kernel primal, extends the
-optimal kernel to a regularized Hamiltonian, and checks the two gradient
+decompose() solves the involution dual and the kernel primal from one
+assignment solve (see dual_solver and primal_solver), extends the optimal
+kernel to a regularized Hamiltonian, and checks the two gradient
 identities of the factorization along the recovered involution:
 
     u_i            ~ grad1 HR at (x_{s(i)}, x_i)
@@ -50,15 +51,11 @@ __all__ = [
 
 @dataclass
 class PipelineConfig:
-    dual_method: str = "auto"  # auto | matching | brute | local
-    primal_method: str = "cutting-plane"
+    dual_method: str = "auto"  # auto | matching | brute
     radius_margin: float = 0.05
     sphere_points: int | None = None  # None -> 64 * d
     fd_step_rel: float = 1e-4  # h = fd_step_rel * R
     eps_primal: float = 1e-6
-    primal_max_iters: int | None = None
-    lp_cap: int = dual_solver.LP_CAP
-    local_threshold: int = dual_solver.LOCAL_THRESHOLD
     seed: int = 0
 
     def __post_init__(self):
@@ -101,7 +98,7 @@ class UniquenessVerdict:
 class DecompositionReport:
     p_value: float
     d_value: float
-    gap: float
+    gap: float  # mu * sum of the slacks along sigma, P - D but never negative
     sigma: Involution
     residual1: ResidualStats
     residual2: ResidualStats
@@ -151,22 +148,11 @@ def decompose(
     cfg = cfg or PipelineConfig()
     check_pairing(dom, fld)
 
-    dual = dual_solver.solve(
-        dom,
-        fld,
-        method=cfg.dual_method,
-        local_threshold=cfg.local_threshold,
-        lp_cap=cfg.lp_cap,
-        seed=cfg.seed,
+    relaxation = dual_solver.assignment_relaxation(dom, fld)
+    dual = dual_solver.solve(dom, fld, cfg.dual_method, relaxation)
+    primal = primal_solver.minimize_primal(
+        dom, fld, primal_solver.PrimalConfig(cfg.eps_primal), relaxation
     )
-    pcfg = primal_solver.PrimalConfig(
-        method=cfg.primal_method,
-        eps_rel=cfg.eps_primal,
-        max_iters=cfg.primal_max_iters,
-        lp_cap=cfg.lp_cap,
-        seed=cfg.seed,
-    )
-    primal = primal_solver.minimize_primal(dom, fld, pcfg)
 
     ball = ball_radius(dom, fld, cfg.radius_margin)
     pset = build_dual_points(dom, fld, ball, cfg.sphere_points, cfg.seed)
@@ -185,7 +171,6 @@ def decompose(
     mono = check_monotone(dom, fld)
     uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
 
-    gap = primal.value - dual.value
     mesh = dom.mesh
     tolerances = {
         "eps_primal": cfg.eps_primal,
@@ -198,7 +183,8 @@ def decompose(
         "pset_size": pset.m,
         "residual_scale_factor": res1.median / (h + mesh),
         "dual_method": dual.method,
-        "primal_method": primal.method,
+        "dual_bound": dual.bound,
+        "certificate": dual.certificate,
         "primal_iterations": primal.iterations,
         "primal_converged": primal.converged,
         "seed": cfg.seed,
@@ -206,7 +192,7 @@ def decompose(
     return DecompositionReport(
         primal.value,
         dual.value,
-        gap,
+        cert.gap,
         sigma,
         res1,
         res2,

@@ -3,9 +3,10 @@
 The objective P(K) = sum_i max_j (<x_j, u_i> - K[j, i]) * mu is a finite
 convex program, a max of affine functions in the N(N-1)/2 free kernel
 entries. Its linear programming dual is exactly the symmetric doubly
-stochastic relaxation computed by the dual solver, so that bound doubles
-as both the Polyak target of the subgradient path and the certificate of
-the cutting-plane path.
+stochastic relaxation, which is the max-weight assignment on
+S = (C + C^T) / 2 solved by the dual solver. The assignment's dual
+potentials give an optimal kernel in closed form, so the primal needs no
+iterative solver: its value equals the assignment bound up to rounding.
 
 Weak duality against any involution is exact in floating point: the
 per-index slacks are nonnegative by construction and the kernel terms
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from . import dual_solver
 from .domain import (
@@ -108,18 +107,11 @@ def weak_duality(
 
 @dataclass
 class PrimalConfig:
-    method: str = "cutting-plane"  # or "subgradient"
     eps_rel: float = 1e-6
-    max_iters: int | None = None  # masters or subgradient steps
-    lp_cap: int = dual_solver.LP_CAP
-    kernel_bound: float | None = None  # box on free entries; 6 R^2 if None
-    seed: int = 0
 
     def __post_init__(self):
         if self.eps_rel <= 0:
             raise ValueError("eps_rel must be positive")
-        if self.method not in ("cutting-plane", "subgradient"):
-            raise ValueError(f"unknown primal method {self.method!r}")
 
 
 @dataclass
@@ -127,222 +119,41 @@ class PrimalSolution:
     kernel: AntiSymmetricKernel
     value: float
     iterations: int
-    gap_vs_dual: float  # value minus the best certified lower bound
+    gap_vs_dual: float  # value minus the assignment bound
     argmax_map: np.ndarray
-    lower_bound: float | None
+    lower_bound: float
     converged: bool
-    method: str = "cutting-plane"
 
 
 def minimize_primal(
-    dom: DiscreteDomain, fld: SampledField, cfg: PrimalConfig | None = None
+    dom: DiscreteDomain,
+    fld: SampledField,
+    cfg: PrimalConfig | None = None,
+    relaxation: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> PrimalSolution:
-    """Descend the max-of-affine objective over the free kernel entries.
+    """Optimal kernel in closed form from the assignment potentials.
 
-    The cutting-plane path alternates exact master LPs over the observed
-    affine pieces with fresh argmax cuts at the master solution, seeding
-    the pool with the support of the doubly stochastic relaxation (those
-    are the binding pieces at the optimum). The subgradient path takes
-    Polyak steps toward the relaxation bound when it is available and
-    diminishing steps otherwise. Both return the best iterate; termination
-    is value - bound <= eps_rel * |value| or the iteration cap, with a
-    non-convergence flag on the latter.
+    With pot from dual_solver.assignment_relaxation (pot_i >= diag_i,
+    pot_i + pot_j >= w[i, j], sum(pot) * mu == bound), the kernel
+    K[j, i] = (c_ji - c_ij) / 2 - (pot_i - pot_j) / 2 with c_ji = <x_j, u_i>
+    gives c_ji - K[j, i] = S[i, j] + (pot_i - pot_j) / 2 <= pot_i, so
+    P(K) <= bound; LP duality gives P(K) >= bound, hence P(K) == bound, the
+    optimum. Only its upper triangle is stored, which keeps anti-symmetry
+    bit-exact. converged reports value - bound <= eps_rel * |value|.
     """
     cfg = cfg or PrimalConfig()
     check_pairing(dom, fld)
-    n = dom.n
-    if n == 1:
-        kernel = AntiSymmetricKernel.zero(1)
-        value = primal_objective(dom, fld, kernel)
-        return PrimalSolution(
-            kernel, value, 0, 0.0, np.zeros(1, dtype=np.intp), value, True, cfg.method
-        )
-
-    target = None
-    lp_upper = None
-    if n <= cfg.lp_cap:
-        target, _, lp_upper = dual_solver.lp_relaxation(dom, fld, cfg.lp_cap)
-
-    if cfg.method == "subgradient":
-        return _subgradient(dom, fld, cfg, target)
-    return _cutting_plane(dom, fld, cfg, target, lp_upper)
-
-
-def _kernel_bound(dom: DiscreteDomain, fld: SampledField, cfg: PrimalConfig) -> float:
-    if cfg.kernel_bound is not None:
-        return float(cfg.kernel_bound)
-    r = max(dom.radius, fld.field_radius)
-    # the regularized optimum obeys |H| <= R|x| + R|y| + 4R^2 <= 6R^2 on the grid
-    return 6.0 * r * r if r > 0 else 1.0
-
-
-def _evaluate(dom, fld, kmat):
-    z = dom.points @ fld.values.T - kmat
-    lvals = z.max(axis=0)
-    return float(lvals.sum() * dom.cell_measure), z.argmax(axis=0)
-
-
-# below this size the master starts from the complete piece set: HiGHS
-# handles the full sparse program faster than many incremental masters
-FULL_CUT_LIMIT = 360
-
-
-def _cutting_plane(dom, fld, cfg, target, lp_upper):
-    n = dom.n
-    mu = dom.cell_measure
+    _, pot, bound = relaxation or dual_solver.assignment_relaxation(dom, fld)
     cji = dom.points @ fld.values.T
-    iu, ju = np.triu_indices(n, k=1)
-    colof = -np.ones((n, n), dtype=np.intp)
-    colof[iu, ju] = np.arange(len(iu))
-    bound = _kernel_bound(dom, fld, cfg)
-    max_masters = cfg.max_iters if cfg.max_iters is not None else 200
-
-    kmat = np.zeros((n, n))
-    best_val, arg = _evaluate(dom, fld, kmat)
-    best_k = kmat.copy()
-    best_arg = arg
-
-    active = np.zeros((n, n), dtype=bool)  # [j, i] piece in the pool
-    np.fill_diagonal(active, True)
-    active[arg, np.arange(n)] = True
-    if n <= FULL_CUT_LIMIT:
-        active[:] = True
-    elif lp_upper is not None:
-        # the relaxation support marks the binding pieces at the optimum
-        support = np.flatnonzero(lp_upper > 1e-12)
-        active[iu[support], ju[support]] = True
-        active[ju[support], iu[support]] = True
-
-    lower = -np.inf if target is None else target
-    iters = 0
-    converged = False
-    for iters in range(1, max_masters + 1):
-        res = _solve_master(active, cji, colof, n, len(iu), mu, bound)
-        lower = max(lower, float(res.fun))  # relaxation of the full program
-        kmat = np.zeros((n, n))
-        kmat[iu, ju] = res.x[n:]
-        kmat = np.triu(kmat, 1)
-        kmat = kmat - kmat.T
-        val, arg = _evaluate(dom, fld, kmat)
-        if val < best_val:
-            best_val, best_k, best_arg = val, kmat.copy(), arg
-        if best_val - lower <= cfg.eps_rel * max(1e-300, abs(best_val)):
-            converged = True
-            break
-        # refresh the pool with every piece violated at the master solution
-        z = cji - kmat
-        tvals = res.x[:n]
-        viol = z - tvals[None, :] > 1e-12 * max(1.0, abs(best_val))
-        new = viol & ~active
-        if not new.any():
-            # model exact at this iterate: the master optimum is the optimum
-            converged = best_val - lower <= cfg.eps_rel * max(1e-300, abs(best_val))
-            break
-        active |= viol
-
-    kernel = AntiSymmetricKernel(np.triu(best_k, 1))
-    lb = None if lower == -np.inf else lower
-    gap = best_val - lower if lb is not None else 0.0
+    kernel = AntiSymmetricKernel(
+        0.5 * (cji - cji.T) - 0.5 * (pot[None, :] - pot[:, None])
+    )
+    z = _scores(dom, fld, kernel)
+    value = float(z.max(axis=0).sum() * dom.cell_measure)
+    converged = value - bound <= cfg.eps_rel * max(1e-300, abs(value))
     return PrimalSolution(
-        kernel, best_val, iters, gap, best_arg, lb, converged, "cutting-plane"
+        kernel, value, 0, value - bound, z.argmax(axis=0), bound, converged
     )
-
-
-def _solve_master(active, cji, colof, n, nfree, mu, bound):
-    jj, ii = np.nonzero(active)
-    m = len(jj)
-    rows = [np.arange(m)]
-    cols = [ii]
-    vals = [np.ones(m)]
-    low = jj < ii
-    rows.append(np.flatnonzero(low))
-    cols.append(n + colof[jj[low], ii[low]])
-    vals.append(np.ones(low.sum()))
-    upp = jj > ii
-    rows.append(np.flatnonzero(upp))
-    cols.append(n + colof[ii[upp], jj[upp]])
-    vals.append(-np.ones(upp.sum()))
-    a_ub = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, n + nfree),
-    )
-    cobj = np.concatenate([np.full(n, mu), np.zeros(nfree)])
-    res = linprog(
-        cobj,
-        A_ub=-a_ub,
-        b_ub=-cji[jj, ii],
-        bounds=[(None, None)] * n + [(-bound, bound)] * nfree,
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"master LP failed: {res.message}")
-    return res
-
-
-def _subgradient(dom, fld, cfg, target):
-    n = dom.n
-    mu = dom.cell_measure
-    iu, ju = np.triu_indices(n, k=1)
-    max_iters = cfg.max_iters if cfg.max_iters is not None else min(50 * n * n, 200_000)
-
-    e = np.zeros(len(iu))
-    colof = -np.ones((n, n), dtype=np.intp)
-    colof[iu, ju] = np.arange(len(iu))
-    cji = dom.points @ fld.values.T
-
-    def unpack(evec):
-        kmat = np.zeros((n, n))
-        kmat[iu, ju] = evec
-        return kmat - kmat.T
-
-    best_val = np.inf
-    best_e = e.copy()
-    best_arg = None
-    converged = False
-    iters = 0
-    for t in range(1, max_iters + 1):
-        iters = t
-        z = cji - unpack(e)
-        lvals = z.max(axis=0)
-        val, arg = float(lvals.sum() * mu), z.argmax(axis=0)
-        if val < best_val:
-            best_val, best_e, best_arg = val, e.copy(), arg
-        if target is not None and best_val - target <= cfg.eps_rel * max(
-            1e-300, abs(best_val)
-        ):
-            converged = True
-            break
-        # subgradient of sum_i max_j: the argmax piece per i, antisymmetrized
-        g = np.zeros(len(iu))
-        idx = np.arange(n)
-        lowm = arg < idx
-        uppm = arg > idx
-        np.add.at(g, colof[arg[lowm], idx[lowm]], -mu)
-        np.add.at(g, colof[idx[uppm], arg[uppm]], mu)
-        gnorm2 = float(g @ g)
-        if gnorm2 == 0.0:
-            converged = True
-            break
-        if target is not None:
-            step = (val - target) / gnorm2
-            step = max(step, 0.0)
-        else:
-            step = 1.0 / (np.sqrt(t) * np.sqrt(gnorm2))
-        e = e - step * g
-
-    kernel = AntiSymmetricKernel(_upper_from_vec(best_e, n, iu, ju))
-    if best_arg is None:
-        best_arg = _evaluate(dom, fld, kernel.matrix)[1]
-    gap = best_val - target if target is not None else 0.0
-    return PrimalSolution(
-        kernel, best_val, iters, gap, best_arg, target, converged, "subgradient"
-    )
-
-
-def _upper_from_vec(evec, n, iu, ju):
-    up = np.zeros((n, n))
-    up[iu, ju] = evec
-    return up
 
 
 @dataclass

@@ -67,3 +67,12 @@ def sincos64_hreg(sincos64):
     ball = sd.ball_radius(dom, fld)
     pset = sd.build_dual_points(dom, fld, ball)
     return sd.regularize(kernel, dom, pset), kernel, ball, pset
+
+
+def odd_cycle_problem():
+    """Three points at 120 degrees with u = -x: the optimal assignment is a
+    3-cycle of value 1/2, every involution is worth at most 0."""
+    ang = 2 * np.pi * np.arange(3) / 3
+    pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    dom = sd.DiscreteDomain(pts, 1.0 / 3, 2, 0.0)
+    return dom, sd.SampledField(-pts)

@@ -22,6 +22,9 @@ class TestParseConfig:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["sigma"] == list(range(8))
+        assert payload["method"] == "assignment"
+        assert payload["certificate"] == "assignment-bound-tight"
+        assert payload["bound"] == pytest.approx(payload["D"], rel=1e-12)
 
     def test_zero_cells_exits_2(self):
         assert run_cli(["decompose", "--builtin", "sincos", "--n", "0"]) == 2
@@ -44,6 +47,29 @@ class TestParseConfig:
             ["dual", "--field", "/nonexistent/f.csv", "--domain", str(dom_spec)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags, key, message",
+        [
+            (["--solver", "local"], {"solver": "local"}, "local"),
+            (
+                ["--primal-method", "subgradient"],
+                {"primal_method": "subgradient"},
+                "primal",
+            ),
+            (["--tol-reg", "0.1"], {"tol_reg": 0.1}, "tol"),
+        ],
+    )
+    def test_removed_options_exit_2(self, tmp_path, capsys, flags, key, message):
+        base = ["decompose", "--builtin", "sincos", "--n", "8"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"builtin": "sincos", "n": 8, **key}))
+        assert run_cli(["decompose", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

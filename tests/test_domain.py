@@ -181,6 +181,21 @@ class TestBallAndDualPoints:
         est = pset.covering_radius()
         assert 0.05 < est < 0.7
 
+    def test_covering_radius_matches_brute_force_probes(self):
+        # reference: the same seeded probes against every point, no tree
+        rng = np.random.default_rng(40)
+        samples = 4096
+        for n, d in ((8, 2), (48, 2), (200, 2), (30, 3)):
+            dom = sd.DiscreteDomain(rng.normal(size=(n, d)), 1.0 / n, d, 0.0)
+            fld = sd.SampledField(rng.normal(size=(n, d)))
+            pset = sd.build_dual_points(dom, fld, sd.ball_radius(dom, fld))
+            probe_rng = np.random.default_rng(0)
+            g = probe_rng.standard_normal((samples, d))
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            probes = g * (pset.radius * probe_rng.random(samples) ** (1.0 / d))[:, None]
+            d2 = ((probes[:, None, :] - pset.pts[None, :, :]) ** 2).sum(axis=2)
+            assert pset.covering_radius() == float(np.sqrt(d2.min(axis=1)).max())
+
 
 class TestSymmetricGridMaps:
     def test_swap_is_involution(self):

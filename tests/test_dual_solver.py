@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import selfdual as sd
 from selfdual.dual_solver import (
     all_involutions,
+    assignment_relaxation,
     build_weights,
     distance_objective,
     dual_objective,
     involution_count,
     lp_bound,
-    refine_local,
     solve,
     solve_brute,
     solve_matching,
@@ -22,6 +22,7 @@ from selfdual.dual_solver import (
 
 from conftest import (
     monotone_problem,
+    odd_cycle_problem,
     random_involution,
     random_problem,
     sincos_problem,
@@ -146,7 +147,7 @@ class TestSolveBrute:
         dom, fld = monotone_problem(8)
         sol = solve_brute(dom, fld)
         assert sol.sigma == sd.Involution.identity(8)
-        assert sol.optimality == "exact"
+        assert sol.certificate == "brute"
 
     def test_size_cap(self):
         rng = np.random.default_rng(0)
@@ -188,48 +189,87 @@ class TestSolveMatching:
         assert (w.reduced[iu, ju] < 0).all()
 
 
-class TestRefineLocal:
-    def test_optimum_is_stable(self):
+class TestSolveAuto:
+    def test_agrees_with_matching_on_sincos(self):
         dom, fld = sincos_problem(24)
         best = solve_matching(dom, fld)
-        again = refine_local(dom, fld, best.sigma, max_iters=50)
-        assert again.value == pytest.approx(best.value, rel=1e-12)
+        sol = solve(dom, fld)
+        assert sol.method == "assignment"
+        assert sol.certificate == "assignment-bound-tight"
+        assert sol.sigma == best.sigma
+        assert sol.value == pytest.approx(best.value, rel=1e-12)
+        assert sol.bound == pytest.approx(sol.value, rel=1e-12)
 
-    def test_monotone_from_reversal(self):
+    def test_monotone_gives_identity(self):
         for n in (6, 8, 10):
             dom, fld = monotone_problem(n)
-            sol = refine_local(dom, fld, sd.Involution.reversal(n))
+            sol = solve(dom, fld)
             oracle = solve_brute(dom, fld)
             assert sol.value == pytest.approx(oracle.value, rel=1e-12)
             assert sol.sigma == sd.Involution.identity(n)
 
-    def test_never_decreases(self):
+    def test_dominates_random_involutions(self):
         rng = np.random.default_rng(14)
-        for seed in range(10):
+        for _ in range(10):
             dom, fld = random_problem(rng, 12, d=2)
-            start = random_involution(rng, 12)
-            before = dual_objective(dom, fld, start)
-            sol = refine_local(dom, fld, start)
-            assert sol.value >= before - 1e-12
-            assert sol.optimality == "heuristic"
+            sol = solve(dom, fld)
+            for _ in range(20):
+                start = random_involution(rng, 12)
+                assert sol.value >= dual_objective(dom, fld, start) - 1e-12
 
-    def test_dispatcher_local_path(self):
+    def test_unknown_method_rejected(self):
         rng = np.random.default_rng(15)
         dom, fld = random_problem(rng, 30, d=2)
-        sol = solve(dom, fld, method="local")
-        assert sol.method == "local"
-        assert sol.bound is not None
-        assert sol.bound >= sol.value - 1e-9
+        for method in ("local", "mystery"):
+            with pytest.raises(ValueError, match="unknown dual method"):
+                solve(dom, fld, method=method)
 
-    def test_dispatcher_auto_switches_above_threshold(self):
+    def test_odd_cycle_falls_back_to_matching(self):
+        dom, fld = odd_cycle_problem()
+        perm, _, bound = assignment_relaxation(dom, fld)
+        assert len(perm) == 3 and not np.array_equal(perm[perm], np.arange(3))
+        sol = solve(dom, fld)
+        assert sol.method == "matching"
+        assert sol.certificate == "blossom-fallback"
+        assert sol.value == pytest.approx(solve_brute(dom, fld).value, abs=1e-15)
+        assert sol.bound == bound
+        assert sol.bound > sol.value + 0.4
+
+    def test_oracles_carry_the_bound(self):
+        dom, fld = tent_problem(10)
+        auto = solve(dom, fld)
+        for method, cert in (("matching", "blossom"), ("brute", "brute")):
+            sol = solve(dom, fld, method=method)
+            assert sol.method == method
+            assert sol.certificate == cert
+            assert sol.bound == auto.bound
+            assert sol.value == pytest.approx(auto.value, rel=1e-12)
+
+    def test_even_cycles_round_to_an_optimal_involution(self):
+        # small integer coordinates make many ties, and on ties the optimal
+        # assignment can be a longer even cycle of the same value
         rng = np.random.default_rng(19)
-        dom, fld = random_problem(rng, 40, d=2)
-        exact = solve(dom, fld, method="auto")
-        assert exact.method == "matching"
-        heur = solve(dom, fld, method="auto", local_threshold=20)
-        assert heur.method == "local"
-        assert heur.optimality == "heuristic"
-        assert heur.value <= exact.value + 1e-9
+        seen_long = 0
+        for _ in range(400):
+            n, d = int(rng.integers(3, 9)), int(rng.integers(1, 3))
+            pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+            if len(np.unique(pts, axis=0)) != n:
+                continue
+            dom = sd.DiscreteDomain(pts, 1.0 / n, d, 0.0)
+            fld = sd.SampledField(rng.integers(-2, 3, size=(n, d)).astype(float))
+            perm, _, _ = assignment_relaxation(dom, fld)
+            sol = solve(dom, fld)
+            oracle = solve_brute(dom, fld).value
+            assert sol.value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+            if sol.method != "assignment":
+                continue
+            k, length = np.arange(n), np.zeros(n, dtype=int)
+            for t in range(1, n + 1):  # cycle length of each index
+                k = perm[k]
+                length[(length == 0) & (k == np.arange(n))] = t
+            seen_long += int((length >= 4).any())
+            assert sol.value == pytest.approx(sol.bound, rel=1e-12)
+        assert seen_long > 0
 
 
 class TestLpBound:
@@ -268,9 +308,3 @@ class TestLpBound:
         dom, fld = monotone_problem(12)
         expect = float((dom.points**2).sum() * dom.cell_measure)
         assert lp_bound(dom, fld) == pytest.approx(expect, rel=1e-9)
-
-    def test_cap(self):
-        rng = np.random.default_rng(18)
-        dom, fld = random_problem(rng, 10)
-        with pytest.raises(ValueError):
-            lp_bound(dom, fld, cap=5)

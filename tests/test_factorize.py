@@ -18,6 +18,7 @@ from selfdual.factorize import (
 from conftest import (
     matrix_problem,
     monotone_problem,
+    odd_cycle_problem,
     random_involution,
     random_kernel,
     sincos_problem,
@@ -89,7 +90,14 @@ class TestDecompose:
             "uniqueness",
             "config",
         }
-        for key in ("tol_reg", "pset_covering_radius", "fd_step", "eps_primal"):
+        for key in (
+            "tol_reg",
+            "pset_covering_radius",
+            "fd_step",
+            "eps_primal",
+            "dual_bound",
+            "certificate",
+        ):
             assert key in d["config"]
 
     def test_brute_path_on_small_instance(self):
@@ -99,10 +107,56 @@ class TestDecompose:
         assert np.array_equal(rep.sigma.sigma, np.arange(8))
 
     def test_local_path_small_instance(self):
+        # the local search path is gone; asking for it fails loudly
         dom, fld = monotone_problem(10)
-        rep = decompose(dom, fld, PipelineConfig(dual_method="local"))
-        assert rep.tolerances["dual_method"] == "local"
-        assert np.array_equal(rep.sigma.sigma, np.arange(10))
+        with pytest.raises(ValueError, match="unknown dual method 'local'"):
+            decompose(dom, fld, PipelineConfig(dual_method="local"))
+
+    @pytest.mark.parametrize(
+        "problem, n",
+        [
+            (sincos_problem, 8),
+            (sincos_problem, 56),
+            (sincos_problem, 184),
+            (tent_problem, 56),
+            (tent_problem, 160),
+        ],
+    )
+    def test_gap_never_negative(self, problem, n):
+        # P and D round apart by an ulp or two here; the reported gap is
+        # the certificate's mu * sum of slacks, which cannot be negative
+        rep = decompose(*problem(n))
+        assert rep.gap >= 0
+        assert rep.to_dict()["gap"] >= 0
+
+    def test_certificate_names_the_path(self):
+        cases = [
+            (sincos_problem(16), "auto", "assignment", "assignment-bound-tight"),
+            (odd_cycle_problem(), "auto", "matching", "blossom-fallback"),
+            (monotone_problem(8), "matching", "matching", "blossom"),
+            (monotone_problem(8), "brute", "brute", "brute"),
+        ]
+        for (dom, fld), method, label, cert in cases:
+            rep = decompose(dom, fld, PipelineConfig(dual_method=method))
+            config = rep.to_dict()["config"]
+            assert config["dual_method"] == label
+            assert config["certificate"] == cert
+            assert config["dual_bound"] == pytest.approx(rep.p_value, rel=1e-12)
+            if cert == "blossom-fallback":
+                assert rep.p_value > rep.d_value + 0.4
+            else:
+                assert rep.d_value == pytest.approx(rep.p_value, rel=1e-12)
+
+    def test_gradskew_potentials_kernel_reproduces_field(self):
+        # the closed-form kernel of the monotone planar field is the one
+        # whose regularization reproduces u along the identity
+        dom = sd.symmetric_square_grid(1.0, 8)
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        fld = sd.sample_field(dom, lambda p: 2.0 * p + a @ p)
+        rep = decompose(dom, fld)
+        assert np.array_equal(rep.sigma.sigma, np.arange(dom.n))
+        assert rep.residual1.median <= 1e-9
+        assert rep.residual2.median <= 1e-9
 
     def test_config_overrides_reach_report(self):
         dom, fld = sincos_problem(16)

@@ -1,0 +1,99 @@
+"""One set of properties across the three dual paths: brute, blossom and
+the assignment core, each paired with the closed-form primal kernel."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import selfdual as sd
+from selfdual.dual_solver import assignment_relaxation, solve
+from selfdual.primal_solver import PrimalConfig, minimize_primal, weak_duality
+
+from conftest import odd_cycle_problem
+
+EPS_PRIMAL = PrimalConfig().eps_rel
+
+
+def make_problem(n, d, seed, scale, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        # integer coordinates: exact arithmetic and many equal-value optima
+        pts = rng.integers(-5, 6, size=(n, d)).astype(float)
+        while len(np.unique(pts, axis=0)) != n:
+            pts = rng.integers(-5, 6, size=(n, d)).astype(float)
+        vals = rng.integers(-2, 3, size=(n, d)).astype(float)
+    else:
+        pts = rng.normal(size=(n, d))
+        while len(np.unique(pts, axis=0)) != n:
+            pts = rng.normal(size=(n, d))
+        vals = rng.normal(size=(n, d))
+        if kind == "constant":
+            vals = np.repeat(vals[:1], n, axis=0)
+    dom = sd.DiscreteDomain(scale * pts, 1.0 / n, d, 0.0)
+    return dom, sd.SampledField(scale * vals)
+
+
+def check_paths(dom, fld):
+    """Every path: sigma an involution of the optimal value, slacks >= 0
+    bitwise, the kernel exactly anti-symmetric and P at the bound."""
+    n = dom.n
+    _, _, bound = assignment_relaxation(dom, fld)
+    primal = minimize_primal(dom, fld)
+    k = primal.kernel.matrix
+    assert np.array_equal(k, -k.T)
+    assert not np.diag(k).any()
+    assert abs(primal.value - bound) <= EPS_PRIMAL * abs(primal.value)
+    c = fld.values @ dom.points.T
+    # rounding of an n-term sum of d-term dot products
+    scale = np.abs(c).max() * n * dom.cell_measure
+    rounding = 64 * (n + 2) * np.finfo(float).eps * scale
+    values = {}
+    for method in ("auto", "matching", "brute"):
+        sol = solve(dom, fld, method=method)
+        sigma = sol.sigma.sigma
+        assert np.array_equal(sigma[sigma], np.arange(n))
+        assert sol.bound == bound
+        assert sol.value <= bound + rounding
+        cert = weak_duality(dom, fld, primal.kernel, sol.sigma)
+        assert (cert.slack >= 0).all()
+        assert cert.gap >= 0
+        assert cert.cancellation == 0.0
+        values[method] = sol.value
+    assert abs(values["auto"] - values["brute"]) <= rounding
+    assert abs(values["matching"] - values["brute"]) <= rounding
+    return values, bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    d=st.integers(1, 2),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.sampled_from([1.0, 1e-8, 1e8]),
+    kind=st.sampled_from(["normal", "constant", "ties"]),
+)
+@example(n=1, d=1, seed=0, scale=1.0, kind="normal")
+@example(n=2, d=1, seed=0, scale=1.0, kind="normal")
+@example(n=2, d=2, seed=1, scale=1e8, kind="ties")
+@example(n=10, d=2, seed=2, scale=1e-8, kind="constant")
+def test_paths_agree(n, d, seed, scale, kind):
+    check_paths(*make_problem(n, d, seed, scale, kind))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+def test_odd_cycle_instance(scale):
+    dom, fld = odd_cycle_problem()
+    dom = sd.DiscreteDomain(scale * dom.points, dom.cell_measure, dom.dim, 0.0)
+    fld = sd.SampledField(scale * fld.values)
+    values, bound = check_paths(dom, fld)
+    assert solve(dom, fld).method == "matching"
+    # no involution reaches the fractional optimum of a 3-cycle
+    assert values["brute"] < bound - 0.4 * scale * scale
+
+
+def test_constant_zero_field():
+    dom = sd.interval_grid(-1.0, 1.0, 6)
+    fld = sd.SampledField(np.zeros((6, 1)))
+    values, bound = check_paths(dom, fld)
+    assert bound == 0.0 and values["auto"] == 0.0

@@ -6,7 +6,13 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import selfdual as sd
-from selfdual.dual_solver import dual_objective, lp_bound, solve_brute, solve_matching
+from selfdual.dual_solver import (
+    assignment_relaxation,
+    dual_objective,
+    lp_bound,
+    solve_brute,
+    solve_matching,
+)
 from selfdual.primal_solver import (
     PrimalConfig,
     kernel_cancellation,
@@ -200,32 +206,22 @@ class TestMinimizePrimal:
         assert sol.lower_bound is not None
         assert sol.value >= sol.lower_bound - 1e-6 * max(1, abs(sol.value))
 
-    def test_subgradient_path(self):
-        dom, fld = monotone_problem(8)
-        cfg = PrimalConfig(method="subgradient", eps_rel=1e-6)
-        sol = minimize_primal(dom, fld, cfg)
-        d = solve_brute(dom, fld).value
-        assert sol.converged
-        assert sol.value == pytest.approx(d, rel=1e-5)
-        assert sol.method == "subgradient"
-        assert sol.iterations >= 1
-
-    def test_subgradient_without_bound_makes_progress(self):
+    def test_closed_form_kernel_attains_the_bound(self):
         rng = np.random.default_rng(25)
-        dom, fld = random_problem(rng, 10)
-        cfg = PrimalConfig(method="subgradient", eps_rel=1e-6, lp_cap=0, max_iters=2000)
-        sol = minimize_primal(dom, fld, cfg)
-        zero_val = primal_objective(dom, fld, sd.AntiSymmetricKernel.zero(10))
-        oracle = solve_brute(dom, fld).value
-        assert sol.value <= zero_val + 1e-12
-        assert sol.value >= oracle - 1e-9
-
-    def test_iteration_cap_flags_nonconvergence(self):
-        dom, fld = sincos_problem(24)
-        cfg = PrimalConfig(method="subgradient", eps_rel=1e-12, max_iters=3)
-        sol = minimize_primal(dom, fld, cfg)
-        assert not sol.converged
-        assert sol.iterations == 3
+        for _ in range(30):
+            n = int(rng.integers(1, 15))
+            dom, fld = random_problem(rng, n, d=int(rng.integers(1, 3)))
+            _, pot, bound = assignment_relaxation(dom, fld)
+            sol = minimize_primal(dom, fld)
+            k = sol.kernel.matrix
+            assert np.array_equal(k, -k.T) and not np.diag(k).any()
+            # every affine piece of index i stays below pot_i, so P <= bound
+            z = dom.points @ fld.values.T - k
+            scale = 1 + np.abs(z).max()
+            assert (z.max(axis=0) <= pot + 1e-13 * scale).all()
+            assert sol.value == pytest.approx(bound, rel=1e-12, abs=1e-14)
+            assert sol.lower_bound == bound
+            assert sol.iterations == 0 and sol.converged
 
     def test_lp_duality_crosscheck(self):
         # the dual of the kernel program is exactly the symmetric doubly
