@@ -13,6 +13,7 @@ from .conjugacy import (
     lagrangian,
     lagrangian_at_field,
     regularize,
+    residual_gradients,
     restricted_bidual,
     restricted_dual,
 )

@@ -16,12 +16,13 @@ a dual set with points p_k:
     restricted_bidual L**(y, q)   = max_{j,k} <y, p_k> + <q, x_j> - L*(p_k, x_j)
     ball_hamiltonian  HB(x, y)    = max_k  <x, p_k> - L**(y, p_k)
     regularized       HR(x, y)    = (HB(x, y) - HB(y, x)) / 2
+
+grad1/grad2 are the general central-difference evaluators; the residual
+checks use residual_gradients, their bits at the grid pairs (x_{s(i)}, x_i)
+from 1 + 2d bidual tables shared by both identities.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,18 +44,11 @@ __all__ = [
     "regularize",
     "grad1",
     "grad2",
+    "residual_gradients",
 ]
 
 # per-chunk scratch arrays stay below ~16M doubles
 _CHUNK_BUDGET = 16_000_000
-
-
-def worker_count() -> int:
-    cap = os.environ.get("SELFDUAL_THREADS")
-    avail = os.cpu_count() or 1
-    if cap is None:
-        return avail
-    return max(1, min(avail, int(cap)))
 
 
 def lagrangian(
@@ -86,26 +80,17 @@ def restricted_dual(
     """Table L*(p_k, x_i) over the dual set and the grid.
 
     The (k, i) entry is the exhaustive max over grid x dual-set of the
-    Fenchel expression; construction is a parallel map over dual slopes.
+    Fenchel expression, filled one dual slope at a time.
     """
     x = dom.points
     lh = _lagrangian_table(kernel, dom, pset)  # [k, j] = L(x_j, p_k)
     qx = pset.pts @ x.T  # [k_q, j]
     yp = x @ pset.pts.T  # [i, k_p]
     out = np.empty((pset.m, dom.n))
-
-    def fill(kq: int) -> None:
+    for kq in range(pset.m):
         # max over j of <q, x_j> - L(x_j, p_kp), then add <y_i, p_kp>
         b = (qx[kq][None, :] - lh).max(axis=1)  # [k_p]
         out[kq] = (yp + b[None, :]).max(axis=1)
-
-    workers = min(worker_count(), pset.m)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(fill, range(pset.m)))
-    else:
-        for kq in range(pset.m):
-            fill(kq)
     return out
 
 
@@ -128,28 +113,13 @@ def restricted_bidual(
     p: np.ndarray,
 ) -> float:
     """L**(x, p) at a single point, max of affine pieces, convex in (x, p)."""
-    x = np.asarray(x, dtype=float).reshape(1, dom.dim)
-    p = np.asarray(p, dtype=float).reshape(1, dom.dim)
-    return float(_bidual_batch(lstar_table, dom, pset, x, p)[0])
-
-
-def _bidual_batch(
-    lstar_table: np.ndarray,
-    dom: DiscreteDomain,
-    pset: DualPointSet,
-    ys: np.ndarray,
-    qs: np.ndarray,
-) -> np.ndarray:
-    yp = ys @ pset.pts.T  # [b, k]
-    qx = qs @ dom.points.T  # [b, j]
-    n, m = dom.n, pset.m
-    step = max(1, _CHUNK_BUDGET // (n * m))
-    out = np.empty(len(ys))
-    for lo in range(0, len(ys), step):
-        hi = min(lo + step, len(ys))
-        block = yp[lo:hi, :, None] + qx[lo:hi, None, :] - lstar_table[None, :, :]
-        out[lo:hi] = block.max(axis=(1, 2))
-    return out
+    yp = np.asarray(x, dtype=float).reshape(1, dom.dim) @ pset.pts.T  # [1, k]
+    qx = np.asarray(p, dtype=float).reshape(1, dom.dim) @ dom.points.T  # [1, j]
+    # running max over k of (<x, p_k> + <p, x_j>) - L*(p_k, x_j)
+    acc = np.full(qx.shape, -np.inf)
+    for k in range(pset.m):
+        np.maximum(acc, (yp[:, k, None] + qx) - lstar_table[k], out=acc)
+    return float(acc.max())
 
 
 def ball_hamiltonian(
@@ -185,7 +155,7 @@ class RegularHamiltonian:
         self.pset = pset
         self.lstar_table = lstar_table
         self.radius = float(radius)
-        self._px = pset.pts @ dom.points.T  # [k, j]
+        self._xp = (pset.pts @ dom.points.T).T.copy()  # [j, k] = <p_k, x_j>
         # resolution of the finite dual set, reported with every run
         self.covering_radius = pset.covering_radius()
         self.tol_reg = 2.0 * self.radius * self.covering_radius
@@ -198,18 +168,23 @@ class RegularHamiltonian:
     # -- evaluators --------------------------------------------------
 
     def bidual_at_slopes(self, ys: np.ndarray) -> np.ndarray:
-        """[b, k] = L**(y_b, p_k) for every dual slope at once."""
+        """[b, k] = L**(y_b, p_k) for every dual slope at once, as two
+        running maxima with [b, n] and [b, m] scratch (a max is exact)."""
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         yp = ys @ self.pset.pts.T  # [b, k']
         n, m = self.dom.n, self.pset.m
-        out = np.empty((len(ys), m))
-        step = max(1, _CHUNK_BUDGET // (n * m))
+        out = np.full((len(ys), m), -np.inf)
+        step = max(1, _CHUNK_BUDGET // (n + m))
         for lo in range(0, len(ys), step):
             hi = min(lo + step, len(ys))
             # g[b, j] = max_k' <y_b, p_k'> - L*(p_k', x_j)
-            g = (yp[lo:hi, :, None] - self.lstar_table[None, :, :]).max(axis=1)
+            g = np.full((hi - lo, n), -np.inf)
+            for k in range(m):
+                np.maximum(g, yp[lo:hi, k, None] - self.lstar_table[k], out=g)
             # out[b, k] = max_j <p_k, x_j> + g[b, j]
-            out[lo:hi] = (self._px[None, :, :] + g[:, None, :]).max(axis=2)
+            acc = out[lo:hi]
+            for j in range(n):
+                np.maximum(acc, self._xp[j] + g[:, j, None], out=acc)
         return out
 
     def bidual(self, y: np.ndarray, q: np.ndarray) -> float:
@@ -233,22 +208,17 @@ class RegularHamiltonian:
         """L_{HR}(x_b, p_b) = max over grid y of <y, p_b> - HR(y, x_b)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        hg = self._hreg_against_grid(xs)  # [b, j] = HR(x_j, x_b)
-        return (ps @ self.dom.points.T - hg).max(axis=1)
-
-    def _hreg_against_grid(self, xs: np.ndarray) -> np.ndarray:
-        """[b, j] = HR(x_j, x_b) without materialising all pairs at once."""
-        n = self.dom.n
-        out = np.empty((len(xs), n))
-        step = max(1, _CHUNK_BUDGET // (n * max(n, self.pset.m)))
-        grid = self.dom.points
-        for lo in range(0, len(xs), step):
-            hi = min(lo + step, len(xs))
-            b = hi - lo
-            rep_x = np.repeat(xs[lo:hi], n, axis=0)
-            rep_g = np.tile(grid, (b, 1))
-            out[lo:hi] = self(rep_g, rep_x).reshape(b, n)
-        return out
+        grid, pts_t = self.dom.points, self.pset.pts.T
+        tx, tg = self.bidual_at_slopes(xs), self.bidual_at_slopes(grid)
+        gp, xp = grid @ pts_t, xs @ pts_t
+        # [b, j] = HB(x_j, x_b) and HB(x_b, x_j), as running maxima over k
+        hb_gx = np.full((len(xs), self.dom.n), -np.inf)
+        hb_xg = hb_gx.copy()
+        for k in range(self.pset.m):
+            np.maximum(hb_gx, gp[:, k] - tx[:, k, None], out=hb_gx)
+            np.maximum(hb_xg, xp[:, k, None] - tg[:, k], out=hb_xg)
+        hg = 0.5 * (hb_gx - hb_xg)  # [b, j] = HR(x_j, x_b)
+        return (ps @ grid.T - hg).max(axis=1)
 
 
 def regularize(
@@ -307,3 +277,33 @@ def _fd_gradient(hreg, x, y, h, slot):
         else:
             out[:, k] = (hreg(xs, plus) - hreg(xs, minus)) / (2.0 * h)
     return out if out.shape[0] > 1 else out[0]
+
+
+def residual_gradients(
+    hreg: RegularHamiltonian, perm: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """grad1 and grad2 of HR at (x_{perm(i)}, x_i), [n, d] each, bit for bit.
+
+    x_{perm(i)} +- h e_c is a row permutation of the grid shifted by
+    +-h e_c, so the 1 + 2d tables L**(., p_k) at the grid and at its shifts
+    serve both slots of both gradients through row gathers. Each table gets
+    its own n-row call, as in grad1/grad2: the BLAS product <y, p_k> rounds
+    the edge tiles of a batch apart, so one stacked call can move a bit.
+    """
+    if h <= 0:
+        raise ValueError("difference step must be positive")
+    grid, pts_t, twoh = hreg.dom.points, hreg.pset.pts.T, 2.0 * h
+    perm = np.asarray(perm, dtype=np.intp)
+    sx, t0 = grid[perm], hreg.bidual_at_slopes(grid)
+
+    def hr(a, ta, b, tb):
+        # HR(a, b) = (HB(a, b) - HB(b, a)) / 2 given ta, tb = L**(a, .), L**(b, .)
+        return 0.5 * ((a @ pts_t - tb).max(axis=1) - (b @ pts_t - ta).max(axis=1))
+
+    g1, g2 = np.empty(grid.shape), np.empty(grid.shape)
+    for c, s in enumerate(np.eye(grid.shape[1]) * h):
+        plus, minus = grid + s, grid - s
+        tp, tm = hreg.bidual_at_slopes(plus), hreg.bidual_at_slopes(minus)
+        g1[:, c] = (hr(sx + s, tp[perm], grid, t0) - hr(sx - s, tm[perm], grid, t0)) / twoh
+        g2[:, c] = (hr(sx, t0[perm], plus, tp) - hr(sx, t0[perm], minus, tm)) / twoh
+    return g1, g2

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import conjugacy, dual_solver, primal_solver
-from .conjugacy import RegularHamiltonian, grad1, grad2
+from .conjugacy import RegularHamiltonian, residual_gradients
 from .domain import (
     AntiSymmetricKernel,
     DiscreteDomain,
@@ -107,7 +107,6 @@ class DecompositionReport:
     uniqueness: UniquenessVerdict
     kernel: AntiSymmetricKernel
     hamiltonian: RegularHamiltonian
-    recovered: primal_solver.RecoveredMap
     dual: dual_solver.DualSolution
     primal: primal_solver.PrimalSolution
     tolerances: dict
@@ -160,14 +159,11 @@ def decompose(
 
     h = cfg.fd_step_rel * ball.value
     sigma = dual.sigma
-    sx = dom.points[sigma.sigma]
-    g1 = np.atleast_2d(grad1(hreg, sx, dom.points, h))
-    g2 = np.atleast_2d(grad2(hreg, sx, dom.points, h))
+    g1, g2 = residual_gradients(hreg, sigma.sigma, h)
     res1 = ResidualStats(np.linalg.norm(fld.values - g1, axis=1))
     res2 = ResidualStats(np.linalg.norm(fld.values[sigma.sigma] + g2, axis=1))
 
     cert = primal_solver.weak_duality(dom, fld, primal.kernel, sigma)
-    recovered = primal_solver.recover_involution(primal.kernel, dom, fld)
     mono = check_monotone(dom, fld)
     uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
 
@@ -201,7 +197,6 @@ def decompose(
         uniq,
         primal.kernel,
         hreg,
-        recovered,
         dual,
         primal,
         tolerances,
@@ -379,9 +374,11 @@ def krauss_check(
             "field is not monotone; the diagonal representation does not apply "
             f"(worst pair {verdict.worst_pair}, pairing {verdict.min_pairing:.3e})"
         )
+    if not np.array_equal(hreg.dom.points, dom.points):
+        raise ValueError("hamiltonian was built on another grid")
     h = h if h is not None else 1e-4 * hreg.radius
-    g = np.atleast_2d(grad1(hreg, dom.points, dom.points, h))
-    return ResidualStats(np.linalg.norm(fld.values - g, axis=1))
+    g1, _ = residual_gradients(hreg, np.arange(dom.n), h)
+    return ResidualStats(np.linalg.norm(fld.values - g1, axis=1))
 
 
 def second_identity_check(
@@ -395,7 +392,8 @@ def second_identity_check(
     check_pairing(dom, fld)
     if s.n != dom.n:
         raise ValueError("involution length does not match domain")
+    if not np.array_equal(hreg.dom.points, dom.points):
+        raise ValueError("hamiltonian was built on another grid")
     h = h if h is not None else 1e-4 * hreg.radius
-    sx = dom.points[s.sigma]
-    g2 = np.atleast_2d(grad2(hreg, sx, dom.points, h))
+    _, g2 = residual_gradients(hreg, s.sigma, h)
     return ResidualStats(np.linalg.norm(fld.values[s.sigma] + g2, axis=1))

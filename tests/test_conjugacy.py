@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import selfdual as sd
+from selfdual import conjugacy, fields
 from selfdual.conjugacy import (
     ball_hamiltonian,
     grad1,
@@ -11,11 +13,12 @@ from selfdual.conjugacy import (
     lagrangian,
     lagrangian_at_field,
     regularize,
+    residual_gradients,
     restricted_bidual,
     restricted_dual,
 )
 
-from conftest import sincos_problem
+from conftest import odd_cycle_problem, random_problem, sincos_problem
 
 
 def single_point_setup():
@@ -313,26 +316,136 @@ class TestGradients:
         hreg, *_ = sincos64_hreg
         with pytest.raises(ValueError):
             grad1(hreg, [0.5], [0.5], 0.0)
+        with pytest.raises(ValueError):
+            residual_gradients(hreg, np.arange(hreg.dom.n), 0.0)
 
 
-class TestWorkerCap:
-    def test_env_var_caps_table_workers(self, monkeypatch):
-        from selfdual.conjugacy import worker_count
+def fd_residual_gradients(hreg, perm, h):
+    """grad1 and grad2 at (x_{perm(i)}, x_i) through the general evaluator."""
+    grid = hreg.dom.points
+    sx = grid[perm]
+    return (
+        np.atleast_2d(grad1(hreg, sx, grid, h)),
+        np.atleast_2d(grad2(hreg, sx, grid, h)),
+    )
 
-        monkeypatch.setenv("SELFDUAL_THREADS", "1")
-        assert worker_count() == 1
-        monkeypatch.setenv("SELFDUAL_THREADS", "999")
-        import os
 
-        assert worker_count() == (os.cpu_count() or 1)
+def builtin_problem(name, n):
+    bf = fields.builtin_field(name, n)
+    dom = sd.build_grid(bf.domain_spec)
+    return dom, sd.sample_field(dom, bf.rule), bf
 
-    def test_tables_identical_across_worker_counts(self, monkeypatch):
-        dom, fld = sincos_problem(12)
-        kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
-        monkeypatch.setenv("SELFDUAL_THREADS", "1")
-        one = restricted_dual(kernel, dom, pset)
-        monkeypatch.setenv("SELFDUAL_THREADS", "4")
-        four = restricted_dual(kernel, dom, pset)
-        assert np.array_equal(one, four)
+
+def pair_swap(n):
+    """The involution (0 1)(2 3)..., with the last point fixed for odd n."""
+    sigma = np.arange(n)
+    sigma[: n - n % 2] = sigma[: n - n % 2].reshape(-1, 2)[:, ::-1].ravel()
+    return sigma
+
+
+def assert_shared_pass_matches(hreg, perm, h):
+    got = residual_gradients(hreg, perm, h)
+    want = fd_residual_gradients(hreg, perm, h)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+class TestResidualGradients:
+    @pytest.mark.parametrize(
+        "name, n", [("sincos", 32), ("tent", 32), ("gradskew", 64), ("matrix", 64)]
+    )
+    def test_builtins_bit_identical(self, name, n):
+        dom, fld, bf = builtin_problem(name, n)
+        rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
+        h = rep.tolerances["fd_step"]
+        for perm in (np.arange(dom.n), rep.sigma.sigma):
+            assert_shared_pass_matches(rep.hamiltonian, perm, h)
+
+    # (3, 6, 0) and (3, 5, 5) fail when the 1 + 2d shifted grids share one
+    # matrix product: its edge tiles round some rows without FMA
+    @pytest.mark.parametrize(
+        "d, n, seed",
+        [(1, 16, 3), (2, 16, 3), (3, 16, 3), (1, 16, 4), (2, 16, 4), (3, 16, 4)]
+        + [(3, 6, 0), (3, 5, 5)],
+    )
+    def test_random_clouds_bit_identical(self, d, n, seed):
+        dom, fld = random_problem(np.random.default_rng(seed), n, d)
+        rep = sd.decompose(dom, fld)
+        h = rep.tolerances["fd_step"]
+        if (d, n, seed) == (3, 16, 4):
+            assert rep.dual.certificate == "blossom-fallback"
+        for perm in (np.arange(dom.n), pair_swap(dom.n), rep.sigma.sigma):
+            assert_shared_pass_matches(rep.hamiltonian, perm, h)
+
+    def test_odd_cycle_bit_identical(self):
+        dom, fld = odd_cycle_problem()
+        rep = sd.decompose(dom, fld)
+        assert rep.dual.certificate == "blossom-fallback"
+        h = rep.tolerances["fd_step"]
+        for perm in (np.arange(3), pair_swap(3), rep.sigma.sigma):
+            assert_shared_pass_matches(rep.hamiltonian, perm, h)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            lambda: builtin_problem("sincos", 32),
+            lambda: builtin_problem("matrix", 36),
+            lambda: builtin_problem("gradskew", 36),
+            lambda: random_problem(np.random.default_rng(4), 16, 2),
+            odd_cycle_problem,
+        ],
+    )
+    def test_report_unchanged_against_fd_gradients(self, problem, monkeypatch):
+        dom, fld, *rest = problem()
+        rules = {"rule": rest[0].rule, "jacobian": rest[0].jacobian} if rest else {}
+        shared = json.dumps(sd.decompose(dom, fld, **rules).to_dict())
+        monkeypatch.setattr(sd.factorize, "residual_gradients", fd_residual_gradients)
+        assert json.dumps(sd.decompose(dom, fld, **rules).to_dict()) == shared
+
+
+def broadcast_bidual_at_slopes(hreg, ys):
+    """[b, k] = L**(y_b, p_k) as one [b, m, n] maximum."""
+    yp = ys @ hreg.pset.pts.T
+    g = (yp[:, :, None] - hreg.lstar_table[None, :, :]).max(axis=1)
+    px = hreg.pset.pts @ hreg.dom.points.T
+    return (px[None, :, :] + g[:, None, :]).max(axis=2)
+
+
+def broadcast_restricted_bidual(hreg, y, q):
+    yp = np.reshape(y, (1, -1)) @ hreg.pset.pts.T
+    qx = np.reshape(q, (1, -1)) @ hreg.dom.points.T
+    block = yp[:, :, None] + qx[:, None, :] - hreg.lstar_table[None, :, :]
+    return float(block.max())
+
+
+class TestRunningMaxEvaluators:
+    @pytest.fixture(scope="class")
+    def plane_hreg(self):
+        dom, fld, bf = builtin_problem("matrix", 36)
+        return sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian).hamiltonian
+
+    def test_bidual_at_slopes_matches_broadcast(
+        self, sincos64_hreg, plane_hreg, monkeypatch
+    ):
+        rng = np.random.default_rng(11)
+        for hreg in (sincos64_hreg[0], plane_hreg):
+            r = hreg.radius
+            ys = np.concatenate(
+                [hreg.dom.points, rng.uniform(-2 * r, 2 * r, size=(40, hreg.dom.dim))]
+            )
+            want = broadcast_bidual_at_slopes(hreg, ys)
+            assert np.array_equal(hreg.bidual_at_slopes(ys), want)
+            # rows split into chunks of three give the same table
+            budget = 3 * (hreg.dom.n + hreg.pset.m)
+            monkeypatch.setattr(conjugacy, "_CHUNK_BUDGET", budget)
+            assert np.array_equal(hreg.bidual_at_slopes(ys), want)
+            monkeypatch.undo()
+
+    def test_restricted_bidual_matches_broadcast(self, sincos64_hreg, plane_hreg):
+        rng = np.random.default_rng(12)
+        for hreg in (sincos64_hreg[0], plane_hreg):
+            r, d = hreg.radius, hreg.dom.dim
+            for y, q in rng.uniform(-2 * r, 2 * r, size=(20, 2, d)):
+                got = restricted_bidual(hreg.lstar_table, hreg.dom, hreg.pset, y, q)
+                assert got == broadcast_restricted_bidual(hreg, y, q)
+

@@ -292,6 +292,18 @@ class TestKraussCheck:
         with pytest.raises(ValueError):
             krauss_check(dom, fld, hreg)
 
+    def test_refuses_hamiltonian_of_another_grid(self):
+        # the residual gradients are taken at the Hamiltonian's own grid
+        dom, fld = monotone_problem(16)
+        other, ofld = monotone_problem(12)
+        kernel = sd.make_kernel(other, lambda x, y: 0.5 * x * x - 0.5 * y * y)
+        pset = sd.build_dual_points(other, ofld, sd.ball_radius(other, ofld))
+        hreg = sd.regularize(kernel, other, pset)
+        with pytest.raises(ValueError, match="another grid"):
+            krauss_check(dom, fld, hreg)
+        with pytest.raises(ValueError, match="another grid"):
+            second_identity_check(dom, fld, hreg, sd.Involution.identity(16))
+
 
 class TestSecondIdentity:
     def test_sincos_reflection(self):
