@@ -40,7 +40,6 @@ from .dual_solver import (
     build_weights,
     distance_objective,
     dual_objective,
-    lp_bound,
     solve_brute,
     solve_matching,
 )

@@ -18,8 +18,13 @@ a dual set with points p_k:
     regularized       HR(x, y)    = (HB(x, y) - HB(y, x)) / 2
 
 grad1/grad2 are the general central-difference evaluators; the residual
-checks use residual_gradients, their bits at the grid pairs (x_{s(i)}, x_i)
-from 1 + 2d bidual tables shared by both identities.
+checks use residual_gradients, their bits at the grid pairs (x_{s(i)}, x_i).
+It builds one dense bidual table, at the grid, and reads the 2d tables at
+the grid shifted by +-h e_c only at the pieces whose maximum a step of h
+can move: every piece is affine with slope at most R_p = max |p_k|, so a
+piece more than 2 (h R_p + delta) below its maximum stays below it, delta
+being a rounding allowance (_candidate_margin derives it). A float max over
+a superset of the argmax is the same float, so the bits do not change.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ __all__ = [
 
 # per-chunk scratch arrays stay below ~16M doubles
 _CHUNK_BUDGET = 16_000_000
+# residual_gradients tests candidates in blocks of at most this many
+# pieces and gathers them in groups of about this many candidates
+_GATHER_BUDGET = 1 << 12
+_GROUP_BUDGET = 1 << 10
 
 
 def lagrangian(
@@ -167,28 +176,32 @@ class RegularHamiltonian:
 
     # -- evaluators --------------------------------------------------
 
-    def bidual_at_slopes(self, ys: np.ndarray) -> np.ndarray:
+    def bidual_at_slopes(self, ys: np.ndarray, inner: bool = False):
         """[b, k] = L**(y_b, p_k) for every dual slope at once, as two
-        running maxima with [b, n] and [b, m] scratch (a max is exact)."""
+        running maxima with [b, n] and [b, m] scratch (a max is exact).
+
+        With ``inner`` also returns the [b, n] table
+        g[b, j] = max_k' <y_b, p_k'> - L*(p_k', x_j), whose pieces
+        <p_k, x_j> + g[b, j] the outer maximum runs over.
+        """
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         yp = ys @ self.pset.pts.T  # [b, k']
         n, m = self.dom.n, self.pset.m
         out = np.full((len(ys), m), -np.inf)
+        kept = np.empty((len(ys), n)) if inner else None
         step = max(1, _CHUNK_BUDGET // (n + m))
         for lo in range(0, len(ys), step):
             hi = min(lo + step, len(ys))
             # g[b, j] = max_k' <y_b, p_k'> - L*(p_k', x_j)
-            g = np.full((hi - lo, n), -np.inf)
+            g = kept[lo:hi] if inner else np.empty((hi - lo, n))
+            g.fill(-np.inf)
             for k in range(m):
                 np.maximum(g, yp[lo:hi, k, None] - self.lstar_table[k], out=g)
             # out[b, k] = max_j <p_k, x_j> + g[b, j]
             acc = out[lo:hi]
             for j in range(n):
                 np.maximum(acc, self._xp[j] + g[:, j, None], out=acc)
-        return out
-
-    def bidual(self, y: np.ndarray, q: np.ndarray) -> float:
-        return restricted_bidual(self.lstar_table, self.dom, self.pset, y, q)
+        return (out, kept) if inner else out
 
     def ball_ham(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """HB at batched pairs; convex piecewise-affine in the first slot."""
@@ -284,26 +297,158 @@ def residual_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """grad1 and grad2 of HR at (x_{perm(i)}, x_i), [n, d] each, bit for bit.
 
-    x_{perm(i)} +- h e_c is a row permutation of the grid shifted by
-    +-h e_c, so the 1 + 2d tables L**(., p_k) at the grid and at its shifts
-    serve both slots of both gradients through row gathers. Each table gets
-    its own n-row call, as in grad1/grad2: the BLAS product <y, p_k> rounds
-    the edge tiles of a batch apart, so one stacked call can move a bit.
+    Every point at which the central differences need L**(., p_k) is the
+    grid, the grid shifted by +-h e_c, or a row permutation of one of them,
+    so row gathers serve both slots of both gradients. The table
+    t0 = L**(grid, .) and its inner table g0 are computed densely, once.
+    The shifted tables enter only the maxima over k of
+    HB(x_i, x_{perm(i)} +- h e_c) and HB(x_{perm(i)}, x_i +- h e_c), and
+    there each of the three nested maxima (HB over k, L** over j, g over
+    k') runs only over its candidates, the pieces whose unshifted value
+    lies within tau = 2 (h R_p + delta) of the unshifted maximum. Each
+    piece is affine in the shifted slot with slope at most R_p = max |p_k|,
+    so a step of h moves every piece, and so the maximum, by at most h R_p:
+    a piece that attains the shifted maximum was within 2 h R_p of the
+    unshifted one, and delta bounds what rounding adds (_candidate_margin
+    derives it). One set of candidates serves every c and both signs.
+
+    Every matrix product is the n-row call that grad1/grad2 make (the BLAS
+    product <y, p_k> rounds the edge tiles of a batch apart, so another
+    batch can move a bit), every piece is the float expression of
+    bidual_at_slopes and __call__, and a float max over a superset of the
+    argmax is the same float, so the result equals grad1/grad2 bit for bit.
+
+    Candidate tests run in blocks of at most _GATHER_BUDGET pieces and the
+    gathers in groups of about _GROUP_BUDGET candidates, whatever h is.
+    The rest of the scratch is 1 + 2d [n, m] tables, the [n, n] inner
+    table and a few numbers per pair (b, k) that a sparse half reads; when
+    h is of the order of R, that is nearly every pair.
     """
     if h <= 0:
         raise ValueError("difference step must be positive")
-    grid, pts_t, twoh = hreg.dom.points, hreg.pset.pts.T, 2.0 * h
-    perm = np.asarray(perm, dtype=np.intp)
-    sx, t0 = grid[perm], hreg.bidual_at_slopes(grid)
+    grid, lstar, xp = hreg.dom.points, hreg.lstar_table, hreg._xp
+    (n, d), m = grid.shape, hreg.pset.m
+    perm = np.asarray(perm)
+    if (
+        perm.shape != (n,)
+        or perm.dtype.kind not in "iu"
+        or not np.array_equal(np.sort(perm), np.arange(n))
+    ):
+        raise ValueError("perm must be a permutation of range(n)")
+    pinv = np.empty(n, dtype=np.intp)
+    pinv[perm] = np.arange(n)
+    pts_t, twoh, sx = hreg.pset.pts.T, 2.0 * h, grid[perm]
+    shifts = [sign * e for e in np.eye(d) * h for sign in (1, -1)]
+    tau = _candidate_margin(hreg, h)
 
-    def hr(a, ta, b, tb):
-        # HR(a, b) = (HB(a, b) - HB(b, a)) / 2 given ta, tb = L**(a, .), L**(b, .)
-        return 0.5 * ((a @ pts_t - tb).max(axis=1) - (b @ pts_t - ta).max(axis=1))
+    t0, g0 = hreg.bidual_at_slopes(grid, inner=True)
+    t0p = t0[perm]
+    # the dense halves, HB(x_{perm(i)} +- s, x_i) and HB(x_i +- s, x_{perm(i)})
+    hb_sx = np.array([((sx + s) @ pts_t - t0).max(axis=1) for s in shifts])
+    hb_grid = np.array([((grid + s) @ pts_t - t0p).max(axis=1) for s in shifts])
+    # the sparse halves, HB(x_i, x_{perm(i)} +- s) (hb_1) and
+    # HB(x_{perm(i)}, x_i +- s) (hb_2), read the shifted tables at the pairs
+    # (b, k) in need: at row b = perm(i) for hb_1 and b = i for hb_2
+    yp0 = grid @ pts_t
+    keep1 = _near_max(yp0 - t0p, tau)[pinv]
+    del t0p
+    xs0 = sx @ pts_t
+    keep2 = _near_max(xs0 - t0, tau)
+    need = np.flatnonzero(keep1 | keep2)  # b * m + k, sorted
+    sel1, sel2 = keep1.ravel()[need], keep2.ravel()[need]
+    v2, thr2 = xs0.ravel()[need], t0.ravel()[need] - tau
+    del t0, xs0, keep1, keep2
+    # the products of hb_grid again: kept only once t0 is gone, so that at
+    # most 1 + 2d [n, m] tables live at a time
+    yps = [(grid + s) @ pts_t for s in shifts]
 
-    g1, g2 = np.empty(grid.shape), np.empty(grid.shape)
-    for c, s in enumerate(np.eye(grid.shape[1]) * h):
-        plus, minus = grid + s, grid - s
-        tp, tm = hreg.bidual_at_slopes(plus), hreg.bidual_at_slopes(minus)
-        g1[:, c] = (hr(sx + s, tp[perm], grid, t0) - hr(sx - s, tm[perm], grid, t0)) / twoh
-        g2[:, c] = (hr(sx, t0[perm], plus, tp) - hr(sx, t0[perm], minus, tm)) / twoh
+    hb_1, hb_2 = np.full((2 * d, n), -np.inf), np.full((2 * d, n), -np.inf)
+    # L**(y_b + s, p_k) = max over j of <p_k, x_j> + g(y_b + s, x_j)
+    for lo, hi, r, j in _candidate_groups(
+        lambda rows: xp.T[need[rows] % m] + g0[need[rows] // m], thr2, n
+    ):
+        b, k = np.divmod(need[lo:hi], m)
+        starts2 = np.flatnonzero(np.diff(r, prepend=-1))
+        xp2 = xp[j, k[r]]
+        bj, where = np.unique(b[r] * n + j, return_inverse=True)
+        b1, j1 = np.divmod(bj, n)
+        # g(y_b + s, x_j) = max over k' of <y_b + s, p_k'> - L*(p_k', x_j)
+        g = np.empty((2 * d, len(bj)))
+        for lo1, hi1, r1, k1 in _candidate_groups(
+            lambda rows: yp0[b1[rows]] - lstar.T[j1[rows]], g0[b1, j1] - tau, m
+        ):
+            starts1 = np.flatnonzero(np.diff(r1, prepend=-1))
+            r1 += lo1
+            at, lv = b1[r1] * m + k1, lstar[k1, j1[r1]]
+            for q, yp in enumerate(yps):
+                g[q, lo1:hi1] = np.maximum.reduceat(yp.ravel()[at] - lv, starts1)
+        w1, w2 = sel1[lo:hi], sel2[lo:hi]
+        i1 = pinv[b[w1]]
+        v1, v2g = yp0[i1, k[w1]], v2[lo:hi][w2]
+        for q in range(2 * d):
+            t = np.maximum.reduceat(xp2 + g[q][where], starts2)
+            np.maximum.at(hb_1[q], i1, v1 - t[w1])
+            np.maximum.at(hb_2[q], b[w2], v2g - t[w2])
+
+    # HR(a, b) = (HB(a, b) - HB(b, a)) / 2 as in __call__; rows 2c and
+    # 2c + 1 hold the shifts +h e_c and -h e_c
+    hr1 = 0.5 * (hb_sx - hb_1)  # HR(x_{perm(i)} +- s, x_i)
+    hr2 = 0.5 * (hb_2 - hb_grid)  # HR(x_{perm(i)}, x_i +- s)
+    g1 = np.ascontiguousarray(((hr1[0::2] - hr1[1::2]) / twoh).T)
+    g2 = np.ascontiguousarray(((hr2[0::2] - hr2[1::2]) / twoh).T)
     return g1, g2
+
+
+def _near_max(a: np.ndarray, tau: float) -> np.ndarray:
+    """The entries of each row of a within tau of the row maximum."""
+    return a >= (a.max(axis=1) - tau)[:, None]
+
+
+def _candidate_groups(pieces, thr, width):
+    """Candidate entries of a [len(thr), width] table, in row groups.
+
+    ``pieces(rows)`` evaluates a block of rows; an entry (r, c) is a
+    candidate when it is >= thr[r]. The table is evaluated in blocks of at
+    most _GATHER_BUDGET entries, and a group closes once it holds
+    _GROUP_BUDGET candidates. Yields (lo, hi, r, c) with rows lo..hi-1,
+    r counted from lo, in row-major order.
+    """
+    step = max(1, _GATHER_BUDGET // width)
+    lo, found, size = 0, [], 0
+    for a in range(0, len(thr), step):
+        rows = slice(a, a + step)
+        r, c = np.nonzero(pieces(rows) >= thr[rows, None])
+        found.append((r + (a - lo), c))
+        size += len(r)
+        hi = min(a + step, len(thr))
+        if size >= _GROUP_BUDGET or hi == len(thr):
+            yield lo, hi, *map(np.concatenate, zip(*found))
+            lo, found, size = hi, [], 0
+
+
+def _candidate_margin(hreg: RegularHamiltonian, h: float) -> float:
+    """tau = 2 (h R_p + delta), the window of residual_gradients.
+
+    A piece of any of the three nested maxima is an affine function of the
+    second HB slot y whose slope is some p_k', |p_k'| <= R_p; so is each max
+    below it. The shifted point is fl(y_c + h): it moves y_c by at most h +
+    u |y_c + h| (u = eps / 2), and every exact piece by at most h R_p + u A,
+    A = (max |x_j| + h) R_p bounding every |<y, p>| and |<p, x_j>|. Every
+    computed value has modulus at most S = 3 A + max |L*| (g <= A + max
+    |L*|, L** <= A + |g|, HB pieces <= A + |L**|). A dot product of length d
+    is off by at most gamma_d A <= 1.01 d u A whatever its order or FMA use,
+    and each sum by u S; a max adds no error, so the errors of the three
+    levels add up and every computed piece is off its exact value by at most
+    e = 3 (gamma_d + u) S. A computed shifted piece therefore differs from
+    its computed unshifted one by at most h R_p + u A + 2 e. Let k0 attain
+    the unshifted max M. Every shifted maximum is >= the shifted piece k0 >=
+    M - (h R_p + u A + 2 e), so a piece that attains it had unshifted value
+    >= M - 2 (h R_p + u A + 2 e). The test is against fl(M - tau), which
+    rounds up by at most u (S + tau) <= 3 u S. delta = (4 d + 8) eps S
+    covers u A + 2 e + 1.5 u S <= (6.06 d + 8.5) u S with room to spare.
+    """
+    eps = np.finfo(float).eps
+    r_p = float(np.sqrt((hreg.pset.pts**2).sum(axis=1)).max())
+    a = (float(np.sqrt((hreg.dom.points**2).sum(axis=1)).max()) + h) * r_p
+    scale = 3.0 * a + float(np.abs(hreg.lstar_table).max())
+    return 2.0 * (h * r_p + (4 * hreg.dom.dim + 8) * eps * scale)

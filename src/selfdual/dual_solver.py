@@ -38,7 +38,6 @@ __all__ = [
     "solve_brute",
     "solve_matching",
     "assignment_relaxation",
-    "lp_bound",
     "solve",
 ]
 
@@ -261,11 +260,6 @@ def _round_cycles(s: np.ndarray, perm: np.ndarray) -> np.ndarray | None:
         a, b = cyc[off::2], nxt[off::2]
         sigma[a], sigma[b] = b, a
     return sigma
-
-
-def lp_bound(dom: DiscreteDomain, fld: SampledField) -> float:
-    """Upper bound on every involution value (the relaxation optimum)."""
-    return assignment_relaxation(dom, fld)[2]
 
 
 # ---------------------------------------------------------------------------

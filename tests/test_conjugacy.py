@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +352,18 @@ def assert_shared_pass_matches(hreg, perm, h):
     assert np.array_equal(got[1], want[1])
 
 
+def three_cycle(n):
+    """The permutation 0 -> 1 -> 2 -> 0, every other point fixed."""
+    perm = np.arange(n)
+    perm[:3] = [1, 2, 0]
+    return perm
+
+
+def fallback_cloud():
+    """The d = 3 random cloud whose assignment has an odd cycle."""
+    return random_problem(np.random.default_rng(4), 16, 3)
+
+
 class TestResidualGradients:
     @pytest.mark.parametrize(
         "name, n", [("sincos", 32), ("tent", 32), ("gradskew", 64), ("matrix", 64)]
@@ -358,7 +372,7 @@ class TestResidualGradients:
         dom, fld, bf = builtin_problem(name, n)
         rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         h = rep.tolerances["fd_step"]
-        for perm in (np.arange(dom.n), rep.sigma.sigma):
+        for perm in (np.arange(dom.n), rep.sigma.sigma, three_cycle(dom.n)):
             assert_shared_pass_matches(rep.hamiltonian, perm, h)
 
     # (3, 6, 0) and (3, 5, 5) fail when the 1 + 2d shifted grids share one
@@ -374,7 +388,8 @@ class TestResidualGradients:
         h = rep.tolerances["fd_step"]
         if (d, n, seed) == (3, 16, 4):
             assert rep.dual.certificate == "blossom-fallback"
-        for perm in (np.arange(dom.n), pair_swap(dom.n), rep.sigma.sigma):
+        perms = (np.arange(n), pair_swap(n), rep.sigma.sigma, three_cycle(n))
+        for perm in perms:
             assert_shared_pass_matches(rep.hamiltonian, perm, h)
 
     def test_odd_cycle_bit_identical(self):
@@ -402,6 +417,92 @@ class TestResidualGradients:
         monkeypatch.setattr(sd.factorize, "residual_gradients", fd_residual_gradients)
         assert json.dumps(sd.decompose(dom, fld, **rules).to_dict()) == shared
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_scaled_fields_bit_identical(self, scale):
+        for dom, fld in (
+            sincos_problem(24),
+            random_problem(np.random.default_rng(3), 16, 2),
+            fallback_cloud(),
+        ):
+            rep = sd.decompose(dom, sd.SampledField(scale * fld.values))
+            h = rep.tolerances["fd_step"]
+            for perm in (np.arange(dom.n), rep.sigma.sigma):
+                assert_shared_pass_matches(rep.hamiltonian, perm, h)
+
+    # h = R: 98-100 % of the pieces lie in the window; h = 1e-12 R: the
+    # window is 2 h R_p plus the rounding allowance
+    @pytest.mark.parametrize("step", [1.0, 1e-12])
+    def test_extreme_steps_bit_identical(self, step):
+        for dom, fld in (
+            builtin_problem("matrix", 36)[:2],
+            sincos_problem(24),
+            fallback_cloud(),
+        ):
+            rep = sd.decompose(dom, fld)
+            hreg = rep.hamiltonian
+            for perm in (np.arange(dom.n), rep.sigma.sigma):
+                assert_shared_pass_matches(hreg, perm, step * hreg.radius)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_grids_bit_identical(self, n):
+        for dom, fld in (
+            sincos_problem(n),
+            random_problem(np.random.default_rng(5), n, 2),
+        ):
+            rep = sd.decompose(dom, fld)
+            h = rep.tolerances["fd_step"]
+            for perm in (np.arange(n), pair_swap(n), rep.sigma.sigma):
+                assert_shared_pass_matches(rep.hamiltonian, perm, h)
+
+    def test_small_blocks_bit_identical(self, monkeypatch):
+        # one-row test blocks and groups closed after every block
+        dom, fld, bf = builtin_problem("matrix", 36)
+        rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
+        hreg, perm = rep.hamiltonian, rep.sigma.sigma
+        for h in (rep.tolerances["fd_step"], 0.1 * hreg.radius):
+            want = residual_gradients(hreg, perm, h)
+            monkeypatch.setattr(conjugacy, "_GATHER_BUDGET", 1)
+            monkeypatch.setattr(conjugacy, "_GROUP_BUDGET", 1)
+            got = residual_gradients(hreg, perm, h)
+            monkeypatch.undo()
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_wrong_length_rejected(self, sincos64_hreg):
+        hreg = sincos64_hreg[0]
+        n = hreg.dom.n
+        for perm in (np.arange(n - 1), np.arange(n + 1), np.arange(n).reshape(2, -1)):
+            with pytest.raises(ValueError, match="permutation"):
+                residual_gradients(hreg, perm, 1e-4)
+
+    def test_repeated_or_foreign_index_rejected(self, sincos64_hreg):
+        hreg = sincos64_hreg[0]
+        n = hreg.dom.n
+        repeated = np.arange(n)
+        repeated[1] = 0
+        out_of_range, floats = np.arange(1, n + 1), np.arange(n) + 0.0
+        for perm in (repeated, out_of_range, np.arange(n) - 1, floats):
+            with pytest.raises(ValueError, match="permutation"):
+                residual_gradients(hreg, perm, 1e-4)
+
+    # tracemalloc peaks of the dense pass over 1 + 2d bidual tables that the
+    # sparse pass replaced, on the same instances and steps
+    @pytest.mark.parametrize(
+        "name, n, dense_peak_mb", [("gradskew", 196, 4.02), ("sincos", 128, 0.94)]
+    )
+    def test_peak_memory_below_dense_pass(self, name, n, dense_peak_mb):
+        dom, fld, bf = builtin_problem(name, n)
+        rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
+        hreg, h = rep.hamiltonian, rep.tolerances["fd_step"]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            residual_gradients(hreg, rep.sigma.sigma, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dense_peak_mb * 1e6
+
 
 def broadcast_bidual_at_slopes(hreg, ys):
     """[b, k] = L**(y_b, p_k) as one [b, m, n] maximum."""
@@ -409,6 +510,12 @@ def broadcast_bidual_at_slopes(hreg, ys):
     g = (yp[:, :, None] - hreg.lstar_table[None, :, :]).max(axis=1)
     px = hreg.pset.pts @ hreg.dom.points.T
     return (px[None, :, :] + g[:, None, :]).max(axis=2)
+
+
+def broadcast_inner_table(hreg, ys):
+    """[b, j] = max_k' <y_b, p_k'> - L*(p_k', x_j) as one [b, m, n] maximum."""
+    yp = ys @ hreg.pset.pts.T
+    return (yp[:, :, None] - hreg.lstar_table[None, :, :]).max(axis=1)
 
 
 def broadcast_restricted_bidual(hreg, y, q):
@@ -435,10 +542,14 @@ class TestRunningMaxEvaluators:
             )
             want = broadcast_bidual_at_slopes(hreg, ys)
             assert np.array_equal(hreg.bidual_at_slopes(ys), want)
-            # rows split into chunks of three give the same table
+            table, inner = hreg.bidual_at_slopes(ys, inner=True)
+            assert np.array_equal(table, want)
+            assert np.array_equal(inner, broadcast_inner_table(hreg, ys))
+            # rows split into chunks of three give the same tables
             budget = 3 * (hreg.dom.n + hreg.pset.m)
             monkeypatch.setattr(conjugacy, "_CHUNK_BUDGET", budget)
             assert np.array_equal(hreg.bidual_at_slopes(ys), want)
+            assert np.array_equal(hreg.bidual_at_slopes(ys, inner=True)[1], inner)
             monkeypatch.undo()
 
     def test_restricted_bidual_matches_broadcast(self, sincos64_hreg, plane_hreg):

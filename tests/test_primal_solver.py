@@ -9,7 +9,6 @@ import selfdual as sd
 from selfdual.dual_solver import (
     assignment_relaxation,
     dual_objective,
-    lp_bound,
     solve_brute,
     solve_matching,
 )
@@ -231,7 +230,7 @@ class TestMinimizePrimal:
             n = int(rng.integers(2, 9))
             dom, fld = random_problem(rng, n, d=int(rng.integers(1, 3)))
             direct = primal_lp_oracle(dom, fld)
-            relaxed = lp_bound(dom, fld)
+            relaxed = assignment_relaxation(dom, fld)[2]
             assert direct == pytest.approx(relaxed, rel=1e-7, abs=1e-9)
             sol = minimize_primal(dom, fld)
             assert sol.value == pytest.approx(direct, rel=1e-5, abs=1e-8)
