@@ -372,7 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="cell budget (default 64)")
         p.add_argument("--radius-margin", dest="radius_margin", type=float)
         p.add_argument("--pset-m", dest="sphere_points", type=int)
-        p.add_argument("--fd-step-rel", dest="fd_step_rel", type=float)
+        p.add_argument(
+            "--fd-step-rel",
+            dest="fd_step_rel",
+            type=float,
+            help="difference step h of the residual check, as a fraction of "
+            "the ball radius R (default 1e-4); the residual pass reads every "
+            "piece that a step of h can lift to a maximum, so its time grows "
+            "with h: on sincos at n = 128, about 8 ms at 1e-4, 65 ms at 1e-2 "
+            "and 0.3 s at 1 (2-core VM)",
+        )
         p.add_argument("--solver", choices=dual_solver.METHODS, default=None)
         p.add_argument("--eps-primal", dest="eps_primal", type=float)
         p.add_argument("--seed", type=int)

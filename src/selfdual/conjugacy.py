@@ -41,6 +41,7 @@ from .domain import (
 
 __all__ = [
     "lagrangian",
+    "lagrangian_scores",
     "lagrangian_at_field",
     "restricted_dual",
     "restricted_bidual",
@@ -74,12 +75,21 @@ def lagrangian(
     return scores.max(axis=0), scores.argmax(axis=0)
 
 
+def lagrangian_scores(
+    kernel: AntiSymmetricKernel, dom: DiscreteDomain, fld: SampledField
+) -> np.ndarray:
+    """[j, i] = <x_j, u_i> - K[j, i]; column i's max is L(x_i, u_i)."""
+    check_pairing(dom, fld)
+    if kernel.n != dom.n:
+        raise ValueError("kernel size does not match domain")
+    return dom.points @ fld.values.T - kernel.matrix
+
+
 def lagrangian_at_field(
     kernel: AntiSymmetricKernel, dom: DiscreteDomain, fld: SampledField
 ) -> tuple[np.ndarray, np.ndarray]:
     """L(x_i, u_i) for every i, with argmax indices. The primal workhorse."""
-    check_pairing(dom, fld)
-    scores = dom.points @ fld.values.T - kernel.matrix  # [j, i]
+    scores = lagrangian_scores(kernel, dom, fld)
     return scores.max(axis=0), scores.argmax(axis=0)
 
 
@@ -316,7 +326,12 @@ def residual_gradients(
     product <y, p_k> rounds the edge tiles of a batch apart, so another
     batch can move a bit), every piece is the float expression of
     bidual_at_slopes and __call__, and a float max over a superset of the
-    argmax is the same float, so the result equals grad1/grad2 bit for bit.
+    argmax is the same float, so the result equals grad1/grad2 bit for bit
+    for the identity. For another perm the gathers read the row of
+    x_{perm(i)} +- s at position perm(i) of its product, where grad1/grad2
+    compute it at position i, and the last column tile can round the two
+    apart: rare inputs (2 of 120 tenths-rounded fields on 7 x 7 to 9 x 9
+    symmetric grids) differ from grad1/grad2 in the last bits.
 
     Candidate tests run in blocks of at most _GATHER_BUDGET pieces and the
     gathers in groups of about _GROUP_BUDGET candidates, whatever h is.

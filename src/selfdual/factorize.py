@@ -48,6 +48,10 @@ __all__ = [
     "ResidualStats",
 ]
 
+# check_uniqueness scans its sample points in blocks of about this many
+# (point, pair) ratios
+_UNIQUENESS_BLOCK = 1 << 12
+
 
 @dataclass
 class PipelineConfig:
@@ -290,8 +294,8 @@ def _estimate_jacobians(
     k = min(n - 1, max(d + 1, 2 * d))
     d2 = ((dom.points[:, None, :] - dom.points[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
-    for i in range(n):
-        nbrs = np.argpartition(d2[i], k - 1)[:k]
+    nbrs_all = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    for i, nbrs in enumerate(nbrs_all):
         dx = dom.points[nbrs] - dom.points[i]
         du = fld.values[nbrs] - fld.values[i]
         j_t, *_ = np.linalg.lstsq(dx, du, rcond=None)
@@ -339,17 +343,33 @@ def check_uniqueness(
     diff_u = fld.values[pairs[:, 0]] - fld.values[pairs[:, 1]]
     norms = np.linalg.norm(diff_y, axis=1)
 
+    # each block of sample points is one batched matmul, norm, argmin and
+    # median; numpy makes the same BLAS call on every slice of the batch and
+    # reduces each row alone, so the bits equal those of a per-point loop
     min_ratio = np.inf
     witness = (0, 0, 0)
-    medians = []
-    for xi in xs:
-        resid = diff_y @ jac[xi] + diff_u  # rows: Du(x)^T (y1 - y2) + u(y1) - u(y2)
-        ratio = np.linalg.norm(resid, axis=1) / norms
-        k = int(ratio.argmin())
-        if ratio[k] < min_ratio:
-            min_ratio = float(ratio[k])
-            witness = (int(xi), int(pairs[k, 0]), int(pairs[k, 1]))
-        medians.append(np.median(ratio))
+    medians = np.empty(len(xs))
+    step = max(1, _UNIQUENESS_BLOCK // len(pairs))
+    for lo in range(0, len(xs), step):
+        blk = xs[lo : lo + step]
+        # rows: Du(x)^T (y1 - y2) + u(y1) - u(y2)
+        resid = np.matmul(diff_y, jac[blk])
+        resid += diff_u
+        # |resid| / |y1 - y2| as np.linalg.norm computes it, in place
+        resid *= resid
+        ratio = resid.sum(axis=2)
+        del resid
+        np.sqrt(ratio, out=ratio)
+        ratio /= norms
+        ks = ratio.argmin(axis=1)
+        # a row whose argmin is NaN never wins: a strict < against NaN fails
+        mins = ratio[np.arange(len(blk)), ks]
+        b = int(np.where(np.isnan(mins), np.inf, mins).argmin())
+        if mins[b] < min_ratio:
+            min_ratio = float(mins[b])
+            k = ks[b]
+            witness = (int(blk[b]), int(pairs[k, 0]), int(pairs[k, 1]))
+        medians[lo : lo + step] = np.median(ratio, axis=1, overwrite_input=True)
     med = float(np.median(medians))
     verdict = (
         "non-unique-plausible" if min_ratio <= 0.1 * med else "uniqueness-plausible"

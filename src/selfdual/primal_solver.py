@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dual_solver
+from .conjugacy import lagrangian_scores
 from .domain import (
     AntiSymmetricKernel,
     DiscreteDomain,
@@ -41,18 +42,10 @@ __all__ = [
 ]
 
 
-def _scores(dom: DiscreteDomain, fld: SampledField, kernel: AntiSymmetricKernel):
-    """[j, i] = <x_j, u_i> - K[j, i], the affine pieces of the objective."""
-    check_pairing(dom, fld)
-    if kernel.n != dom.n:
-        raise ValueError("kernel size does not match domain")
-    return dom.points @ fld.values.T - kernel.matrix
-
-
 def primal_objective(
     dom: DiscreteDomain, fld: SampledField, kernel: AntiSymmetricKernel
 ) -> float:
-    z = _scores(dom, fld, kernel)
+    z = lagrangian_scores(kernel, dom, fld)
     return float(z.max(axis=0).sum() * dom.cell_measure)
 
 
@@ -91,7 +84,7 @@ def weak_duality(
     """
     if s.n != dom.n:
         raise ValueError("involution length does not match domain")
-    z = _scores(dom, fld, kernel)
+    z = lagrangian_scores(kernel, dom, fld)
     lvals = z.max(axis=0)
     idx = np.arange(dom.n)
     slack = lvals - z[s.sigma, idx]
@@ -148,7 +141,7 @@ def minimize_primal(
     kernel = AntiSymmetricKernel(
         0.5 * (cji - cji.T) - 0.5 * (pot[None, :] - pot[:, None])
     )
-    z = _scores(dom, fld, kernel)
+    z = lagrangian_scores(kernel, dom, fld)
     value = float(z.max(axis=0).sum() * dom.cell_measure)
     converged = value - bound <= cfg.eps_rel * max(1e-300, abs(value))
     return PrimalSolution(
@@ -185,7 +178,7 @@ def recover_involution(
     are always collected; a maximum-weight matching restricted to them
     produces the rounded involution.
     """
-    z = _scores(dom, fld, kernel)
+    z = lagrangian_scores(kernel, dom, fld)
     lvals = z.max(axis=0)
     cand = z.argmax(axis=0)
     n = dom.n

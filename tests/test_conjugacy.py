@@ -80,6 +80,17 @@ class TestLagrangian:
             assert vals[i] == vi[i]
             assert arg[i] == ai[i]
 
+    def test_at_field_rejects_kernel_of_another_size(self):
+        # the primal objective and the Lagrangian share one score table
+        dom, fld = sincos_problem(10)
+        kernel = sd.AntiSymmetricKernel.zero(9)
+        for call in (
+            lambda: lagrangian_at_field(kernel, dom, fld),
+            lambda: sd.primal_objective(dom, fld, kernel),
+        ):
+            with pytest.raises(ValueError, match="kernel size does not match"):
+                call()
+
 
 class TestRestrictedDual:
     def test_single_point_zero(self):
@@ -364,6 +375,15 @@ def fallback_cloud():
     return random_problem(np.random.default_rng(4), 16, 3)
 
 
+def near_tie_grid():
+    """A 9 x 9 symmetric grid with a field rounded to tenths: at h = 1e-300 R
+    a piece a few ulps below a maximum becomes it, so the window needs its
+    rounding allowance."""
+    dom = sd.symmetric_square_grid(1.0, 9)
+    vals = np.round(np.random.default_rng(6).normal(size=(155, 2))[74:], 1)
+    return dom, sd.SampledField(vals)
+
+
 class TestResidualGradients:
     @pytest.mark.parametrize(
         "name, n", [("sincos", 32), ("tent", 32), ("gradskew", 64), ("matrix", 64)]
@@ -429,19 +449,42 @@ class TestResidualGradients:
             for perm in (np.arange(dom.n), rep.sigma.sigma):
                 assert_shared_pass_matches(rep.hamiltonian, perm, h)
 
-    # h = R: 98-100 % of the pieces lie in the window; h = 1e-12 R: the
-    # window is 2 h R_p plus the rounding allowance
-    @pytest.mark.parametrize("step", [1.0, 1e-12])
+    # h = R: 98-100 % of the pieces lie in the window; h = 1e-12 R and
+    # 1e-300 R: the window is 2 h R_p plus the rounding allowance, and at
+    # 1e-300 R the allowance is nearly all of it
+    @pytest.mark.parametrize("step", [1.0, 1e-12, 1e-300])
     def test_extreme_steps_bit_identical(self, step):
         for dom, fld in (
             builtin_problem("matrix", 36)[:2],
             sincos_problem(24),
             fallback_cloud(),
+            near_tie_grid(),
         ):
             rep = sd.decompose(dom, fld)
             hreg = rep.hamiltonian
             for perm in (np.arange(dom.n), rep.sigma.sigma):
                 assert_shared_pass_matches(hreg, perm, step * hreg.radius)
+
+    @pytest.mark.parametrize("step", [1e-300, 1e-320])
+    def test_margin_keeps_rounding_allowance(self, step):
+        # as h -> 0, 2 h R_p falls below the ulp of the values the window
+        # compares; the window must still cover a few rounding errors of them
+        for dom, fld in (
+            builtin_problem("matrix", 36)[:2],
+            sincos_problem(24),
+            fallback_cloud(),
+        ):
+            hreg = sd.decompose(dom, fld).hamiltonian
+            t0, g0 = hreg.bidual_at_slopes(dom.points, inner=True)
+            pieces = (
+                hreg.lstar_table,
+                g0,
+                t0,
+                dom.points @ hreg.pset.pts.T - t0,  # the pieces of HB
+            )
+            scale = max(float(np.abs(a).max()) for a in pieces)
+            tau = conjugacy._candidate_margin(hreg, step * hreg.radius)
+            assert tau >= 8 * np.spacing(scale)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_grids_bit_identical(self, n):

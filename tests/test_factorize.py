@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import selfdual as sd
+from selfdual import factorize, fields
 from selfdual.domain import rotation_permutation, swap_permutation
 from selfdual.factorize import (
     PipelineConfig,
+    _estimate_jacobians,
     check_monotone,
     check_uniqueness,
     decompose,
@@ -21,9 +24,88 @@ from conftest import (
     odd_cycle_problem,
     random_involution,
     random_kernel,
+    random_problem,
     sincos_problem,
     tent_problem,
 )
+
+
+def _reference_jacobians(dom, fld):
+    """The sample-only Jacobian fit with one argpartition per point."""
+    n, d = dom.n, dom.dim
+    k = min(n - 1, max(d + 1, 2 * d))
+    d2 = ((dom.points[:, None, :] - dom.points[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    out = np.empty((n, d, d))
+    for i in range(n):
+        nbrs = np.argpartition(d2[i], k - 1)[:k]
+        dx = dom.points[nbrs] - dom.points[i]
+        du = fld.values[nbrs] - fld.values[i]
+        j_t, *_ = np.linalg.lstsq(dx, du, rcond=None)
+        out[i] = j_t.T
+    return out
+
+
+def _uniqueness_samples(n, seed=0, max_triples=200_000):
+    """The sample points and pairs check_uniqueness scans."""
+    rng = np.random.default_rng(seed)
+    if n * n * (n - 1) // 2 <= max_triples:
+        return np.arange(n), np.stack(np.triu_indices(n, k=1), axis=1)
+    m = int(np.sqrt(max_triples))
+    xs = rng.integers(0, n, size=m)
+    a = rng.integers(0, n, size=max_triples // max(1, m))
+    b = rng.integers(0, n, size=max_triples // max(1, m))
+    keep = a != b
+    return xs, np.stack([a[keep], b[keep]], axis=1)
+
+
+def _reference_uniqueness(dom, fld, jac, seed=0):
+    """check_uniqueness as a loop over the sample points, one at a time."""
+    xs, pairs = _uniqueness_samples(dom.n, seed)
+    diff_y = dom.points[pairs[:, 0]] - dom.points[pairs[:, 1]]
+    diff_u = fld.values[pairs[:, 0]] - fld.values[pairs[:, 1]]
+    norms = np.linalg.norm(diff_y, axis=1)
+    min_ratio = np.inf
+    witness = (0, 0, 0)
+    medians = []
+    for xi in xs:
+        resid = diff_y @ jac[xi] + diff_u
+        ratio = np.linalg.norm(resid, axis=1) / norms
+        k = int(ratio.argmin())
+        if ratio[k] < min_ratio:
+            min_ratio = float(ratio[k])
+            witness = (int(xi), int(pairs[k, 0]), int(pairs[k, 1]))
+        medians.append(np.median(ratio))
+    med = float(np.median(medians))
+    verdict = (
+        "non-unique-plausible" if min_ratio <= 0.1 * med else "uniqueness-plausible"
+    )
+    return factorize.UniquenessVerdict(verdict, min_ratio, med, witness)
+
+
+def _same_verdict(a, b):
+    bits = lambda v: np.float64(v).tobytes()
+    return (
+        a.verdict == b.verdict
+        and a.witness == b.witness
+        and bits(a.min_ratio) == bits(b.min_ratio)
+        and bits(a.median_ratio) == bits(b.median_ratio)
+    )
+
+
+def _smooth_field(rng, d):
+    """u(x) = A x + sin(B x) / 2 on a point cloud, with its rule and Jacobian."""
+    a, b = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+
+    def rule(x):
+        x = np.atleast_1d(x)
+        return a @ x + 0.5 * np.sin(b @ x)
+
+    def jacobian(x):
+        x = np.atleast_1d(x)
+        return a + 0.5 * np.cos(b @ x)[:, None] * b
+
+    return rule, jacobian
 
 
 class TestDecompose:
@@ -256,6 +338,98 @@ class TestCheckUniqueness:
         dom, fld = tent_problem(32)
         v = check_uniqueness(dom, fld)  # jacobians estimated from samples
         assert v.verdict == "non-unique-plausible"
+
+    # n <= 74 scans every triple, n >= 75 a seeded sample of them
+    @pytest.mark.parametrize("n", [9, 74, 75, 120])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("source", ["jacobian", "rule", "samples"])
+    def test_blocks_equal_point_loop(self, source, d, n, monkeypatch):
+        rng = np.random.default_rng(1000 * d + n)
+        dom, _ = random_problem(rng, n, d)
+        rule, jacobian = _smooth_field(rng, d)
+        fld = sd.SampledField(np.array([rule(p) for p in dom.points]))
+        kw = {"jacobian": {"jacobian": jacobian}, "rule": {"rule": rule}, "samples": {}}
+        kw = kw[source]
+        if source == "samples":
+            jac = _reference_jacobians(dom, fld)
+        else:
+            jac = _estimate_jacobians(dom, fld, **kw)
+        ref = _reference_uniqueness(dom, fld, jac, seed=3)
+        xs, pairs = _uniqueness_samples(n, seed=3)
+        # blocks of one point, and blocks of four that leave a short last one
+        assert len(xs) % 4
+        for cap in (factorize._UNIQUENESS_BLOCK, 1, 4 * len(pairs) + 1):
+            monkeypatch.setattr(factorize, "_UNIQUENESS_BLOCK", cap)
+            got = check_uniqueness(dom, fld, seed=3, **kw)
+            assert _same_verdict(got, ref), (cap, got, ref)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_ties_and_nan_equal_point_loop(self, n, monkeypatch):
+        # the tent has many exact zero ratios: the witness is the first
+        # point, then the first pair; a NaN Jacobian never gives the minimum
+        dom, fld = tent_problem(n)
+        tent_jac = lambda x: np.array([[2.0 if x <= 0.5 else -2.0]])
+        nan_jac = lambda x: np.array([[np.nan if x > 0.8 else 1.0]])
+        refs = []
+        for jacobian in (tent_jac, nan_jac, None):
+            if jacobian is None:
+                jac = _reference_jacobians(dom, fld)
+            else:
+                jac = _estimate_jacobians(dom, fld, jacobian=jacobian)
+            refs.append(_reference_uniqueness(dom, fld, jac))
+            # 2480 ratios: blocks of five points, the last one short
+            for cap in (factorize._UNIQUENESS_BLOCK, 1, 2480):
+                monkeypatch.setattr(factorize, "_UNIQUENESS_BLOCK", cap)
+                got = check_uniqueness(dom, fld, jacobian=jacobian)
+                assert _same_verdict(got, refs[-1]), (jacobian, cap, got, refs[-1])
+        assert refs[0].min_ratio == 0.0
+        assert np.isnan(refs[1].median_ratio)
+
+    def test_fallback_neighbours_equal_per_point_partition(self):
+        # grids tie many neighbour distances; the batched argpartition must
+        # pick the same neighbours in the same order as one call per row
+        rng = np.random.default_rng(5)
+        doms = [
+            sd.interval_grid(0.0, 1.0, 40),
+            sd.symmetric_square_grid(1.0, 7),
+            sd.build_grid({"kind": "box", "bounds": [[0, 1]] * 3, "cells": [4] * 3}),
+        ]
+        doms += [random_problem(rng, 30, d)[0] for d in (1, 2, 3)]
+        for dom in doms:
+            fld = sd.SampledField(rng.normal(size=(dom.n, dom.dim)))
+            got = _estimate_jacobians(dom, fld)
+            assert np.array_equal(got, _reference_jacobians(dom, fld))
+
+    @pytest.mark.parametrize("name, n", [("sincos", 128), ("gradskew", 196)])
+    def test_decompose_peak_not_above_point_loop(self, name, n, monkeypatch):
+        # inside one decompose, from the same live memory, the blocks and the
+        # per-point loop each run; decompose's tracemalloc peak with the
+        # blocks is no higher than with the loop
+        bf = fields.builtin_field(name, n)
+        dom = sd.build_grid(bf.domain_spec)
+        fld = sd.sample_field(dom, bf.rule)
+        peaks = {}
+
+        def point_loop(dom, fld, rule=None, jacobian=None, seed=0):
+            jac = _estimate_jacobians(dom, fld, rule, jacobian)
+            return _reference_uniqueness(dom, fld, jac, seed)
+
+        def both(*args, **kw):
+            peaks["before"] = tracemalloc.get_traced_memory()[1]
+            for label, f in (("loop", point_loop), ("blocks", check_uniqueness)):
+                tracemalloc.reset_peak()
+                out = f(*args, **kw)
+                peaks[label] = tracemalloc.get_traced_memory()[1]
+            return out
+
+        monkeypatch.setattr(factorize, "check_uniqueness", both)
+        tracemalloc.start()
+        try:
+            decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
+        finally:
+            tracemalloc.stop()
+        before = peaks["before"]
+        assert max(before, peaks["blocks"]) <= max(before, peaks["loop"])
 
 
 class TestKraussCheck:
