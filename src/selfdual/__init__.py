@@ -7,7 +7,6 @@ Hamiltonian obtained by restricted conjugation of an optimal kernel.
 
 from .conjugacy import (
     RegularHamiltonian,
-    ball_hamiltonian,
     grad1,
     grad2,
     lagrangian,
@@ -30,14 +29,13 @@ from .domain import (
     compose_check,
     interval_grid,
     make_kernel,
+    pairing,
     sample_field,
     symmetric_square_grid,
 )
 from .dual_solver import (
     DualSolution,
-    PairWeightMatrix,
     assignment_relaxation,
-    build_weights,
     distance_objective,
     dual_objective,
     solve_brute,
@@ -58,7 +56,6 @@ from .primal_solver import (
     PrimalSolution,
     minimize_primal,
     primal_objective,
-    recover_involution,
     weak_duality,
 )
 from .transport import (

@@ -41,23 +41,6 @@ from .domain import (
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
-_CONFIG_KEYS = {
-    "builtin",
-    "params",
-    "field_csv",
-    "domain",
-    "n",
-    "radius_margin",
-    "sphere_points",
-    "fd_step_rel",
-    "solver",
-    "eps_primal",
-    "seed",
-    "out",
-    "dump",
-}
-
-
 @dataclass
 class RunConfig:
     builtin: str | None = None
@@ -96,6 +79,10 @@ class RunConfig:
             eps_primal=self.eps_primal,
             seed=self.seed,
         )
+
+
+# the keys a config file may set, one per RunConfig field
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:

@@ -14,7 +14,7 @@ a dual set with points p_k:
     lagrangian        L(x_i, p)   = max_j  <x_j, p> - K[j, i]
     restricted_dual   L*(q, y)    = max_{j,k} <y, p_k> + <q, x_j> - L(x_j, p_k)
     restricted_bidual L**(y, q)   = max_{j,k} <y, p_k> + <q, x_j> - L*(p_k, x_j)
-    ball_hamiltonian  HB(x, y)    = max_k  <x, p_k> - L**(y, p_k)
+    ball_ham          HB(x, y)    = max_k  <x, p_k> - L**(y, p_k)
     regularized       HR(x, y)    = (HB(x, y) - HB(y, x)) / 2
 
 grad1/grad2 are the general central-difference evaluators; the residual
@@ -36,7 +36,8 @@ from .domain import (
     DiscreteDomain,
     DualPointSet,
     SampledField,
-    check_pairing,
+    check_permutation,
+    pairing,
 )
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "lagrangian_at_field",
     "restricted_dual",
     "restricted_bidual",
-    "ball_hamiltonian",
     "RegularHamiltonian",
     "regularize",
     "grad1",
@@ -79,16 +79,20 @@ def lagrangian_scores(
     kernel: AntiSymmetricKernel, dom: DiscreteDomain, fld: SampledField
 ) -> np.ndarray:
     """[j, i] = <x_j, u_i> - K[j, i]; column i's max is L(x_i, u_i)."""
-    check_pairing(dom, fld)
+    c = pairing(dom, fld)
     if kernel.n != dom.n:
         raise ValueError("kernel size does not match domain")
-    return dom.points @ fld.values.T - kernel.matrix
+    return c.T - kernel.matrix
 
 
 def lagrangian_at_field(
     kernel: AntiSymmetricKernel, dom: DiscreteDomain, fld: SampledField
 ) -> tuple[np.ndarray, np.ndarray]:
-    """L(x_i, u_i) for every i, with argmax indices. The primal workhorse."""
+    """L(x_i, u_i) for every i, with the attaining grid index per i.
+
+    The argmax (the smallest index on ties) is the map a kernel encodes;
+    an optimal kernel need not make it a permutation.
+    """
     scores = lagrangian_scores(kernel, dom, fld)
     return scores.max(axis=0), scores.argmax(axis=0)
 
@@ -139,19 +143,6 @@ def restricted_bidual(
     for k in range(pset.m):
         np.maximum(acc, (yp[:, k, None] + qx) - lstar_table[k], out=acc)
     return float(acc.max())
-
-
-def ball_hamiltonian(
-    bidual_at_slopes, pset: DualPointSet, x: np.ndarray, y: np.ndarray
-) -> float:
-    """HB(x, y) = max over dual slopes of <x, p> - L**(y, p).
-
-    ``bidual_at_slopes(y)`` must return the vector of L**(y, p_k) over the
-    dual set; RegularHamiltonian provides it.
-    """
-    lvals = np.asarray(bidual_at_slopes(np.asarray(y, float).reshape(1, -1)))[0]
-    xp = pset.pts @ np.asarray(x, dtype=float).reshape(-1)
-    return float((xp - lvals).max())
 
 
 class RegularHamiltonian:
@@ -343,13 +334,7 @@ def residual_gradients(
         raise ValueError("difference step must be positive")
     grid, lstar, xp = hreg.dom.points, hreg.lstar_table, hreg._xp
     (n, d), m = grid.shape, hreg.pset.m
-    perm = np.asarray(perm)
-    if (
-        perm.shape != (n,)
-        or perm.dtype.kind not in "iu"
-        or not np.array_equal(np.sort(perm), np.arange(n))
-    ):
-        raise ValueError("perm must be a permutation of range(n)")
+    perm = check_permutation(perm, n, "perm")
     pinv = np.empty(n, dtype=np.intp)
     pinv[perm] = np.arange(n)
     pts_t, twoh, sx = hreg.pset.pts.T, 2.0 * h, grid[perm]

@@ -26,6 +26,8 @@ __all__ = [
     "DualPointSet",
     "AntiSymmetricKernel",
     "Involution",
+    "pairing",
+    "check_permutation",
     "build_grid",
     "interval_grid",
     "box_grid",
@@ -126,6 +128,18 @@ def check_pairing(dom: DiscreteDomain, fld: SampledField) -> None:
             f"field shape {fld.values.shape} does not match domain "
             f"({dom.n} points in R^{dom.dim})"
         )
+
+
+def pairing(dom: DiscreteDomain, fld: SampledField) -> np.ndarray:
+    """C[i, j] = <u_i, x_j>, the one pairing every solver and check reads.
+
+    A caller that needs [j, i] = <x_j, u_i> takes C.T; it never recomputes
+    it as x @ u.T, because BLAS rounds the two products apart in the last
+    bit, and the dual, the primal kernel and their certificate must read
+    the same numbers.
+    """
+    check_pairing(dom, fld)
+    return fld.values @ dom.points.T
 
 
 @dataclass(frozen=True)
@@ -313,12 +327,13 @@ class Involution:
     __slots__ = ("sigma",)
 
     def __init__(self, sigma: Sequence[int] | np.ndarray):
-        sig = np.asarray(sigma, dtype=np.intp)
+        sig = np.asarray(sigma)
         if sig.ndim != 1:
             raise ValueError("sigma must be a flat index array")
-        if not compose_check(sig):
+        check_permutation(sig, sig.shape[0], "sigma")
+        if not np.array_equal(sig[sig], np.arange(sig.shape[0])):
             raise ValueError("not an involution")
-        sig = sig.copy()
+        sig = sig.astype(np.intp)
         sig.flags.writeable = False
         self.sigma = sig
 
@@ -362,15 +377,33 @@ class Involution:
         return f"Involution({self.sigma.tolist()})"
 
 
+def check_permutation(
+    sigma: Sequence[int] | np.ndarray | Involution, n: int, name: str = "s"
+) -> np.ndarray:
+    """sigma as an index array, if it is a permutation of range(n).
+
+    The one rule for every map of cell indices: an integer dtype (numpy
+    would truncate a float index silently), shape (n,), and sorted entries
+    equal to range(n) (a negative index would wrap around, a large one
+    would not exist). Anything else raises ValueError.
+    """
+    sig = np.asarray(sigma.sigma if isinstance(sigma, Involution) else sigma)
+    if (
+        sig.shape != (n,)
+        or sig.dtype.kind not in "iu"
+        or not np.array_equal(np.sort(sig), np.arange(n))
+    ):
+        raise ValueError(f"{name} must be a permutation of range({n})")
+    return sig
+
+
 def compose_check(sigma: Sequence[int] | np.ndarray) -> bool:
     """True iff the index array is a permutation that is its own inverse."""
-    sig = np.asarray(sigma, dtype=np.intp)
-    n = sig.shape[0]
-    if n == 0 or sig.min() < 0 or sig.max() >= n:
-        return n == 0
-    if len(np.unique(sig)) != n:
+    try:
+        Involution(sigma)
+    except ValueError:
         return False
-    return bool(np.array_equal(sig[sig], np.arange(n)))
+    return True
 
 
 # ---------------------------------------------------------------------------

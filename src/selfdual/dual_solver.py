@@ -8,7 +8,9 @@ primal) and rounds the optimal permutation cycle by cycle: fixed points,
 2-cycles and even cycles round without loss, so the involution meets the
 bound. Only an odd cycle, a half-integral vertex of the fractional
 matching polytope, sends the instance to the exact blossom matcher on the
-reduced pair weights. A brute-force enumerator certifies small instances.
+pair surpluses C[i, j] + C[j, i] - C[i, i] - C[j, j]. A brute-force
+enumerator certifies small instances. C is domain.pairing, the one place
+the pairing is computed.
 """
 
 from __future__ import annotations
@@ -20,19 +22,12 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .domain import (
-    DiscreteDomain,
-    Involution,
-    SampledField,
-    check_pairing,
-)
+from .domain import DiscreteDomain, Involution, SampledField, pairing
 
 __all__ = [
-    "PairWeightMatrix",
     "DualSolution",
     "dual_objective",
     "distance_objective",
-    "build_weights",
     "involution_count",
     "all_involutions",
     "solve_brute",
@@ -44,55 +39,17 @@ __all__ = [
 BRUTE_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class PairWeightMatrix:
-    """Expansion of the involution objective over pairs and fixed points.
-
-    diag[i] is the fixed-point payoff <u_i, x_i>; w[i, j] is the payoff of
-    the 2-cycle {i, j}; reduced[i, j] = w[i, j] - diag[i] - diag[j] is the
-    surplus of pairing i with j over leaving both fixed. Both matrices are
-    exactly symmetric (computed once per unordered pair).
-    """
-
-    diag: np.ndarray
-    w: np.ndarray
-    reduced: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-
-def _pairing_matrix(dom: DiscreteDomain, fld: SampledField) -> np.ndarray:
-    """C[i, j] = <u_i, x_j>."""
-    check_pairing(dom, fld)
-    return fld.values @ dom.points.T
-
-
 def _symmetric_pairing(dom: DiscreteDomain, fld: SampledField) -> np.ndarray:
     """S = (C + C^T) / 2, symmetric bit for bit, with S[i, i] == C[i, i]."""
-    c = _pairing_matrix(dom, fld)
+    c = pairing(dom, fld)
     return 0.5 * (c + c.T)
-
-
-def build_weights(dom: DiscreteDomain, fld: SampledField) -> PairWeightMatrix:
-    c = _pairing_matrix(dom, fld)
-    diag = np.diag(c).copy()
-    w = c + c.T  # addition commutes, so w is symmetric bit for bit
-    iu, ju = np.triu_indices(dom.n, k=1)
-    red = np.zeros_like(w)
-    upper = w[iu, ju] - diag[iu] - diag[ju]
-    red[iu, ju] = upper
-    red[ju, iu] = upper
-    np.fill_diagonal(w, diag)
-    return PairWeightMatrix(diag, w, red)
 
 
 def dual_objective(dom: DiscreteDomain, fld: SampledField, s: Involution) -> float:
     """Measure-weighted pairing sum of an involution."""
     if s.n != dom.n:
         raise ValueError("involution length does not match domain")
-    c = _pairing_matrix(dom, fld)
+    c = pairing(dom, fld)
     return float(c[np.arange(dom.n), s.sigma].sum() * dom.cell_measure)
 
 
@@ -159,7 +116,7 @@ def solve_brute(dom: DiscreteDomain, fld: SampledField) -> DualSolution:
             f"brute enumeration capped at n={BRUTE_LIMIT} "
             f"(I({n}) = {involution_count(n)} involutions)"
         )
-    c = _pairing_matrix(dom, fld)
+    c = pairing(dom, fld)
     sigs = all_involutions(n)
     vals = c[np.arange(n)[None, :], sigs].sum(axis=1) * dom.cell_measure
     k = int(np.argmax(vals))  # first max = lexicographically smallest optimum
@@ -177,14 +134,17 @@ def solve_matching(dom: DiscreteDomain, fld: SampledField) -> DualSolution:
     those edges enter the graph; unmatched vertices stay fixed.
     """
     n = dom.n
-    weights = build_weights(dom, fld)
     sigma = np.arange(n)
     if n > 1:
+        c = pairing(dom, fld)
+        diag = np.diag(c)
         iu, ju = np.triu_indices(n, k=1)
-        pos = weights.reduced[iu, ju] > 0.0
+        # surplus of the 2-cycle {i, j} over leaving both fixed
+        surplus = (c + c.T)[iu, ju] - diag[iu] - diag[ju]
+        pos = surplus > 0.0
         g = nx.Graph()
         g.add_nodes_from(range(n))
-        for i, j, w in zip(iu[pos], ju[pos], weights.reduced[iu, ju][pos]):
+        for i, j, w in zip(iu[pos], ju[pos], surplus[pos]):
             g.add_edge(int(i), int(j), weight=float(w))
         for a, b in nx.max_weight_matching(g, maxcardinality=False):
             sigma[a], sigma[b] = b, a
@@ -206,7 +166,7 @@ def assignment_relaxation(
     mu * sum_i S[i, perm(i)] is also the optimum of the symmetric doubly
     stochastic relaxation. The assignment duals a_i + b_j >= S[i, j], tight
     on perm, come from Bellman-Ford on the reduced costs, and pot = a + b
-    satisfies pot_i >= diag_i, pot_i + pot_j >= w[i, j] and
+    satisfies pot_i >= C[i, i], pot_i + pot_j >= C[i, j] + C[j, i] and
     sum(pot) * mu == bound up to rounding.
     """
     s = _symmetric_pairing(dom, fld)

@@ -32,6 +32,8 @@ from .domain import (
     ball_radius,
     build_dual_points,
     check_pairing,
+    check_permutation,
+    pairing,
 )
 
 __all__ = [
@@ -221,19 +223,12 @@ def selfdual_test(
     1e-12 threshold. A nonzero value certifies the transformation is not
     self dual even when it preserves measure.
     """
-    sigma = s.sigma if isinstance(s, Involution) else np.asarray(s, dtype=np.intp)
     n = kernel.n
-    if sigma.shape[0] != n or len(np.unique(sigma)) != n:
-        raise ValueError("s must be a permutation of the kernel indices")
+    sigma = check_permutation(s, n)
     k = kernel.matrix
     idx = np.arange(n)
     if np.array_equal(sigma[sigma], idx):
-        total = 0.0
-        for i in idx:
-            j = sigma[i]
-            if i < j:
-                total += k[i, j] * mu + k[j, i] * mu
-        value = total
+        value = primal_solver.kernel_cancellation(kernel, Involution(sigma), mu)
     else:
         value = float((k[idx, sigma] * mu).sum())
     scale = 1.0 + float(np.abs(k[idx, sigma]).sum() * abs(mu))
@@ -247,13 +242,13 @@ def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
     n = dom.n
     if n == 1:
         return MonotoneVerdict("strictly-monotone", np.inf, (0, 0))
-    gram = dom.points @ fld.values.T
+    gram = pairing(dom, fld).T  # [i, j] = <x_i, u_j>
     pair = gram + gram.T - np.diag(gram)[:, None] - np.diag(gram)[None, :]
-    pairing = -pair  # <x_i - x_j, u_i - u_j>, zero diagonal
-    np.fill_diagonal(pairing, np.inf)
-    kmin = int(pairing.argmin())
+    mono = -pair  # <x_i - x_j, u_i - u_j>, zero diagonal
+    np.fill_diagonal(mono, np.inf)
+    kmin = int(mono.argmin())
     i, j = divmod(kmin, n)
-    worst = float(pairing[i, j])
+    worst = float(mono[i, j])
     if worst > 0:
         verdict = "strictly-monotone"
     elif worst == 0:

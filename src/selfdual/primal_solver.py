@@ -15,7 +15,7 @@ along an involution cancel pair by pair, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +26,16 @@ from .domain import (
     DiscreteDomain,
     Involution,
     SampledField,
-    check_pairing,
+    pairing,
 )
 
 __all__ = [
     "PrimalConfig",
     "PrimalSolution",
     "DualityCertificate",
-    "RecoveredMap",
     "primal_objective",
     "weak_duality",
     "minimize_primal",
-    "recover_involution",
     "kernel_cancellation",
 ]
 
@@ -93,8 +91,7 @@ def weak_duality(
     if cancel != 0.0:
         raise AssertionError("involution kernel sum failed to cancel exactly")
     p = float(lvals.sum() * mu)
-    c = fld.values @ dom.points.T
-    d = float(c[idx, s.sigma].sum() * mu)
+    d = dual_solver.dual_objective(dom, fld, s)
     return DualityCertificate(p, d, float(slack.sum() * mu), slack, cancel)
 
 
@@ -126,8 +123,8 @@ def minimize_primal(
 ) -> PrimalSolution:
     """Optimal kernel in closed form from the assignment potentials.
 
-    With pot from dual_solver.assignment_relaxation (pot_i >= diag_i,
-    pot_i + pot_j >= w[i, j], sum(pot) * mu == bound), the kernel
+    With pot from dual_solver.assignment_relaxation (pot_i >= C[i, i],
+    pot_i + pot_j >= C[i, j] + C[j, i], sum(pot) * mu == bound), the kernel
     K[j, i] = (c_ji - c_ij) / 2 - (pot_i - pot_j) / 2 with c_ji = <x_j, u_i>
     gives c_ji - K[j, i] = S[i, j] + (pot_i - pot_j) / 2 <= pot_i, so
     P(K) <= bound; LP duality gives P(K) >= bound, hence P(K) == bound, the
@@ -135,9 +132,8 @@ def minimize_primal(
     bit-exact. converged reports value - bound <= eps_rel * |value|.
     """
     cfg = cfg or PrimalConfig()
-    check_pairing(dom, fld)
+    cji = pairing(dom, fld).T
     _, pot, bound = relaxation or dual_solver.assignment_relaxation(dom, fld)
-    cji = dom.points @ fld.values.T
     kernel = AntiSymmetricKernel(
         0.5 * (cji - cji.T) - 0.5 * (pot[None, :] - pot[:, None])
     )
@@ -147,78 +143,3 @@ def minimize_primal(
     return PrimalSolution(
         kernel, value, 0, value - bound, z.argmax(axis=0), bound, converged
     )
-
-
-@dataclass
-class RecoveredMap:
-    """Diagnosis of the transformation encoded by an optimal kernel.
-
-    candidate is the raw per-index argmax of the kernel Lagrangian; at a
-    degenerate optimum it need not be a permutation, in which case the
-    near-tight pairs are handed to the matching solver for rounding.
-    """
-
-    candidate: np.ndarray
-    is_permutation: bool
-    is_involution: bool
-    tight_pairs: list[tuple[int, int]] = field(default_factory=list)
-    rounded: Involution | None = None
-
-
-def recover_involution(
-    kernel: AntiSymmetricKernel,
-    dom: DiscreteDomain,
-    fld: SampledField,
-    slack_tol: float | None = None,
-) -> RecoveredMap:
-    """Read a candidate transformation off the argmax structure of a kernel.
-
-    candidate(i) is the smallest attaining grid index of L(x_i, u_i). The
-    complementary-slackness pairs (those with slack below the tolerance)
-    are always collected; a maximum-weight matching restricted to them
-    produces the rounded involution.
-    """
-    z = lagrangian_scores(kernel, dom, fld)
-    lvals = z.max(axis=0)
-    cand = z.argmax(axis=0)
-    n = dom.n
-    is_perm = len(np.unique(cand)) == n
-    is_inv = bool(is_perm and np.array_equal(cand[cand], np.arange(n)))
-
-    scale = max(1.0, float(np.abs(lvals).max()))
-    tol = scale * 1e-8 if slack_tol is None else slack_tol
-    slack = lvals[None, :] - z  # [j, i] >= 0 exactly
-    tight = slack <= tol
-
-    pairs = [
-        (int(i), int(j))
-        for i in range(n)
-        for j in range(i, n)
-        if tight[j, i] and tight[i, j]
-    ]
-
-    rounded = _round_by_matching(dom, fld, tight)
-    return RecoveredMap(cand, is_perm, is_inv, pairs, rounded)
-
-
-def _round_by_matching(dom, fld, tight) -> Involution | None:
-    """Max-weight matching over mutually tight pairs; fixed points need a
-    tight diagonal."""
-    import networkx as nx
-
-    n = dom.n
-    weights = dual_solver.build_weights(dom, fld)
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    mutual = tight & tight.T
-    iu, ju = np.triu_indices(n, k=1)
-    for i, j in zip(iu, ju):
-        if mutual[j, i] and weights.reduced[i, j] > 0:
-            g.add_edge(int(i), int(j), weight=float(weights.reduced[i, j]))
-    sigma = np.arange(n)
-    for a, b in nx.max_weight_matching(g, maxcardinality=False):
-        sigma[a], sigma[b] = b, a
-    try:
-        return Involution(sigma)
-    except ValueError:
-        return None

@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import DiscreteDomain, Involution, SampledField, check_pairing
+from .domain import (
+    DiscreteDomain,
+    Involution,
+    SampledField,
+    check_pairing,
+    check_permutation,
+)
 
 __all__ = [
     "PairMeasure",
@@ -71,10 +77,8 @@ def transport_cost(dom: DiscreteDomain, fld: SampledField, s: np.ndarray | Invol
     0.5 * sum_i (|u_{s(i)} - x_i|^2 + |u_i - x_{s(i)}|^2) * mu; equals the
     distance objective whenever s is an involution.
     """
-    sigma = s.sigma if isinstance(s, Involution) else np.asarray(s, dtype=np.intp)
     check_pairing(dom, fld)
-    if sigma.shape[0] != dom.n or len(np.unique(sigma)) != dom.n:
-        raise ValueError("s must be a permutation of the cell indices")
+    sigma = check_permutation(s, dom.n)
     u, x = fld.values, dom.points
     a = ((u[sigma] - x) ** 2).sum(axis=1)
     b = ((u - x[sigma]) ** 2).sum(axis=1)
@@ -99,10 +103,8 @@ def parametrize_map(
     The image multiset is compared against the transposed measure's atoms;
     for any bijection the masses push forward exactly.
     """
-    sigma = s.sigma if isinstance(s, Involution) else np.asarray(s, dtype=np.intp)
     check_pairing(dom, fld)
-    if sigma.shape[0] != dom.n or len(np.unique(sigma)) != dom.n:
-        raise ValueError("s must be a permutation of the cell indices")
+    sigma = check_permutation(s, dom.n)
     mu_hat, nu_hat = build_pair_measures(dom, fld)
     image = np.hstack([fld.values[sigma], dom.points[sigma]])
     onto = _same_multiset(image, nu_hat.atoms)

@@ -41,6 +41,12 @@ def random_problem(rng, n: int, d: int = 1):
     return dom, fld
 
 
+# index arrays the old permutation checks let through: a negative index
+# wraps around, a large one does not exist, and a float is truncated to
+# [1, 0, 2, 3]
+BAD_PERMUTATIONS = ([0, 1, -1], [0, 1, 5], [1.9, 0.2, 2.0, 3.0])
+
+
 def random_involution(rng, n: int) -> sd.Involution:
     perm = rng.permutation(n)
     sigma = np.arange(n)

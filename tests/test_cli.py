@@ -10,6 +10,8 @@ import selfdual as sd
 from selfdual import cli, fields
 from selfdual.domain import write_field_csv
 
+from conftest import BAD_PERMUTATIONS
+
 
 def run_cli(argv):
     return cli.run(argv)
@@ -241,6 +243,14 @@ class TestVerify:
         assert payload["weak_duality_gap"] >= 0
         assert payload["complementarity"]["min"] >= 0
         assert "residual2" in payload
+
+    @pytest.mark.parametrize("bad", BAD_PERMUTATIONS, ids=str)
+    def test_bad_sigma_exits_2(self, tmp_path, capsys, bad):
+        sigma_file = tmp_path / "s.json"
+        sigma_file.write_text(json.dumps(bad))
+        argv = ["verify", "--builtin", "sincos", "--n", str(len(bad)), "--sigma", str(sigma_file)]
+        assert run_cli(argv) == 2
+        assert "permutation of range" in capsys.readouterr().err
 
 
 class TestOtherCommands:

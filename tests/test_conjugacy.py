@@ -9,7 +9,6 @@ import pytest
 import selfdual as sd
 from selfdual import conjugacy, fields
 from selfdual.conjugacy import (
-    ball_hamiltonian,
     grad1,
     grad2,
     lagrangian,
@@ -165,11 +164,8 @@ class TestBallHamiltonian:
         hreg = regularize(kernel, dom, pset)
         # with the origin as the only relevant slope, HB(x, y) = max(0, x - y + c...)
         # on a one-point grid with zero kernel all tables vanish at slope zero
-        def bid(ys):
-            return hreg.bidual_at_slopes(ys)
-
-        v = ball_hamiltonian(bid, pset, np.array([0.5]), np.array([0.5]))
-        assert np.isfinite(v)
+        v = hreg.ball_ham(np.array([[0.5]]), np.array([[0.5]]))
+        assert v.shape == (1,) and np.isfinite(v[0])
         assert hreg.at([0.5], [0.5]) == 0.0
 
     def test_sign_inequality_on_grid_pairs(self, sincos64_hreg):

@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfdual as sd
+from selfdual import factorize, fields
+from selfdual.conjugacy import lagrangian_scores
 from selfdual.domain import (
     build_grid,
+    check_permutation,
     read_field_csv,
     rotation_permutation,
     swap_permutation,
     write_field_csv,
 )
 
-from conftest import sincos_problem
+from conftest import BAD_PERMUTATIONS, monotone_problem, sincos_problem
 
 
 class TestBuildGrid:
@@ -152,6 +155,74 @@ def test_permutations_preserve_measure(n, seed):
     b = (table[perm] * mu).sum()
     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
+
+def _zero_hamiltonian(dom, fld):
+    pset = sd.build_dual_points(dom, fld, sd.ball_radius(dom, fld))
+    return sd.regularize(sd.AntiSymmetricKernel.zero(dom.n), dom, pset)
+
+
+PERMUTATION_READERS = {
+    "Involution": lambda dom, fld, s: sd.Involution(s),
+    "transport_cost": lambda dom, fld, s: sd.transport_cost(dom, fld, s),
+    "parametrize_map": lambda dom, fld, s: sd.parametrize_map(dom, fld, s),
+    "selfdual_test": lambda dom, fld, s: sd.selfdual_test(
+        sd.AntiSymmetricKernel.zero(dom.n), s
+    ),
+    "residual_gradients": lambda dom, fld, s: sd.residual_gradients(
+        _zero_hamiltonian(dom, fld), s, 1e-4
+    ),
+}
+
+
+class TestCheckPermutation:
+    @pytest.mark.parametrize("bad", BAD_PERMUTATIONS, ids=str)
+    @pytest.mark.parametrize("reader", sorted(PERMUTATION_READERS))
+    def test_every_reader_rejects(self, reader, bad):
+        dom, fld = monotone_problem(len(bad))
+        with pytest.raises(ValueError, match="permutation of range"):
+            PERMUTATION_READERS[reader](dom, fld, bad)
+
+    @pytest.mark.parametrize("bad", BAD_PERMUTATIONS, ids=str)
+    def test_compose_check_says_no(self, bad):
+        assert not sd.compose_check(bad)
+
+    def test_returns_the_index_array(self):
+        assert check_permutation([2, 0, 1], 3).tolist() == [2, 0, 1]
+        assert check_permutation(sd.Involution([1, 0]), 2).tolist() == [1, 0]
+        with pytest.raises(ValueError, match="range\\(4\\)"):
+            check_permutation([2, 0, 1], 4)
+
+
+class TestPairing:
+    def test_every_reader_sees_the_same_bits(self, monkeypatch):
+        # on this grid x @ u.T and (u @ x.T).T differ in 242 entries, so
+        # every [j, i] table must be a transpose of the one pairing C
+        bf = fields.builtin_field("gradskew", 196)
+        dom = build_grid(bf.domain_spec)
+        fld = sd.sample_field(dom, bf.rule)
+        c = sd.pairing(dom, fld)
+        assert np.array_equal(c, fld.values @ dom.points.T)
+        zero = sd.AntiSymmetricKernel.zero(dom.n)
+        assert np.array_equal(lagrangian_scores(zero, dom, fld), c.T)
+
+        seen = []
+
+        def spy(d, f):
+            seen.append(sd.pairing(d, f))
+            return seen[-1]
+
+        monkeypatch.setattr(factorize, "pairing", spy)
+        verdict = factorize.check_monotone(dom, fld)
+        assert len(seen) == 1 and np.array_equal(seen[0], c)
+        gram = c.T
+        mono = -(gram + gram.T - np.diag(gram)[:, None] - np.diag(gram)[None, :])
+        np.fill_diagonal(mono, np.inf)
+        assert verdict.min_pairing == mono.min()
+
+        idx = np.arange(dom.n)
+        for s in (sd.Involution.identity(dom.n), swap_permutation(dom)):
+            cert = sd.weak_duality(dom, fld, zero, s)
+            assert cert.dual_value == float(c[idx, s.sigma].sum() * dom.cell_measure)
 
 class TestBallAndDualPoints:
     def test_radius_dominates(self):

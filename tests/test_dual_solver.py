@@ -10,7 +10,6 @@ import selfdual as sd
 from selfdual.dual_solver import (
     all_involutions,
     assignment_relaxation,
-    build_weights,
     distance_objective,
     dual_objective,
     involution_count,
@@ -80,46 +79,6 @@ class TestDistanceObjective:
         assert got == pytest.approx(expect, rel=0.02)
 
 
-class TestBuildWeights:
-    def test_pairing_beats_fixed_points(self):
-        dom = sd.DiscreteDomain(np.array([[0.0], [1.0]]), 0.5, 1, 0.0)
-        fld = sd.SampledField(np.array([[1.0], [0.0]]))
-        w = build_weights(dom, fld)
-        assert w.diag.tolist() == [0.0, 0.0]
-        assert w.w[0, 1] == 1.0
-        assert w.reduced[0, 1] == 1.0
-
-    def test_identity_beats_pairing(self):
-        dom = sd.DiscreteDomain(np.array([[0.0], [1.0]]), 0.5, 1, 0.0)
-        fld = sd.SampledField(np.array([[0.0], [1.0]]))
-        w = build_weights(dom, fld)
-        assert w.diag.tolist() == [0.0, 1.0]
-        assert w.w[0, 1] == 0.0
-        assert w.reduced[0, 1] == -1.0
-
-    def test_symmetry_bit_exact(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            n = int(rng.integers(2, 9))
-            dom, fld = random_problem(rng, n, d=int(rng.integers(1, 4)))
-            w = build_weights(dom, fld)
-            assert np.array_equal(w.w, w.w.T)
-            assert np.array_equal(w.reduced, w.reduced.T)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 12), st.integers(0, 2**31 - 1))
-    def test_matching_reduction_identity(self, n, seed):
-        rng = np.random.default_rng(seed)
-        dom, fld = random_problem(rng, n)
-        s = random_involution(rng, n)
-        w = build_weights(dom, fld)
-        mu = dom.cell_measure
-        total = w.diag.sum() + sum(w.reduced[i, j] for i, j in s.pairs())
-        assert total * mu == pytest.approx(
-            dual_objective(dom, fld, s), rel=1e-10, abs=1e-12
-        )
-
-
 class TestSolveBrute:
     def test_single_cell(self):
         dom, fld = monotone_problem(1)
@@ -181,11 +140,27 @@ class TestSolveMatching:
         assert np.array_equal(sol.sigma.sigma, np.arange(dom.n))
 
     def test_strict_monotonicity_negative_surplus(self):
-        rng = np.random.default_rng(13)
+        # every pair surplus of a strictly monotone field is negative, so
+        # no edge enters the graph and every point stays fixed
         dom, fld = monotone_problem(20)
-        w = build_weights(dom, fld)
-        iu, ju = np.triu_indices(20, k=1)
-        assert (w.reduced[iu, ju] < 0).all()
+        sol = solve_matching(dom, fld)
+        assert np.array_equal(sol.sigma.sigma, np.arange(20))
+
+    def test_pairing_beats_fixed_points(self):
+        # surplus 1 - 0 - 0 > 0: the two points swap
+        dom = sd.DiscreteDomain(np.array([[0.0], [1.0]]), 0.5, 1, 0.0)
+        fld = sd.SampledField(np.array([[1.0], [0.0]]))
+        sol = solve_matching(dom, fld)
+        assert sol.sigma.sigma.tolist() == [1, 0]
+        assert sol.value == 0.5
+
+    def test_identity_beats_pairing(self):
+        # surplus 0 - 0 - 1 < 0: both points stay fixed
+        dom = sd.DiscreteDomain(np.array([[0.0], [1.0]]), 0.5, 1, 0.0)
+        fld = sd.SampledField(np.array([[0.0], [1.0]]))
+        sol = solve_matching(dom, fld)
+        assert sol.sigma.sigma.tolist() == [0, 1]
+        assert sol.value == 0.5
 
 
 class TestSolveAuto:
