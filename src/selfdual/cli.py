@@ -62,8 +62,7 @@ class RunConfig:
             raise ValueError("n must be at least 1")
         if self.sphere_points is not None and self.sphere_points < 1:
             raise ValueError("sphere_points must be at least 1")
-        if self.fd_step_rel <= 0 or self.eps_primal <= 0:
-            raise ValueError("steps and tolerances must be positive")
+        self.pipeline()  # checks the step, the tolerance and the margin
         if bool(self.builtin) == bool(self.field_csv):
             raise ValueError("give exactly one of --builtin or --field")
         if self.field_csv and not self.domain:

@@ -17,6 +17,18 @@ a dual set with points p_k:
     ball_ham          HB(x, y)    = max_k  <x, p_k> - L**(y, p_k)
     regularized       HR(x, y)    = (HB(x, y) - HB(y, x)) / 2
 
+On the grid and the dual set each table is a max-plus matrix product
+(A (x) B)[r, c] = max_s A[r, s] + B[s, c] of the pairing E[j, k] = <x_j, p_k>
+(_grid_pairing, the one grid x dual-set product) with -K, -L or -L*:
+
+    L[k, i]        = (E^T (x) -K)[k, i]                 L(x_i, p_k)
+    L*[k, i]       = ((E^T (x) -L^T) (x) E^T)[k, i]     L*(p_k, x_i)
+    L**(y_b, p_k)  = ((Y (x) -L*) (x) E)[b, k]          Y[b, k'] = <y_b, p_k'>
+
+and _maxplus is the one loop that evaluates them. Each piece is one IEEE
+addition (a - b is exactly a + (-b)) and a max is exact, so no table
+depends on the loop order.
+
 grad1/grad2 are the general central-difference evaluators; the residual
 checks use residual_gradients, their bits at the grid pairs (x_{s(i)}, x_i).
 It builds one dense bidual table, at the grid, and reads the 2d tables at
@@ -53,8 +65,6 @@ __all__ = [
     "residual_gradients",
 ]
 
-# per-chunk scratch arrays stay below ~16M doubles
-_CHUNK_BUDGET = 16_000_000
 # residual_gradients tests candidates in blocks of at most this many
 # pieces and gathers them in groups of about this many candidates
 _GATHER_BUDGET = 1 << 12
@@ -103,28 +113,30 @@ def restricted_dual(
     """Table L*(p_k, x_i) over the dual set and the grid.
 
     The (k, i) entry is the exhaustive max over grid x dual-set of the
-    Fenchel expression, filled one dual slope at a time.
+    Fenchel expression: L = E^T (x) -K, then L* = (E^T (x) -L^T) (x) E^T.
     """
-    x = dom.points
-    lh = _lagrangian_table(kernel, dom, pset)  # [k, j] = L(x_j, p_k)
-    qx = pset.pts @ x.T  # [k_q, j]
-    yp = x @ pset.pts.T  # [i, k_p]
-    out = np.empty((pset.m, dom.n))
-    for kq in range(pset.m):
-        # max over j of <q, x_j> - L(x_j, p_kp), then add <y_i, p_kp>
-        b = (qx[kq][None, :] - lh).max(axis=1)  # [k_p]
-        out[kq] = (yp + b[None, :]).max(axis=1)
-    return out
+    et = _grid_pairing(dom, pset).T  # [k, j] = <p_k, x_j>
+    lh = _maxplus(et, -kernel.matrix)  # [k, j] = L(x_j, p_k)
+    # [k_q, k_p] = max over j of <p_kq, x_j> - L(x_j, p_kp); then add
+    # <p_kp, x_i> and take the max over k_p
+    return _maxplus(_maxplus(et, -lh.T), et)
 
 
-def _lagrangian_table(
-    kernel: AntiSymmetricKernel, dom: DiscreteDomain, pset: DualPointSet
-) -> np.ndarray:
-    """[k, j] = L(x_j, p_k) over the whole dual set."""
-    xp = dom.points @ pset.pts.T  # [j', k]
-    out = np.empty((pset.m, dom.n))
-    for k in range(pset.m):
-        out[k] = (xp[:, k][:, None] - kernel.matrix).max(axis=0)
+def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
+    """E[j, k] = <x_j, p_k>, the one grid x dual-set product.
+
+    Every table reads this product or its transpose and never recomputes it
+    as pts @ points.T, which BLAS rounds apart from it in the last bit.
+    """
+    return dom.points @ pset.pts.T
+
+
+def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-plus product out[r, c] = max_s a[r, s] + b[s, c], row by row."""
+    b = np.ascontiguousarray(b)
+    out = np.empty((a.shape[0], b.shape[1]))
+    for r in range(a.shape[0]):
+        out[r] = (a[r][:, None] + b).max(axis=0)
     return out
 
 
@@ -155,17 +167,13 @@ class RegularHamiltonian:
     """
 
     def __init__(
-        self,
-        dom: DiscreteDomain,
-        pset: DualPointSet,
-        lstar_table: np.ndarray,
-        radius: float,
+        self, dom: DiscreteDomain, pset: DualPointSet, lstar_table: np.ndarray
     ):
         self.dom = dom
         self.pset = pset
         self.lstar_table = lstar_table
-        self.radius = float(radius)
-        self._xp = (pset.pts @ dom.points.T).T.copy()  # [j, k] = <p_k, x_j>
+        self.radius = float(pset.radius)
+        self._xp = _grid_pairing(dom, pset)  # [j, k] = <x_j, p_k>
         # resolution of the finite dual set, reported with every run
         self.covering_radius = pset.covering_radius()
         self.tol_reg = 2.0 * self.radius * self.covering_radius
@@ -178,31 +186,17 @@ class RegularHamiltonian:
     # -- evaluators --------------------------------------------------
 
     def bidual_at_slopes(self, ys: np.ndarray, inner: bool = False):
-        """[b, k] = L**(y_b, p_k) for every dual slope at once, as two
-        running maxima with [b, n] and [b, m] scratch (a max is exact).
+        """[b, k] = L**(y_b, p_k) for every dual slope at once, as the
+        max-plus products (Y (x) -L*) (x) E with Y[b, k'] = <y_b, p_k'>.
 
         With ``inner`` also returns the [b, n] table
         g[b, j] = max_k' <y_b, p_k'> - L*(p_k', x_j), whose pieces
         <p_k, x_j> + g[b, j] the outer maximum runs over.
         """
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        yp = ys @ self.pset.pts.T  # [b, k']
-        n, m = self.dom.n, self.pset.m
-        out = np.full((len(ys), m), -np.inf)
-        kept = np.empty((len(ys), n)) if inner else None
-        step = max(1, _CHUNK_BUDGET // (n + m))
-        for lo in range(0, len(ys), step):
-            hi = min(lo + step, len(ys))
-            # g[b, j] = max_k' <y_b, p_k'> - L*(p_k', x_j)
-            g = kept[lo:hi] if inner else np.empty((hi - lo, n))
-            g.fill(-np.inf)
-            for k in range(m):
-                np.maximum(g, yp[lo:hi, k, None] - self.lstar_table[k], out=g)
-            # out[b, k] = max_j <p_k, x_j> + g[b, j]
-            acc = out[lo:hi]
-            for j in range(n):
-                np.maximum(acc, self._xp[j] + g[:, j, None], out=acc)
-        return (out, kept) if inner else out
+        g = _maxplus(ys @ self.pset.pts.T, -self.lstar_table)
+        out = _maxplus(g, self._xp)
+        return (out, g) if inner else out
 
     def ball_ham(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """HB at batched pairs; convex piecewise-affine in the first slot."""
@@ -222,15 +216,11 @@ class RegularHamiltonian:
         """L_{HR}(x_b, p_b) = max over grid y of <y, p_b> - HR(y, x_b)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        grid, pts_t = self.dom.points, self.pset.pts.T
+        grid = self.dom.points
         tx, tg = self.bidual_at_slopes(xs), self.bidual_at_slopes(grid)
-        gp, xp = grid @ pts_t, xs @ pts_t
-        # [b, j] = HB(x_j, x_b) and HB(x_b, x_j), as running maxima over k
-        hb_gx = np.full((len(xs), self.dom.n), -np.inf)
-        hb_xg = hb_gx.copy()
-        for k in range(self.pset.m):
-            np.maximum(hb_gx, gp[:, k] - tx[:, k, None], out=hb_gx)
-            np.maximum(hb_xg, xp[:, k, None] - tg[:, k], out=hb_xg)
+        # [b, j] = HB(x_j, x_b) and HB(x_b, x_j), as max-plus products over k
+        hb_gx = _maxplus(-tx, self._xp.T)
+        hb_xg = _maxplus(xs @ self.pset.pts.T, -tg.T)
         hg = 0.5 * (hb_gx - hb_xg)  # [b, j] = HR(x_j, x_b)
         return (ps @ grid.T - hg).max(axis=1)
 
@@ -249,7 +239,7 @@ def regularize(
     if kernel.n != dom.n:
         raise ValueError("kernel size does not match domain")
     lstar = restricted_dual(kernel, dom, pset)
-    return RegularHamiltonian(dom, pset, lstar, pset.radius)
+    return RegularHamiltonian(dom, pset, lstar)
 
 
 def grad1(
@@ -349,8 +339,7 @@ def residual_gradients(
     # the sparse halves, HB(x_i, x_{perm(i)} +- s) (hb_1) and
     # HB(x_{perm(i)}, x_i +- s) (hb_2), read the shifted tables at the pairs
     # (b, k) in need: at row b = perm(i) for hb_1 and b = i for hb_2
-    yp0 = grid @ pts_t
-    keep1 = _near_max(yp0 - t0p, tau)[pinv]
+    keep1 = _near_max(xp - t0p, tau)[pinv]
     del t0p
     xs0 = sx @ pts_t
     keep2 = _near_max(xs0 - t0, tau)
@@ -375,7 +364,7 @@ def residual_gradients(
         # g(y_b + s, x_j) = max over k' of <y_b + s, p_k'> - L*(p_k', x_j)
         g = np.empty((2 * d, len(bj)))
         for lo1, hi1, r1, k1 in _candidate_groups(
-            lambda rows: yp0[b1[rows]] - lstar.T[j1[rows]], g0[b1, j1] - tau, m
+            lambda rows: xp[b1[rows]] - lstar.T[j1[rows]], g0[b1, j1] - tau, m
         ):
             starts1 = np.flatnonzero(np.diff(r1, prepend=-1))
             r1 += lo1
@@ -384,7 +373,7 @@ def residual_gradients(
                 g[q, lo1:hi1] = np.maximum.reduceat(yp.ravel()[at] - lv, starts1)
         w1, w2 = sel1[lo:hi], sel2[lo:hi]
         i1 = pinv[b[w1]]
-        v1, v2g = yp0[i1, k[w1]], v2[lo:hi][w2]
+        v1, v2g = xp[i1, k[w1]], v2[lo:hi][w2]
         for q in range(2 * d):
             t = np.maximum.reduceat(xp2 + g[q][where], starts2)
             np.maximum.at(hb_1[q], i1, v1 - t[w1])

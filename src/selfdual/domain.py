@@ -160,8 +160,8 @@ def ball_radius(dom: DiscreteDomain, fld: SampledField, margin: float = 0.05) ->
     The margin keeps suprema off the ball boundary; the containment
     invariants only need margin >= 0.
     """
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ValueError("margin must be non-negative and finite")
     check_pairing(dom, fld)
     return BallRadius(float((1.0 + margin) * max(dom.radius, fld.field_radius)), margin)
 

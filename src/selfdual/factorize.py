@@ -65,6 +65,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        knobs = [self.fd_step_rel, self.eps_primal, self.radius_margin]
+        if not np.isfinite(knobs).all():
+            raise ValueError("steps, tolerances and margins must be finite")
         if self.fd_step_rel <= 0 or self.eps_primal <= 0:
             raise ValueError("steps and tolerances must be positive")
         if self.radius_margin < 0:

@@ -100,8 +100,8 @@ class PrimalConfig:
     eps_rel: float = 1e-6
 
     def __post_init__(self):
-        if self.eps_rel <= 0:
-            raise ValueError("eps_rel must be positive")
+        if not (np.isfinite(self.eps_rel) and self.eps_rel > 0):
+            raise ValueError("eps_rel must be positive and finite")
 
 
 @dataclass
@@ -129,17 +129,21 @@ def minimize_primal(
     gives c_ji - K[j, i] = S[i, j] + (pot_i - pot_j) / 2 <= pot_i, so
     P(K) <= bound; LP duality gives P(K) >= bound, hence P(K) == bound, the
     optimum. Only its upper triangle is stored, which keeps anti-symmetry
-    bit-exact. converged reports value - bound <= eps_rel * |value|.
+    bit-exact. converged reports value - bound <= eps_rel * |value| + floor,
+    floor = 4 (n + d + 2) eps mu (sum_i max_j |C_ij| + sum_i max_j |K_ji|)
+    bounding the rounding of the two n-term sums, so that an optimum of 0
+    is not judged by a relative test alone.
     """
     cfg = cfg or PrimalConfig()
-    cji = pairing(dom, fld).T
+    c = pairing(dom, fld)  # c.T[j, i] = c_ji
     _, pot, bound = relaxation or dual_solver.assignment_relaxation(dom, fld)
-    kernel = AntiSymmetricKernel(
-        0.5 * (cji - cji.T) - 0.5 * (pot[None, :] - pot[:, None])
-    )
+    kernel = AntiSymmetricKernel(0.5 * (c.T - c) - 0.5 * (pot[None, :] - pot[:, None]))
     z = lagrangian_scores(kernel, dom, fld)
-    value = float(z.max(axis=0).sum() * dom.cell_measure)
-    converged = value - bound <= cfg.eps_rel * max(1e-300, abs(value))
+    mu = dom.cell_measure
+    value = float(z.max(axis=0).sum() * mu)
+    scale = np.abs(c).max(axis=1).sum() + np.abs(kernel.matrix).max(axis=0).sum()
+    floor = float(4 * (dom.n + dom.dim + 2) * np.finfo(float).eps * mu * scale)
+    converged = value - bound <= cfg.eps_rel * abs(value) + floor
     return PrimalSolution(
         kernel, value, 0, value - bound, z.argmax(axis=0), bound, converged
     )

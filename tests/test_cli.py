@@ -73,6 +73,25 @@ class TestParseConfig:
         assert run_cli(["decompose", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("--fd-step-rel", "fd_step_rel", "nan"),
+            ("--fd-step-rel", "fd_step_rel", "inf"),
+            ("--radius-margin", "radius_margin", "nan"),
+            ("--radius-margin", "radius_margin", "inf"),
+            ("--eps-primal", "eps_primal", "nan"),
+        ],
+    )
+    def test_non_finite_options_exit_2(self, tmp_path, capsys, flag, key, value):
+        base = ["decompose", "--builtin", "sincos", "--n", "8"]
+        assert run_cli(base + [flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"builtin": "sincos", "n": 8, key: float(value)}))
+        assert run_cli(["decompose", "--config", str(cfg)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"builtin": "monotone1d", "n": 4}))
@@ -263,6 +282,13 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["converged"]
         assert payload["P"] >= payload["lower_bound"] - 1e-9
+
+    def test_zero_optimum_converges(self, tmp_path):
+        # rotationJ's optimum is 0: P - bound is rounding noise (1.3e-16)
+        out = tmp_path / "r.json"
+        argv = ["decompose", "--builtin", "rotationJ", "--n", "128", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert json.loads(out.read_text())["config"]["primal_converged"]
 
     def test_transport_command(self, tmp_path):
         out = tmp_path / "t.json"

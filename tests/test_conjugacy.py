@@ -547,7 +547,7 @@ def broadcast_bidual_at_slopes(hreg, ys):
     """[b, k] = L**(y_b, p_k) as one [b, m, n] maximum."""
     yp = ys @ hreg.pset.pts.T
     g = (yp[:, :, None] - hreg.lstar_table[None, :, :]).max(axis=1)
-    px = hreg.pset.pts @ hreg.dom.points.T
+    px = hreg._xp.T
     return (px[None, :, :] + g[:, None, :]).max(axis=2)
 
 
@@ -570,9 +570,7 @@ class TestRunningMaxEvaluators:
         dom, fld, bf = builtin_problem("matrix", 36)
         return sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian).hamiltonian
 
-    def test_bidual_at_slopes_matches_broadcast(
-        self, sincos64_hreg, plane_hreg, monkeypatch
-    ):
+    def test_bidual_at_slopes_matches_broadcast(self, sincos64_hreg, plane_hreg):
         rng = np.random.default_rng(11)
         for hreg in (sincos64_hreg[0], plane_hreg):
             r = hreg.radius
@@ -584,12 +582,6 @@ class TestRunningMaxEvaluators:
             table, inner = hreg.bidual_at_slopes(ys, inner=True)
             assert np.array_equal(table, want)
             assert np.array_equal(inner, broadcast_inner_table(hreg, ys))
-            # rows split into chunks of three give the same tables
-            budget = 3 * (hreg.dom.n + hreg.pset.m)
-            monkeypatch.setattr(conjugacy, "_CHUNK_BUDGET", budget)
-            assert np.array_equal(hreg.bidual_at_slopes(ys), want)
-            assert np.array_equal(hreg.bidual_at_slopes(ys, inner=True)[1], inner)
-            monkeypatch.undo()
 
     def test_restricted_bidual_matches_broadcast(self, sincos64_hreg, plane_hreg):
         rng = np.random.default_rng(12)
@@ -599,3 +591,51 @@ class TestRunningMaxEvaluators:
                 got = restricted_bidual(hreg.lstar_table, hreg.dom, hreg.pset, y, q)
                 assert got == broadcast_restricted_bidual(hreg, y, q)
 
+
+def broadcast_restricted_dual(kernel, dom, pset):
+    """[k, i] = L*(p_k, x_i) as three broadcast maxima over E = x @ P.T."""
+    e = dom.points @ pset.pts.T  # [j, k]
+    lh = (e[:, :, None] - kernel.matrix[:, None, :]).max(axis=0)  # [k, j]
+    b = (e.T[:, :, None] - lh.T[None, :, :]).max(axis=1)  # [k_q, k_p]
+    return (b[:, :, None] + e.T[None, :, :]).max(axis=1)
+
+
+class TestMaxPlusProducts:
+    @pytest.mark.parametrize(
+        "r, s, c", [(1, 6, 5), (4, 1, 5), (4, 6, 1), (1, 1, 1), (7, 6, 5)]
+    )
+    def test_maxplus_matches_broadcast(self, r, s, c):
+        rng = np.random.default_rng([r, s, c])
+        a, b = rng.normal(size=(r, s)), rng.normal(size=(s, c))
+        a[rng.random((r, s)) < 0.2] = -np.inf
+        b[rng.random((s, c)) < 0.2] = -np.inf
+        a[-1] = -np.inf  # a row of -inf gives a row of -inf
+        want = (a[:, :, None] + b[None, :, :]).max(axis=1)
+        # strided views into larger arrays
+        wide_a, wide_b = np.full((2 * r, 3 * s), 7.0), np.full((3 * s, 2 * c), 7.0)
+        wide_a[::2, ::3], wide_b[::3, ::2] = a, b
+        for x, y in (
+            (a, b),
+            (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T),
+            (wide_a[::2, ::3], wide_b[::3, ::2]),
+        ):
+            assert np.array_equal(conjugacy._maxplus(x, y), want)
+        # each row alone gives the same row
+        for i in range(r):
+            assert np.array_equal(conjugacy._maxplus(a[i : i + 1], b)[0], want[i])
+
+    def test_restricted_dual_matches_broadcast(self, sincos64_hreg):
+        hreg, kernel, _, pset = sincos64_hreg
+        dom, fld, bf = builtin_problem("matrix", 36)
+        rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
+        for kernel, dom, pset in (
+            (kernel, hreg.dom, pset),
+            (rep.kernel, dom, rep.hamiltonian.pset),
+        ):
+            want = broadcast_restricted_dual(kernel, dom, pset)
+            assert np.array_equal(restricted_dual(kernel, dom, pset), want)
+
+    def test_grid_pairing_is_the_one_product(self):
+        dom, fld, bf = builtin_problem("gradskew", 196)
+        hreg = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian).hamiltonian
+        assert np.array_equal(hreg._xp, dom.points @ hreg.pset.pts.T)

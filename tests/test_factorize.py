@@ -182,6 +182,19 @@ class TestDecompose:
         ):
             assert key in d["config"]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, value):
+        dom, fld = monotone_problem(8)
+        for make in (
+            lambda: PipelineConfig(fd_step_rel=value),
+            lambda: PipelineConfig(eps_primal=value),
+            lambda: PipelineConfig(radius_margin=value),
+            lambda: sd.PrimalConfig(eps_rel=value),
+            lambda: sd.ball_radius(dom, fld, value),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
     def test_brute_path_on_small_instance(self):
         dom, fld = monotone_problem(8)
         rep = decompose(dom, fld, PipelineConfig(dual_method="brute"))

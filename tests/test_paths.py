@@ -43,11 +43,12 @@ def check_paths(dom, fld):
     k = primal.kernel.matrix
     assert np.array_equal(k, -k.T)
     assert not np.diag(k).any()
-    assert abs(primal.value - bound) <= EPS_PRIMAL * abs(primal.value)
     c = fld.values @ dom.points.T
     # rounding of an n-term sum of d-term dot products
     scale = np.abs(c).max() * n * dom.cell_measure
     rounding = 64 * (n + 2) * np.finfo(float).eps * scale
+    assert abs(primal.value - bound) <= EPS_PRIMAL * abs(primal.value) + rounding
+    assert primal.converged
     values = {}
     for method in ("auto", "matching", "brute"):
         sol = solve(dom, fld, method=method)
@@ -77,6 +78,8 @@ def check_paths(dom, fld):
 @example(n=2, d=1, seed=0, scale=1.0, kind="normal")
 @example(n=2, d=2, seed=1, scale=1e8, kind="ties")
 @example(n=10, d=2, seed=2, scale=1e-8, kind="constant")
+# a constant field: P = 1.2e-32 and bound 6.2e-33 are both rounding noise
+@example(n=4, d=1, seed=1582, scale=1e-8, kind="ties")
 def test_paths_agree(n, d, seed, scale, kind):
     check_paths(*make_problem(n, d, seed, scale, kind))
 
