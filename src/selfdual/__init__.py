@@ -13,7 +13,6 @@ from .conjugacy import (
     lagrangian_at_field,
     regularize,
     residual_gradients,
-    restricted_bidual,
     restricted_dual,
 )
 from .domain import (
@@ -52,7 +51,6 @@ from .factorize import (
     selfdual_test,
 )
 from .primal_solver import (
-    PrimalConfig,
     PrimalSolution,
     minimize_primal,
     primal_objective,

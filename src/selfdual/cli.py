@@ -20,13 +20,14 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dual_solver, factorize, fields, primal_solver, transport
-from .conjugacy import regularize
+from .conjugacy import lagrangian_at_field, regularize
 from .domain import (
     AntiSymmetricKernel,
     Involution,
@@ -48,46 +49,49 @@ class RunConfig:
     field_csv: str | None = None
     domain: dict | None = None
     n: int = 64
-    radius_margin: float = 0.05
-    sphere_points: int | None = None
-    fd_step_rel: float = 1e-4
-    solver: str = "auto"
-    eps_primal: float = 1e-6
-    seed: int = 0
+    pipeline: factorize.PipelineConfig = dataclasses.field(
+        default_factory=factorize.PipelineConfig
+    )
     out: str | None = None
     dump: str | None = None
 
     def validate(self) -> "RunConfig":
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.sphere_points is not None and self.sphere_points < 1:
-            raise ValueError("sphere_points must be at least 1")
-        self.pipeline()  # checks the step, the tolerance and the margin
         if bool(self.builtin) == bool(self.field_csv):
             raise ValueError("give exactly one of --builtin or --field")
         if self.field_csv and not self.domain:
             raise ValueError("file-backed runs need a --domain spec")
         return self
 
-    def pipeline(self) -> factorize.PipelineConfig:
-        return factorize.PipelineConfig(
-            dual_method=self.solver,
-            radius_margin=self.radius_margin,
-            sphere_points=self.sphere_points,
-            fd_step_rel=self.fd_step_rel,
-            eps_primal=self.eps_primal,
-            seed=self.seed,
-        )
+
+# the keys a config file may set, flat: the fields of RunConfig and those of
+# its PipelineConfig, each with its type
+_PIPELINE_TYPES = typing.get_type_hints(factorize.PipelineConfig)
+_CONFIG_TYPES = {
+    key: hint
+    for key, hint in {**typing.get_type_hints(RunConfig), **_PIPELINE_TYPES}.items()
+    if key != "pipeline"
+}
 
 
-# the keys a config file may set, one per RunConfig field
-_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+def _check_type(key: str, value, hint) -> None:
+    """Reject a value of another type than the field's; a float field takes
+    an int, an int field takes no bool and no float."""
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ValueError(f"config value {key}={value!r} is not {names}")
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge a JSON config file (if given) with command-line flags.
 
-    Flags win over file values; unknown file keys are rejected.
+    Flags win over file values; unknown keys and values of the wrong type
+    are rejected. The keys are flat; the pipeline settings among them go to
+    RunConfig.pipeline.
     """
     payload: dict = {}
     cfg_path = getattr(args, "config", None)
@@ -99,11 +103,11 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             raise FileNotFoundError(f"cannot read config file: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(payload) - _CONFIG_KEYS
+        unknown = set(payload) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(payload)
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         flag = key if key != "field_csv" else "field"
         val = getattr(args, flag, None)
         if val is not None:
@@ -117,7 +121,10 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
                 merged["domain"] = json.load(fh)
         else:
             merged["domain"] = json.loads(dom_src)
-    return RunConfig(**merged).validate()
+    for key, value in merged.items():
+        _check_type(key, value, _CONFIG_TYPES[key])
+    pipeline = {key: merged.pop(key) for key in _PIPELINE_TYPES if key in merged}
+    return RunConfig(**merged, pipeline=factorize.PipelineConfig(**pipeline)).validate()
 
 
 def _load_problem(cfg: RunConfig):
@@ -176,7 +183,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     report = factorize.decompose(
         dom,
         fld,
-        cfg.pipeline(),
+        cfg.pipeline,
         rule=bf.rule if bf else None,
         jacobian=bf.jacobian if bf else None,
     )
@@ -188,7 +195,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
 
 def _cmd_dual(cfg: RunConfig) -> int:
     dom, fld, _ = _load_problem(cfg)
-    sol = dual_solver.solve(dom, fld, method=cfg.solver)
+    sol = dual_solver.solve(dom, fld)
     _emit(
         {
             "D": sol.value,
@@ -204,17 +211,18 @@ def _cmd_dual(cfg: RunConfig) -> int:
 
 def _cmd_primal(cfg: RunConfig) -> int:
     dom, fld, _ = _load_problem(cfg)
-    sol = primal_solver.minimize_primal(
-        dom, fld, primal_solver.PrimalConfig(cfg.eps_primal)
-    )
+    relaxation = dual_solver.assignment_relaxation(dom, fld)
+    sol = primal_solver.minimize_primal(dom, fld, relaxation, cfg.pipeline.eps_primal)
+    bound = relaxation[2]
+    _, argmax = lagrangian_at_field(sol.kernel, dom, fld)
     _emit(
         {
             "P": sol.value,
             "iterations": sol.iterations,
-            "lower_bound": sol.lower_bound,
-            "gap_vs_bound": sol.gap_vs_dual,
+            "lower_bound": bound,
+            "gap_vs_bound": sol.value - bound,
             "converged": sol.converged,
-            "argmax": [int(k) for k in sol.argmax_map],
+            "argmax": [int(k) for k in argmax],
         },
         cfg.out,
     )
@@ -261,8 +269,9 @@ def _cmd_verify(cfg: RunConfig, sigma_path: str | None, kernel_path: str | None)
         }
         payload["selfdual_sum"] = value
         payload["selfdual_verdict"] = verdict
-        ball = ball_radius(dom, fld, cfg.radius_margin)
-        pset = build_dual_points(dom, fld, ball, cfg.sphere_points, cfg.seed)
+        pcfg = cfg.pipeline
+        ball = ball_radius(dom, fld, pcfg.radius_margin)
+        pset = build_dual_points(dom, fld, ball, pcfg.sphere_points, pcfg.seed)
         hreg = regularize(kernel, dom, pset)
         res2 = factorize.second_identity_check(dom, fld, hreg, sigma)
         payload["residual2"] = {"median": res2.median, "max": res2.max}
@@ -276,7 +285,7 @@ def _cmd_transport(cfg: RunConfig) -> int:
     mu_hat, nu_hat = transport.build_pair_measures(dom, fld)
     if cfg.dump:
         transport.export_atoms_csv(cfg.dump, mu_hat)
-    sol = dual_solver.solve(dom, fld, method=cfg.solver)
+    sol = dual_solver.solve(dom, fld)
     plan = transport.parametrize_map(dom, fld, sol.sigma)
     _emit(
         {
@@ -301,9 +310,8 @@ def _cmd_gallery(cfg: RunConfig) -> int:
             bf = fields.builtin_field(name, n)
             dom = build_grid(bf.domain_spec)
             fld = sample_field(dom, bf.rule)
-            run_cfg = dataclasses.replace(cfg, builtin=name, n=n)
             report = factorize.decompose(
-                dom, fld, run_cfg.pipeline(), rule=bf.rule, jacobian=bf.jacobian
+                dom, fld, cfg.pipeline, rule=bf.rule, jacobian=bf.jacobian
             )
             row = {
                 "builtin": name,
@@ -368,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with h: on sincos at n = 128, about 8 ms at 1e-4, 65 ms at 1e-2 "
             "and 0.3 s at 1 (2-core VM)",
         )
-        p.add_argument("--solver", choices=dual_solver.METHODS, default=None)
         p.add_argument("--eps-primal", dest="eps_primal", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="write the JSON payload here")

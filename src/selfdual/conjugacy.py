@@ -13,7 +13,7 @@ a dual set with points p_k:
 
     lagrangian        L(x_i, p)   = max_j  <x_j, p> - K[j, i]
     restricted_dual   L*(q, y)    = max_{j,k} <y, p_k> + <q, x_j> - L(x_j, p_k)
-    restricted_bidual L**(y, q)   = max_{j,k} <y, p_k> + <q, x_j> - L*(p_k, x_j)
+    bidual_at_slopes  L**(y, q)   = max_{j,k} <y, p_k> + <q, x_j> - L*(p_k, x_j)
     ball_ham          HB(x, y)    = max_k  <x, p_k> - L**(y, p_k)
     regularized       HR(x, y)    = (HB(x, y) - HB(y, x)) / 2
 
@@ -57,7 +57,6 @@ __all__ = [
     "lagrangian_scores",
     "lagrangian_at_field",
     "restricted_dual",
-    "restricted_bidual",
     "RegularHamiltonian",
     "regularize",
     "grad1",
@@ -140,23 +139,6 @@ def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def restricted_bidual(
-    lstar_table: np.ndarray,
-    dom: DiscreteDomain,
-    pset: DualPointSet,
-    x: np.ndarray,
-    p: np.ndarray,
-) -> float:
-    """L**(x, p) at a single point, max of affine pieces, convex in (x, p)."""
-    yp = np.asarray(x, dtype=float).reshape(1, dom.dim) @ pset.pts.T  # [1, k]
-    qx = np.asarray(p, dtype=float).reshape(1, dom.dim) @ dom.points.T  # [1, j]
-    # running max over k of (<x, p_k> + <p, x_j>) - L*(p_k, x_j)
-    acc = np.full(qx.shape, -np.inf)
-    for k in range(pset.m):
-        np.maximum(acc, (yp[:, k, None] + qx) - lstar_table[k], out=acc)
-    return float(acc.max())
-
-
 class RegularHamiltonian:
     """Finitely represented convex-concave anti-symmetric Hamiltonian.
 
@@ -177,11 +159,6 @@ class RegularHamiltonian:
         # resolution of the finite dual set, reported with every run
         self.covering_radius = pset.covering_radius()
         self.tol_reg = 2.0 * self.radius * self.covering_radius
-
-    @property
-    def lipschitz_bound(self) -> float:
-        """Flagging threshold for the empirical Lipschitz quotient, 4 d R."""
-        return 4.0 * self.dom.dim * self.radius
 
     # -- evaluators --------------------------------------------------
 
@@ -208,9 +185,6 @@ class RegularHamiltonian:
     def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """HR at batched pairs, exactly anti-symmetric by construction."""
         return 0.5 * (self.ball_ham(xs, ys) - self.ball_ham(ys, xs))
-
-    def at(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(self(np.atleast_2d(x), np.atleast_2d(y))[0])
 
     def lagrangian_of(self, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         """L_{HR}(x_b, p_b) = max over grid y of <y, p_b> - HR(y, x_b)."""

@@ -14,7 +14,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,6 +43,10 @@ __all__ = [
     "write_field_csv",
     "load_domain_spec",
 ]
+
+# DualPointSet.covering_radius estimates a covering radius in d > 1 from
+# this many seeded probes
+_COVERING_PROBES = 4096
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -193,12 +197,12 @@ class DualPointSet:
     def m(self) -> int:
         return self.pts.shape[0]
 
-    def covering_radius(self, samples: int = 4096, seed: int = 0) -> float:
+    def covering_radius(self) -> float:
         """Covering radius of the point set inside the ball of radius R.
 
-        Exact in one dimension; estimated from a deterministic Monte Carlo
-        sample otherwise (an under-estimate, adequate for reporting), with
-        each probe's nearest point found by a KD-tree.
+        Exact in one dimension; estimated from _COVERING_PROBES seeded
+        uniform probes of the ball otherwise (an under-estimate, adequate
+        for reporting), with each probe's nearest point found by a KD-tree.
         """
         d = self.pts.shape[1]
         if d == 1:
@@ -207,10 +211,10 @@ class DualPointSet:
             if len(xs) > 1:
                 gaps.append(0.5 * np.diff(xs).max())
             return float(max(gaps))
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((samples, d))
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((_COVERING_PROBES, d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = self.radius * rng.random(samples) ** (1.0 / d)
+        r = self.radius * rng.random(_COVERING_PROBES) ** (1.0 / d)
         probes = g * r[:, None]
         return float(cKDTree(self.pts).query(probes)[0].max())
 
@@ -351,13 +355,6 @@ class Involution:
         if n % 2:
             raise ValueError("half shift needs an even number of cells")
         return cls((np.arange(n) + n // 2) % n)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Involution":
-        sig = np.arange(n)
-        for a, b in pairs:
-            sig[a], sig[b] = b, a
-        return cls(sig)
 
     @property
     def n(self) -> int:

@@ -2,15 +2,15 @@
 
 Over equal-measure cells an involution is a partition of the indices into
 fixed points and 2-cycles, and sum_i C[i, s(i)] = sum_i S[i, s(i)] with
-S = (C + C^T) / 2. The primary path solves the max-weight assignment on S
+S = (C + C^T) / 2. The one path, solve, solves the max-weight assignment on S
 (its value bounds every involution, and it is the LP dual of the kernel
 primal) and rounds the optimal permutation cycle by cycle: fixed points,
 2-cycles and even cycles round without loss, so the involution meets the
 bound. Only an odd cycle, a half-integral vertex of the fractional
 matching polytope, sends the instance to the exact blossom matcher on the
-pair surpluses C[i, j] + C[j, i] - C[i, i] - C[j, j]. A brute-force
-enumerator certifies small instances. C is domain.pairing, the one place
-the pairing is computed.
+pair surpluses C[i, j] + C[j, i] - C[i, i] - C[j, j]. That matcher and
+a brute-force enumerator are also kept alone, as the oracles the path is
+tested against. C is domain.pairing, the one place the pairing is computed.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class DualSolution:
     sigma: Involution
     value: float
     method: str  # "assignment" | "matching" | "brute"
-    # what backs optimality: "assignment-bound-tight", "blossom-fallback"
-    # (odd cycle), "blossom" or "brute"; every path is exact
+    # what backs optimality: "assignment-bound-tight" or "blossom-fallback"
+    # (odd cycle) from solve, "blossom" or "brute" from an oracle
     certificate: str
     bound: float | None = None  # assignment bound, set by solve
 
@@ -223,35 +223,27 @@ def _round_cycles(s: np.ndarray, perm: np.ndarray) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
-
-METHODS = ("auto", "matching", "brute")
+# the dual path
 
 
 def solve(
     dom: DiscreteDomain,
     fld: SampledField,
-    method: str = "auto",
     relaxation: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> DualSolution:
     """Best involution, with the assignment bound attached.
 
-    "auto" rounds the optimal assignment cycle by cycle, which is exact and
-    meets the bound unless the permutation has an odd cycle; then the
-    blossom matcher solves the whole instance. "matching" and "brute" run
-    the oracles directly. A precomputed assignment_relaxation can be passed
-    so that one assignment solve serves both the dual and the primal.
+    Rounds the optimal assignment cycle by cycle, which is exact and meets
+    the bound unless the permutation has an odd cycle; then the blossom
+    matcher solves the whole instance. A precomputed assignment_relaxation
+    can be passed so that one assignment solve serves both the dual and the
+    primal. solve_matching and solve_brute are the oracles it is tested
+    against.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown dual method {method!r}; know {', '.join(METHODS)}")
     perm, _, bound = relaxation or assignment_relaxation(dom, fld)
-    if method == "brute":
-        return replace(solve_brute(dom, fld), bound=bound)
-    if method == "auto":
-        sigma = _round_cycles(_symmetric_pairing(dom, fld), perm)
-        if sigma is not None:
-            s = Involution(sigma)
-            value = dual_objective(dom, fld, s)
-            return DualSolution(s, value, "assignment", "assignment-bound-tight", bound)
-    cert = "blossom" if method == "matching" else "blossom-fallback"
-    return replace(solve_matching(dom, fld), certificate=cert, bound=bound)
+    sigma = _round_cycles(_symmetric_pairing(dom, fld), perm)
+    if sigma is not None:
+        s = Involution(sigma)
+        value = dual_objective(dom, fld, s)
+        return DualSolution(s, value, "assignment", "assignment-bound-tight", bound)
+    return replace(solve_matching(dom, fld), certificate="blossom-fallback", bound=bound)

@@ -50,14 +50,15 @@ __all__ = [
     "ResidualStats",
 ]
 
-# check_uniqueness scans its sample points in blocks of about this many
+# check_uniqueness takes every triple up to this many, a seeded sample
+# above, and scans its sample points in blocks of about _UNIQUENESS_BLOCK
 # (point, pair) ratios
+_UNIQUENESS_TRIPLES = 200_000
 _UNIQUENESS_BLOCK = 1 << 12
 
 
 @dataclass
 class PipelineConfig:
-    dual_method: str = "auto"  # auto | matching | brute
     radius_margin: float = 0.05
     sphere_points: int | None = None  # None -> 64 * d
     fd_step_rel: float = 1e-4  # h = fd_step_rel * R
@@ -72,6 +73,8 @@ class PipelineConfig:
             raise ValueError("steps and tolerances must be positive")
         if self.radius_margin < 0:
             raise ValueError("radius margin must be non-negative")
+        if self.sphere_points is not None and self.sphere_points < 1:
+            raise ValueError("sphere_points must be at least 1")
 
 
 @dataclass
@@ -100,7 +103,6 @@ class UniquenessVerdict:
     min_ratio: float
     median_ratio: float
     witness: tuple[int, int, int]
-    heuristic: bool = True
 
 
 @dataclass
@@ -157,10 +159,8 @@ def decompose(
     check_pairing(dom, fld)
 
     relaxation = dual_solver.assignment_relaxation(dom, fld)
-    dual = dual_solver.solve(dom, fld, cfg.dual_method, relaxation)
-    primal = primal_solver.minimize_primal(
-        dom, fld, primal_solver.PrimalConfig(cfg.eps_primal), relaxation
-    )
+    dual = dual_solver.solve(dom, fld, relaxation)
+    primal = primal_solver.minimize_primal(dom, fld, relaxation, cfg.eps_primal)
 
     ball = ball_radius(dom, fld, cfg.radius_margin)
     pset = build_dual_points(dom, fld, ball, cfg.sphere_points, cfg.seed)
@@ -262,13 +262,13 @@ def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
 
 
 def _estimate_jacobians(
-    dom: DiscreteDomain, fld: SampledField, rule=None, jacobian=None, step=None
+    dom: DiscreteDomain, fld: SampledField, rule=None, jacobian=None
 ) -> np.ndarray:
     """Per-point Jacobian estimates, (N, d, d).
 
     With a callable Jacobian it is evaluated directly; with a pointwise
-    rule, central differences at the given step; otherwise a local least
-    squares fit over nearest sample neighbors.
+    rule, central differences at a step of 1e-3 mesh (at least 1e-8);
+    otherwise a local least squares fit over nearest sample neighbors.
     """
     n, d = dom.n, dom.dim
     out = np.empty((n, d, d))
@@ -279,7 +279,7 @@ def _estimate_jacobians(
             ).reshape(d, d)
         return out
     if rule is not None:
-        h = step if step is not None else max(dom.mesh * 1e-3, 1e-8)
+        h = max(dom.mesh * 1e-3, 1e-8)
         for i, p in enumerate(dom.points):
             for k in range(d):
                 e = np.zeros(d)
@@ -306,9 +306,7 @@ def check_uniqueness(
     fld: SampledField,
     rule=None,
     jacobian=None,
-    step: float | None = None,
     seed: int = 0,
-    max_triples: int = 200_000,
 ) -> UniquenessVerdict:
     """Search for near-critical triples of the uniqueness condition.
 
@@ -321,19 +319,19 @@ def check_uniqueness(
     n = dom.n
     if n < 3:
         return UniquenessVerdict("uniqueness-plausible", np.inf, np.inf, (0, 0, 0))
-    jac = _estimate_jacobians(dom, fld, rule, jacobian, step)
+    jac = _estimate_jacobians(dom, fld, rule, jacobian)
 
     rng = np.random.default_rng(seed)
     full = n * n * (n - 1) // 2
-    if full <= max_triples:
+    if full <= _UNIQUENESS_TRIPLES:
         iu, ju = np.triu_indices(n, k=1)
         xs = np.arange(n)
         pairs = np.stack([iu, ju], axis=1)
     else:
-        m = int(np.sqrt(max_triples))
+        m = int(np.sqrt(_UNIQUENESS_TRIPLES))
         xs = rng.integers(0, n, size=m)
-        a = rng.integers(0, n, size=max_triples // max(1, m))
-        b = rng.integers(0, n, size=max_triples // max(1, m))
+        a = rng.integers(0, n, size=_UNIQUENESS_TRIPLES // m)
+        b = rng.integers(0, n, size=_UNIQUENESS_TRIPLES // m)
         keep = a != b
         pairs = np.stack([a[keep], b[keep]], axis=1)
 
@@ -394,7 +392,7 @@ def krauss_check(
         )
     if not np.array_equal(hreg.dom.points, dom.points):
         raise ValueError("hamiltonian was built on another grid")
-    h = h if h is not None else 1e-4 * hreg.radius
+    h = h if h is not None else PipelineConfig.fd_step_rel * hreg.radius
     g1, _ = residual_gradients(hreg, np.arange(dom.n), h)
     return ResidualStats(np.linalg.norm(fld.values - g1, axis=1))
 
@@ -412,6 +410,6 @@ def second_identity_check(
         raise ValueError("involution length does not match domain")
     if not np.array_equal(hreg.dom.points, dom.points):
         raise ValueError("hamiltonian was built on another grid")
-    h = h if h is not None else 1e-4 * hreg.radius
+    h = h if h is not None else PipelineConfig.fd_step_rel * hreg.radius
     _, g2 = residual_gradients(hreg, s.sigma, h)
     return ResidualStats(np.linalg.norm(fld.values[s.sigma] + g2, axis=1))

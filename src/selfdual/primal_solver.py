@@ -30,7 +30,6 @@ from .domain import (
 )
 
 __all__ = [
-    "PrimalConfig",
     "PrimalSolution",
     "DualityCertificate",
     "primal_objective",
@@ -96,30 +95,18 @@ def weak_duality(
 
 
 @dataclass
-class PrimalConfig:
-    eps_rel: float = 1e-6
-
-    def __post_init__(self):
-        if not (np.isfinite(self.eps_rel) and self.eps_rel > 0):
-            raise ValueError("eps_rel must be positive and finite")
-
-
-@dataclass
 class PrimalSolution:
     kernel: AntiSymmetricKernel
     value: float
     iterations: int
-    gap_vs_dual: float  # value minus the assignment bound
-    argmax_map: np.ndarray
-    lower_bound: float
     converged: bool
 
 
 def minimize_primal(
     dom: DiscreteDomain,
     fld: SampledField,
-    cfg: PrimalConfig | None = None,
     relaxation: tuple[np.ndarray, np.ndarray, float] | None = None,
+    eps_rel: float = 1e-6,
 ) -> PrimalSolution:
     """Optimal kernel in closed form from the assignment potentials.
 
@@ -134,16 +121,13 @@ def minimize_primal(
     bounding the rounding of the two n-term sums, so that an optimum of 0
     is not judged by a relative test alone.
     """
-    cfg = cfg or PrimalConfig()
+    if not (np.isfinite(eps_rel) and eps_rel > 0):
+        raise ValueError("eps_rel must be positive and finite")
     c = pairing(dom, fld)  # c.T[j, i] = c_ji
     _, pot, bound = relaxation or dual_solver.assignment_relaxation(dom, fld)
     kernel = AntiSymmetricKernel(0.5 * (c.T - c) - 0.5 * (pot[None, :] - pot[:, None]))
-    z = lagrangian_scores(kernel, dom, fld)
     mu = dom.cell_measure
-    value = float(z.max(axis=0).sum() * mu)
+    value = primal_objective(dom, fld, kernel)
     scale = np.abs(c).max(axis=1).sum() + np.abs(kernel.matrix).max(axis=0).sum()
     floor = float(4 * (dom.n + dom.dim + 2) * np.finfo(float).eps * mu * scale)
-    converged = value - bound <= cfg.eps_rel * abs(value) + floor
-    return PrimalSolution(
-        kernel, value, 0, value - bound, z.argmax(axis=0), bound, converged
-    )
+    return PrimalSolution(kernel, value, 0, value - bound <= eps_rel * abs(value) + floor)

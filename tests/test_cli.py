@@ -53,7 +53,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "flags, key, message",
         [
-            (["--solver", "local"], {"solver": "local"}, "local"),
+            (["--solver", "matching"], {"solver": "matching"}, "solver"),
             (
                 ["--primal-method", "subgradient"],
                 {"primal_method": "subgradient"},
@@ -91,6 +91,25 @@ class TestParseConfig:
         cfg.write_text(json.dumps({"builtin": "sincos", "n": 8, key: float(value)}))
         assert run_cli(["decompose", "--config", str(cfg)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            {"n": "8"},
+            {"n": True},
+            {"n": 8.0},
+            {"seed": "x"},
+            {"fd_step_rel": "x"},
+            {"radius_margin": None},
+            {"sphere_points": 2.5},
+        ],
+        ids=str,
+    )
+    def test_wrong_typed_config_values_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"builtin": "sincos", "n": 8, **key}))
+        assert run_cli(["decompose", "--config", str(cfg)]) == 2
+        assert f"config value {next(iter(key))}=" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -282,6 +301,12 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["converged"]
         assert payload["P"] >= payload["lower_bound"] - 1e-9
+        assert payload["gap_vs_bound"] == payload["P"] - payload["lower_bound"]
+        bf = fields.builtin_field("monotone1d", 12)
+        dom = sd.build_grid(bf.domain_spec)
+        fld = sd.sample_field(dom, bf.rule)
+        _, argmax = sd.lagrangian_at_field(sd.minimize_primal(dom, fld).kernel, dom, fld)
+        assert payload["argmax"] == argmax.tolist()
 
     def test_zero_optimum_converges(self, tmp_path):
         # rotationJ's optimum is 0: P - bound is rounding noise (1.3e-16)

@@ -15,7 +15,6 @@ from selfdual.conjugacy import (
     lagrangian_at_field,
     regularize,
     residual_gradients,
-    restricted_bidual,
     restricted_dual,
 )
 
@@ -130,8 +129,8 @@ class TestRestrictedDual:
 class TestRestrictedBidual:
     def test_single_point_zero(self):
         dom, fld, kernel, pset = single_point_setup()
-        table = restricted_dual(kernel, dom, pset)
-        assert restricted_bidual(table, dom, pset, [0.5], [0.0]) == pytest.approx(0.0)
+        hreg = regularize(kernel, dom, pset)
+        assert broadcast_restricted_bidual(hreg, [0.5], [0.0]) == pytest.approx(0.0)
 
     def test_below_lagrangian_at_field_slopes(self, sincos64, sincos64_hreg):
         dom, fld = sincos64
@@ -139,7 +138,7 @@ class TestRestrictedBidual:
         lvals, _ = lagrangian_at_field(kernel, dom, fld)
         bid = np.array(
             [
-                restricted_bidual(hreg.lstar_table, dom, pset, dom.points[i], fld.values[i])
+                broadcast_restricted_bidual(hreg, dom.points[i], fld.values[i])
                 for i in range(0, dom.n, 4)
             ]
         )
@@ -152,7 +151,7 @@ class TestRestrictedBidual:
         ys = rng.uniform(-2 * r, 2 * r, size=(50, 1))
         qs = rng.uniform(-2 * r, 2 * r, size=(50, 1))
         for y, q in zip(ys, qs):
-            v = restricted_bidual(hreg.lstar_table, hreg.dom, pset, y, q)
+            v = broadcast_restricted_bidual(hreg, y, q)
             bound = r * abs(y[0]) + r * abs(q[0]) + 3 * r * r
             assert abs(v) <= bound + 1e-9
 
@@ -166,7 +165,7 @@ class TestBallHamiltonian:
         # on a one-point grid with zero kernel all tables vanish at slope zero
         v = hreg.ball_ham(np.array([[0.5]]), np.array([[0.5]]))
         assert v.shape == (1,) and np.isfinite(v[0])
-        assert hreg.at([0.5], [0.5]) == 0.0
+        assert hreg([[0.5]], [[0.5]])[0] == 0.0
 
     def test_sign_inequality_on_grid_pairs(self, sincos64_hreg):
         hreg, kernel, ball, pset = sincos64_hreg
@@ -229,7 +228,7 @@ class TestRegularize:
         den = np.abs(a - a2)[:, 0]
         keep = den > 1e-12
         quot = num[keep] / den[keep]
-        assert quot.max() <= hreg.lipschitz_bound + 1e-9
+        assert quot.max() <= 4.0 * hreg.dom.dim * hreg.radius + 1e-9
 
     def test_hreg_convexity_within_resolution(self, sincos64_hreg):
         # the finite dual set breaks exact convexity of the symmetrized
@@ -558,6 +557,7 @@ def broadcast_inner_table(hreg, ys):
 
 
 def broadcast_restricted_bidual(hreg, y, q):
+    """L**(y, q) as one [1, m, n] maximum."""
     yp = np.reshape(y, (1, -1)) @ hreg.pset.pts.T
     qx = np.reshape(q, (1, -1)) @ hreg.dom.points.T
     block = yp[:, :, None] + qx[:, None, :] - hreg.lstar_table[None, :, :]
@@ -582,14 +582,6 @@ class TestRunningMaxEvaluators:
             table, inner = hreg.bidual_at_slopes(ys, inner=True)
             assert np.array_equal(table, want)
             assert np.array_equal(inner, broadcast_inner_table(hreg, ys))
-
-    def test_restricted_bidual_matches_broadcast(self, sincos64_hreg, plane_hreg):
-        rng = np.random.default_rng(12)
-        for hreg in (sincos64_hreg[0], plane_hreg):
-            r, d = hreg.radius, hreg.dom.dim
-            for y, q in rng.uniform(-2 * r, 2 * r, size=(20, 2, d)):
-                got = restricted_bidual(hreg.lstar_table, hreg.dom, hreg.pset, y, q)
-                assert got == broadcast_restricted_bidual(hreg, y, q)
 
 
 def broadcast_restricted_dual(kernel, dom, pset):

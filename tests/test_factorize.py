@@ -172,15 +172,35 @@ class TestDecompose:
             "uniqueness",
             "config",
         }
-        for key in (
-            "tol_reg",
-            "pset_covering_radius",
-            "fd_step",
-            "eps_primal",
-            "dual_bound",
+        # perfbench reads primal_iterations, pset_size, eps_primal and
+        # primal_converged
+        assert set(d["config"]) == {
             "certificate",
-        ):
-            assert key in d["config"]
+            "dual_bound",
+            "dual_method",
+            "eps_primal",
+            "fd_step",
+            "mesh",
+            "primal_converged",
+            "primal_iterations",
+            "pset_covering_radius",
+            "pset_size",
+            "radius",
+            "radius_margin",
+            "residual_scale_factor",
+            "seed",
+            "tol_reg",
+        }
+        # the one dual path: the rounded assignment or its blossom fallback
+        paths = {
+            ("assignment", "assignment-bound-tight"),
+            ("matching", "blossom-fallback"),
+        }
+        rng = np.random.default_rng(21)
+        problems = [odd_cycle_problem()] + [random_problem(rng, 9, d=2) for _ in range(6)]
+        for problem in [(dom, fld)] + problems:
+            config = decompose(*problem).to_dict()["config"]
+            assert (config["dual_method"], config["certificate"]) in paths
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_settings_rejected(self, value):
@@ -189,23 +209,23 @@ class TestDecompose:
             lambda: PipelineConfig(fd_step_rel=value),
             lambda: PipelineConfig(eps_primal=value),
             lambda: PipelineConfig(radius_margin=value),
-            lambda: sd.PrimalConfig(eps_rel=value),
+            lambda: sd.minimize_primal(dom, fld, eps_rel=value),
             lambda: sd.ball_radius(dom, fld, value),
         ):
             with pytest.raises(ValueError, match="finite"):
                 make()
 
     def test_brute_path_on_small_instance(self):
+        # the brute enumerator is an oracle, no longer a path of decompose
         dom, fld = monotone_problem(8)
-        rep = decompose(dom, fld, PipelineConfig(dual_method="brute"))
-        assert rep.tolerances["dual_method"] == "brute"
+        rep = decompose(dom, fld)
+        assert rep.sigma == sd.solve_brute(dom, fld).sigma
         assert np.array_equal(rep.sigma.sigma, np.arange(8))
 
     def test_local_path_small_instance(self):
-        # the local search path is gone; asking for it fails loudly
-        dom, fld = monotone_problem(10)
-        with pytest.raises(ValueError, match="unknown dual method 'local'"):
-            decompose(dom, fld, PipelineConfig(dual_method="local"))
+        # no setting chooses the dual path; asking for one fails loudly
+        with pytest.raises(TypeError, match="dual_method"):
+            PipelineConfig(dual_method="local")
 
     @pytest.mark.parametrize(
         "problem, n",
@@ -226,13 +246,12 @@ class TestDecompose:
 
     def test_certificate_names_the_path(self):
         cases = [
-            (sincos_problem(16), "auto", "assignment", "assignment-bound-tight"),
-            (odd_cycle_problem(), "auto", "matching", "blossom-fallback"),
-            (monotone_problem(8), "matching", "matching", "blossom"),
-            (monotone_problem(8), "brute", "brute", "brute"),
+            (sincos_problem(16), "assignment", "assignment-bound-tight"),
+            (monotone_problem(8), "assignment", "assignment-bound-tight"),
+            (odd_cycle_problem(), "matching", "blossom-fallback"),
         ]
-        for (dom, fld), method, label, cert in cases:
-            rep = decompose(dom, fld, PipelineConfig(dual_method=method))
+        for (dom, fld), label, cert in cases:
+            rep = decompose(dom, fld)
             config = rep.to_dict()["config"]
             assert config["dual_method"] == label
             assert config["certificate"] == cert
@@ -333,7 +352,6 @@ class TestCheckUniqueness:
         dom, fld, bf = matrix_problem(8)
         v = check_uniqueness(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         assert v.verdict == "uniqueness-plausible"
-        assert v.heuristic
 
     def test_tent_flagged_non_unique(self):
         dom, fld = tent_problem(32)
