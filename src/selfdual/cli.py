@@ -124,7 +124,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     for key, value in merged.items():
         _check_type(key, value, _CONFIG_TYPES[key])
     pipeline = {key: merged.pop(key) for key in _PIPELINE_TYPES if key in merged}
-    return RunConfig(**merged, pipeline=factorize.PipelineConfig(**pipeline)).validate()
+    cfg = RunConfig(**merged, pipeline=factorize.PipelineConfig(**pipeline))
+    # the gallery runs every builtin and reads no problem settings
+    return cfg if getattr(args, "command", None) == "gallery" else cfg.validate()
 
 
 def _load_problem(cfg: RunConfig):
@@ -273,7 +275,8 @@ def _cmd_verify(cfg: RunConfig, sigma_path: str | None, kernel_path: str | None)
         ball = ball_radius(dom, fld, pcfg.radius_margin)
         pset = build_dual_points(dom, fld, ball, pcfg.sphere_points, pcfg.seed)
         hreg = regularize(kernel, dom, pset)
-        res2 = factorize.second_identity_check(dom, fld, hreg, sigma)
+        h = pcfg.fd_step_rel * hreg.radius
+        res2 = factorize.second_identity_check(dom, fld, hreg, sigma, h)
         payload["residual2"] = {"median": res2.median, "max": res2.max}
     payload["monotone"] = factorize.check_monotone(dom, fld).verdict
     _emit(payload, cfg.out)
@@ -349,6 +352,19 @@ def _print_gallery(rows) -> None:
             print(f"{'':<11}{'':>6}  {label}: D = {val:.6f}")
 
 
+# the flags each subcommand reads; argparse rejects every other one
+_PROBLEM = ("--builtin", "--params", "--field", "--domain", "--n")
+_DUAL_SET = ("--radius-margin", "--pset-m", "--seed")
+_COMMAND_FLAGS = {
+    "decompose": (*_PROBLEM, *_DUAL_SET, "--fd-step-rel", "--eps-primal", "--dump"),
+    "dual": _PROBLEM,
+    "primal": (*_PROBLEM, "--eps-primal"),
+    "verify": (*_PROBLEM, *_DUAL_SET, "--fd-step-rel", "--sigma", "--kernel"),
+    "transport": (*_PROBLEM, "--dump"),
+    "gallery": (*_DUAL_SET, "--fd-step-rel", "--eps-primal"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="selfdual",
@@ -356,18 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
         "preserving involution and an anti-symmetric Hamiltonian.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--builtin", choices=fields.builtin_names())
-        p.add_argument("--params", help="JSON parameters for the builtin")
-        p.add_argument("--field", help="field CSV (x0..x{d-1}, u0..u{d-1})")
-        p.add_argument("--domain", help="domain spec JSON (file or inline)")
-        p.add_argument("--n", type=int, help="cell budget (default 64)")
-        p.add_argument("--radius-margin", dest="radius_margin", type=float)
-        p.add_argument("--pset-m", dest="sphere_points", type=int)
-        p.add_argument(
-            "--fd-step-rel",
+    flags = {
+        "--builtin": dict(choices=fields.builtin_names()),
+        "--params": dict(help="JSON parameters for the builtin"),
+        "--field": dict(help="field CSV (x0..x{d-1}, u0..u{d-1})"),
+        "--domain": dict(help="domain spec JSON (file or inline)"),
+        "--n": dict(type=int, help="cell budget (default 64)"),
+        "--radius-margin": dict(dest="radius_margin", type=float),
+        "--pset-m": dict(dest="sphere_points", type=int),
+        "--seed": dict(type=int),
+        "--fd-step-rel": dict(
             dest="fd_step_rel",
             type=float,
             help="difference step h of the residual check, as a fraction of "
@@ -375,28 +389,24 @@ def build_parser() -> argparse.ArgumentParser:
             "piece that a step of h can lift to a maximum, so its time grows "
             "with h: on sincos at n = 128, about 8 ms at 1e-4, 65 ms at 1e-2 "
             "and 0.3 s at 1 (2-core VM)",
-        )
-        p.add_argument("--eps-primal", dest="eps_primal", type=float)
-        p.add_argument("--seed", type=int)
+        ),
+        "--eps-primal": dict(dest="eps_primal", type=float),
+        "--dump": dict(help="write the plot-ready CSV here"),
+        "--sigma": dict(dest="sigma_path", help="involution JSON file"),
+        "--kernel": dict(dest="kernel_path", help="kernel CSV file"),
+    }
+    for command, reads in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for flag in reads:
+            p.add_argument(flag, **flags[flag])
         p.add_argument("--out", help="write the JSON payload here")
-        p.add_argument("--dump", help="write the plot-ready CSV here")
-
-    for name in ("decompose", "dual", "primal", "transport"):
-        common(sub.add_parser(name))
-    verify = sub.add_parser("verify")
-    common(verify)
-    verify.add_argument("--sigma", dest="sigma_path", help="involution JSON file")
-    verify.add_argument("--kernel", dest="kernel_path", help="kernel CSV file")
-    gallery = sub.add_parser("gallery")
-    common(gallery)
     return ap
 
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gallery" and args.builtin is None:
-            args.builtin = "sincos"  # placeholder; gallery iterates all builtins
         cfg = parse_config(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

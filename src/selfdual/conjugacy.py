@@ -22,12 +22,17 @@ On the grid and the dual set each table is a max-plus matrix product
 (_grid_pairing, the one grid x dual-set product) with -K, -L or -L*:
 
     L[k, i]        = (E^T (x) -K)[k, i]                 L(x_i, p_k)
-    L*[k, i]       = ((E^T (x) -L^T) (x) E^T)[k, i]     L*(p_k, x_i)
+    L*[k, i]       = ((E^T (x) -L^T) (x) E^T)[k, i]     L*(p_k, x_i), m <= n
+    L*^T[i, k]     = ((E (x) -L) (x) E)[i, k]           L*(p_k, x_i), m > n
     L**(y_b, p_k)  = ((Y (x) -L*) (x) E)[b, k]          Y[b, k'] = <y_b, p_k'>
 
-and _maxplus is the one loop that evaluates them. Each piece is one IEEE
-addition (a - b is exactly a + (-b)) and a max is exact, so no table
-depends on the loop order.
+with m dual points and n grid points: L* takes the association with fewer
+cells, m n (n + 2m) or 3 m n^2. _conjugate is the pair of products that
+gives L** from L* and L*^T from L, and _maxplus the one loop behind every
+table. Each piece is one IEEE addition (a - b is exactly a + (-b)) and a
+max is exact, so no table depends on the loop order or its row blocks; the
+two associations of L* sum the same terms in another order, so they can
+differ in the last bits.
 
 grad1/grad2 are the general central-difference evaluators; the residual
 checks use residual_gradients, their bits at the grid pairs (x_{s(i)}, x_i).
@@ -68,6 +73,8 @@ __all__ = [
 # pieces and gathers them in groups of about this many candidates
 _GATHER_BUDGET = 1 << 12
 _GROUP_BUDGET = 1 << 10
+# _maxplus takes its rows in blocks of at most this many [row, s, c] cells
+_MAXPLUS_BUDGET = 1 << 14
 
 
 def lagrangian(
@@ -112,13 +119,18 @@ def restricted_dual(
     """Table L*(p_k, x_i) over the dual set and the grid.
 
     The (k, i) entry is the exhaustive max over grid x dual-set of the
-    Fenchel expression: L = E^T (x) -K, then L* = (E^T (x) -L^T) (x) E^T.
+    Fenchel expression: L = E^T (x) -K, then L* through an [m, m] table
+    when m <= n and through an [n, n] one when m > n.
     """
-    et = _grid_pairing(dom, pset).T  # [k, j] = <p_k, x_j>
-    lh = _maxplus(et, -kernel.matrix)  # [k, j] = L(x_j, p_k)
+    e = _grid_pairing(dom, pset)  # [j, k] = <x_j, p_k>
+    lh = _maxplus(e.T, -kernel.matrix)  # [k, j] = L(x_j, p_k)
+    if pset.m > dom.n:
+        # [i, j] = max over k_p of <x_i, p_kp> - L(x_j, p_kp); then add
+        # <x_j, p_kq> and take the max over j
+        return np.ascontiguousarray(_conjugate(e, lh, e)[0].T)
     # [k_q, k_p] = max over j of <p_kq, x_j> - L(x_j, p_kp); then add
     # <p_kp, x_i> and take the max over k_p
-    return _maxplus(_maxplus(et, -lh.T), et)
+    return _maxplus(_maxplus(e.T, -lh.T), e.T)
 
 
 def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
@@ -130,12 +142,22 @@ def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
     return dom.points @ pset.pts.T
 
 
+def _conjugate(yp, table, e):
+    """(g (x) e, g) with g = yp (x) -table: for yp[b, k'] = <y_b, p_k'>, entry
+    [b, k] is max_j <x_j, p_k> + max_k' <y_b, p_k'> - table[k', j], so
+    L**(y_b, p_k) from L* and L*(p_k, x_b) from L with y the grid."""
+    g = _maxplus(yp, -table)
+    return _maxplus(g, e), g
+
+
 def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Max-plus product out[r, c] = max_s a[r, s] + b[s, c], row by row."""
+    """Max-plus product out[r, c] = max_s a[r, s] + b[s, c], in row blocks
+    of at most _MAXPLUS_BUDGET [row, s, c] cells (one row if b is larger)."""
     b = np.ascontiguousarray(b)
     out = np.empty((a.shape[0], b.shape[1]))
-    for r in range(a.shape[0]):
-        out[r] = (a[r][:, None] + b).max(axis=0)
+    step = max(1, _MAXPLUS_BUDGET // max(1, b.size))
+    for lo in range(0, a.shape[0], step):
+        out[lo : lo + step] = (a[lo : lo + step, :, None] + b).max(axis=1)
     return out
 
 
@@ -171,8 +193,7 @@ class RegularHamiltonian:
         <p_k, x_j> + g[b, j] the outer maximum runs over.
         """
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        g = _maxplus(ys @ self.pset.pts.T, -self.lstar_table)
-        out = _maxplus(g, self._xp)
+        out, g = _conjugate(ys @ self.pset.pts.T, self.lstar_table, self._xp)
         return (out, g) if inner else out
 
     def ball_ham(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

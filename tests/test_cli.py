@@ -111,6 +111,24 @@ class TestParseConfig:
         assert run_cli(["decompose", "--config", str(cfg)]) == 2
         assert f"config value {next(iter(key))}=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("decompose", ["--kernel", "k.csv"]),
+            ("dual", ["--dump", "x.csv"]),
+            ("primal", ["--fd-step-rel", "0.5"]),
+            ("verify", ["--eps-primal", "1e-6"]),
+            ("transport", ["--seed", "9"]),
+            ("gallery", ["--builtin", "sincos"]),
+        ],
+    )
+    def test_unread_flag_exits_2(self, capsys, command, flag):
+        base = [] if command == "gallery" else ["--builtin", "sincos", "--n", "16"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *base, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"builtin": "monotone1d", "n": 4}))
@@ -281,6 +299,19 @@ class TestVerify:
         assert payload["weak_duality_gap"] >= 0
         assert payload["complementarity"]["min"] >= 0
         assert "residual2" in payload
+
+    def test_fd_step_rel_sets_residual_step(self, tmp_path):
+        sigma_file = tmp_path / "refl.json"
+        sigma_file.write_text(json.dumps(list(range(15, -1, -1))))
+        base = ["verify", "--builtin", "sincos", "--n", "16", "--sigma", str(sigma_file)]
+        payloads = []
+        for extra in ([], ["--fd-step-rel", "1e-4"], ["--fd-step-rel", "0.05"]):
+            out = tmp_path / "v.json"
+            assert run_cli(base + extra + ["--out", str(out)]) == 0
+            payloads.append(json.loads(out.read_text()))
+        # the default step is 1e-4 R, as before the flag was read
+        assert payloads[0] == payloads[1]
+        assert payloads[2]["residual2"] != payloads[0]["residual2"]
 
     @pytest.mark.parametrize("bad", BAD_PERMUTATIONS, ids=str)
     def test_bad_sigma_exits_2(self, tmp_path, capsys, bad):

@@ -585,18 +585,34 @@ class TestRunningMaxEvaluators:
 
 
 def broadcast_restricted_dual(kernel, dom, pset):
-    """[k, i] = L*(p_k, x_i) as three broadcast maxima over E = x @ P.T."""
+    """[k, i] = L*(p_k, x_i) as three broadcast maxima over E = x @ P.T,
+    in the association of restricted_dual: through the [m, m] table
+    E^T (x) -L^T when m <= n, through the [n, n] table E (x) -L when m > n."""
     e = dom.points @ pset.pts.T  # [j, k]
     lh = (e[:, :, None] - kernel.matrix[:, None, :]).max(axis=0)  # [k, j]
+    if pset.m > dom.n:
+        a = (e[:, :, None] - lh[None, :, :]).max(axis=1)  # [i, j]
+        return (a[:, :, None] + e[None, :, :]).max(axis=1).T
     b = (e.T[:, :, None] - lh.T[None, :, :]).max(axis=1)  # [k_q, k_p]
     return (b[:, :, None] + e.T[None, :, :]).max(axis=1)
 
 
 class TestMaxPlusProducts:
     @pytest.mark.parametrize(
-        "r, s, c", [(1, 6, 5), (4, 1, 5), (4, 6, 1), (1, 1, 1), (7, 6, 5)]
+        "r, s, c",
+        [
+            (1, 6, 5),
+            (4, 1, 5),
+            (4, 6, 1),
+            (1, 1, 1),
+            (7, 6, 5),
+            # blocks of 16384 // 30 = 546 rows, the last one of 108
+            (1200, 6, 5),
+            # b alone holds 130 * 130 >= 2**14 cells: one row per block
+            (3, 130, 130),
+        ],
     )
-    def test_maxplus_matches_broadcast(self, r, s, c):
+    def test_maxplus_matches_broadcast(self, r, s, c, monkeypatch):
         rng = np.random.default_rng([r, s, c])
         a, b = rng.normal(size=(r, s)), rng.normal(size=(s, c))
         a[rng.random((r, s)) < 0.2] = -np.inf
@@ -606,26 +622,81 @@ class TestMaxPlusProducts:
         # strided views into larger arrays
         wide_a, wide_b = np.full((2 * r, 3 * s), 7.0), np.full((3 * s, 2 * c), 7.0)
         wide_a[::2, ::3], wide_b[::3, ::2] = a, b
-        for x, y in (
-            (a, b),
-            (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T),
-            (wide_a[::2, ::3], wide_b[::3, ::2]),
-        ):
-            assert np.array_equal(conjugacy._maxplus(x, y), want)
+        # the blocks of the default budget, then one row per block
+        for budget in (conjugacy._MAXPLUS_BUDGET, 1):
+            monkeypatch.setattr(conjugacy, "_MAXPLUS_BUDGET", budget)
+            for x, y in (
+                (a, b),
+                (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T),
+                (wide_a[::2, ::3], wide_b[::3, ::2]),
+            ):
+                assert np.array_equal(conjugacy._maxplus(x, y), want)
         # each row alone gives the same row
         for i in range(r):
             assert np.array_equal(conjugacy._maxplus(a[i : i + 1], b)[0], want[i])
 
-    def test_restricted_dual_matches_broadcast(self, sincos64_hreg):
+    @pytest.fixture(scope="class")
+    def dual_cases(self, sincos64_hreg):
+        """(kernel, dom, pset) with m = 67 > n = 64, m > n = 36, and a
+        hand-built dual set of m = 5 < n = 64 on the sincos-64 grid."""
         hreg, kernel, _, pset = sincos64_hreg
         dom, fld, bf = builtin_problem("matrix", 36)
         rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
-        for kernel, dom, pset in (
+        r = pset.radius
+        few = sd.DualPointSet(np.array([[0.0], [r], [-r], [0.5 * r], [-0.25 * r]]), r)
+        return [
             (kernel, hreg.dom, pset),
             (rep.kernel, dom, rep.hamiltonian.pset),
-        ):
+            (kernel, hreg.dom, few),
+        ]
+
+    def test_restricted_dual_matches_broadcast(self, dual_cases):
+        assert [pset.m > dom.n for _, dom, pset in dual_cases] == [True, True, False]
+        for kernel, dom, pset in dual_cases:
             want = broadcast_restricted_dual(kernel, dom, pset)
             assert np.array_equal(restricted_dual(kernel, dom, pset), want)
+
+    def test_restricted_dual_takes_fewer_cells(self, dual_cases, monkeypatch):
+        cells = []
+        maxplus = conjugacy._maxplus
+
+        def counted(a, b):
+            cells.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return maxplus(a, b)
+
+        monkeypatch.setattr(conjugacy, "_maxplus", counted)
+        for kernel, dom, pset in dual_cases:
+            m, n = pset.m, dom.n
+            by_slopes, by_grid = m * n * (n + 2 * m), 3 * m * n * n
+            cells.clear()
+            restricted_dual(kernel, dom, pset)
+            assert sum(cells) == min(by_slopes, by_grid) < max(by_slopes, by_grid)
+
+    @pytest.mark.parametrize("problem", ["matrix-64", "random-d2-48"])
+    def test_blocks_raise_no_peak(self, problem, monkeypatch):
+        if problem == "matrix-64":
+            dom, fld, bf = builtin_problem("matrix", 64)
+            kw = dict(rule=bf.rule, jacobian=bf.jacobian)
+        else:
+            dom, fld = random_problem(np.random.default_rng(48), 48, d=2)
+            kw = {}
+        sd.decompose(dom, fld, **kw)  # lazy imports and caches first
+
+        def peak(budget):
+            monkeypatch.setattr(conjugacy, "_MAXPLUS_BUDGET", budget)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                sd.decompose(dom, fld, **kw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # repeated decompose calls move the peak by about 50 bytes each way
+        # through Python objects; a block above the peak would add up to
+        # 128 KiB (a budget of 2**16 cells adds about 200 KiB here)
+        blocked = peak(conjugacy._MAXPLUS_BUDGET)
+        assert blocked <= peak(1) + 1024
 
     def test_grid_pairing_is_the_one_product(self):
         dom, fld, bf = builtin_problem("gradskew", 196)
