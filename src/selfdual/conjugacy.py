@@ -21,18 +21,15 @@ On the grid and the dual set each table is a max-plus matrix product
 (A (x) B)[r, c] = max_s A[r, s] + B[s, c] of the pairing E[j, k] = <x_j, p_k>
 (_grid_pairing, the one grid x dual-set product) with -K, -L or -L*:
 
-    L[k, i]        = (E^T (x) -K)[k, i]                 L(x_i, p_k)
-    L*[k, i]       = ((E^T (x) -L^T) (x) E^T)[k, i]     L*(p_k, x_i), m <= n
-    L*^T[i, k]     = ((E (x) -L) (x) E)[i, k]           L*(p_k, x_i), m > n
-    L**(y_b, p_k)  = ((Y (x) -L*) (x) E)[b, k]          Y[b, k'] = <y_b, p_k'>
+    L[k, i]        = (E^T (x) -K)[k, i]               L(x_i, p_k)
+    L*^T[i, k]     = ((E (x) -L) (x) E)[i, k]         L*(p_k, x_i)
+    L**(y_b, p_k)  = ((Y (x) -L*) (x) E)[b, k]        Y[b, k'] = <y_b, p_k'>
 
-with m dual points and n grid points: L* takes the association with fewer
-cells, m n (n + 2m) or 3 m n^2. _conjugate is the pair of products that
-gives L** from L* and L*^T from L, and _maxplus the one loop behind every
-table. Each piece is one IEEE addition (a - b is exactly a + (-b)) and a
-max is exact, so no table depends on the loop order or its row blocks; the
-two associations of L* sum the same terms in another order, so they can
-differ in the last bits.
+with m dual points and n grid points, L* in 3 m n^2 cells through an [n, n]
+table. _conjugate is the pair of products that gives L** from L* and L*^T
+from L, and _maxplus the one loop behind every table. Each piece is one
+IEEE addition (a - b is exactly a + (-b)) and a max is exact, so no table
+depends on the loop order or its row blocks.
 
 grad1/grad2 are the general central-difference evaluators; the residual
 checks use residual_gradients, their bits at the grid pairs (x_{s(i)}, x_i).
@@ -119,18 +116,13 @@ def restricted_dual(
     """Table L*(p_k, x_i) over the dual set and the grid.
 
     The (k, i) entry is the exhaustive max over grid x dual-set of the
-    Fenchel expression: L = E^T (x) -K, then L* through an [m, m] table
-    when m <= n and through an [n, n] one when m > n.
+    Fenchel expression: L = E^T (x) -K, then L* through an [n, n] table.
     """
     e = _grid_pairing(dom, pset)  # [j, k] = <x_j, p_k>
     lh = _maxplus(e.T, -kernel.matrix)  # [k, j] = L(x_j, p_k)
-    if pset.m > dom.n:
-        # [i, j] = max over k_p of <x_i, p_kp> - L(x_j, p_kp); then add
-        # <x_j, p_kq> and take the max over j
-        return np.ascontiguousarray(_conjugate(e, lh, e)[0].T)
-    # [k_q, k_p] = max over j of <p_kq, x_j> - L(x_j, p_kp); then add
-    # <p_kp, x_i> and take the max over k_p
-    return _maxplus(_maxplus(e.T, -lh.T), e.T)
+    # [i, j] = max over k_p of <x_i, p_kp> - L(x_j, p_kp); then add
+    # <x_j, p_kq> and take the max over j
+    return np.ascontiguousarray(_conjugate(e, lh, e)[0].T)
 
 
 def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:

@@ -11,7 +11,6 @@ simply a permutation that squares to the identity.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -212,20 +211,12 @@ class DualPointSet:
             if len(xs) > 1:
                 gaps.append(0.5 * np.diff(xs).max())
             return float(max(gaps))
-        g, w = _covering_probes(d)
-        probes = g * (self.radius * w)[:, None]
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((_COVERING_PROBES, d))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        r = self.radius * rng.random(_COVERING_PROBES) ** (1.0 / d)
+        probes = g * r[:, None]
         return float(cKDTree(self.pts).query(probes)[0].max())
-
-
-@functools.lru_cache(maxsize=8)
-def _covering_probes(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded probes of covering_radius in the unit ball of R^d, as unit
-    directions g and radii w, read-only: a probe is g * (R * w)."""
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((_COVERING_PROBES, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    w = rng.random(_COVERING_PROBES) ** (1.0 / d)
-    return _readonly(g), _readonly(w)
 
 
 def _sphere_samples(dim: int, m: int, radius: float, seed: int = 0) -> np.ndarray:

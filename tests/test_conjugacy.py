@@ -586,15 +586,12 @@ class TestRunningMaxEvaluators:
 
 def broadcast_restricted_dual(kernel, dom, pset):
     """[k, i] = L*(p_k, x_i) as three broadcast maxima over E = x @ P.T,
-    in the association of restricted_dual: through the [m, m] table
-    E^T (x) -L^T when m <= n, through the [n, n] table E (x) -L when m > n."""
+    in the association of restricted_dual: through the [n, n] table
+    E (x) -L."""
     e = dom.points @ pset.pts.T  # [j, k]
     lh = (e[:, :, None] - kernel.matrix[:, None, :]).max(axis=0)  # [k, j]
-    if pset.m > dom.n:
-        a = (e[:, :, None] - lh[None, :, :]).max(axis=1)  # [i, j]
-        return (a[:, :, None] + e[None, :, :]).max(axis=1).T
-    b = (e.T[:, :, None] - lh.T[None, :, :]).max(axis=1)  # [k_q, k_p]
-    return (b[:, :, None] + e.T[None, :, :]).max(axis=1)
+    a = (e[:, :, None] - lh[None, :, :]).max(axis=1)  # [i, j]
+    return (a[:, :, None] + e[None, :, :]).max(axis=1).T
 
 
 class TestMaxPlusProducts:
@@ -635,42 +632,21 @@ class TestMaxPlusProducts:
         for i in range(r):
             assert np.array_equal(conjugacy._maxplus(a[i : i + 1], b)[0], want[i])
 
-    @pytest.fixture(scope="class")
-    def dual_cases(self, sincos64_hreg):
-        """(kernel, dom, pset) with m = 67 > n = 64, m > n = 36, and a
-        hand-built dual set of m = 5 < n = 64 on the sincos-64 grid."""
+    def test_restricted_dual_matches_broadcast(self, sincos64_hreg):
         hreg, kernel, _, pset = sincos64_hreg
         dom, fld, bf = builtin_problem("matrix", 36)
         rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
+        # m = 67 > n = 64, m > n = 36, and a hand-built dual set of
+        # m = 5 < n = 64 on the sincos-64 grid
         r = pset.radius
         few = sd.DualPointSet(np.array([[0.0], [r], [-r], [0.5 * r], [-0.25 * r]]), r)
-        return [
+        for kernel, dom, pset in (
             (kernel, hreg.dom, pset),
             (rep.kernel, dom, rep.hamiltonian.pset),
             (kernel, hreg.dom, few),
-        ]
-
-    def test_restricted_dual_matches_broadcast(self, dual_cases):
-        assert [pset.m > dom.n for _, dom, pset in dual_cases] == [True, True, False]
-        for kernel, dom, pset in dual_cases:
+        ):
             want = broadcast_restricted_dual(kernel, dom, pset)
             assert np.array_equal(restricted_dual(kernel, dom, pset), want)
-
-    def test_restricted_dual_takes_fewer_cells(self, dual_cases, monkeypatch):
-        cells = []
-        maxplus = conjugacy._maxplus
-
-        def counted(a, b):
-            cells.append(a.shape[0] * a.shape[1] * b.shape[1])
-            return maxplus(a, b)
-
-        monkeypatch.setattr(conjugacy, "_maxplus", counted)
-        for kernel, dom, pset in dual_cases:
-            m, n = pset.m, dom.n
-            by_slopes, by_grid = m * n * (n + 2 * m), 3 * m * n * n
-            cells.clear()
-            restricted_dual(kernel, dom, pset)
-            assert sum(cells) == min(by_slopes, by_grid) < max(by_slopes, by_grid)
 
     @pytest.mark.parametrize("problem", ["matrix-64", "random-d2-48"])
     def test_blocks_raise_no_peak(self, problem, monkeypatch):
