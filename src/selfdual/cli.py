@@ -38,6 +38,7 @@ from .domain import (
     make_kernel,
     read_field_csv,
     sample_field,
+    write_csv,
 )
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -54,6 +55,8 @@ class RunConfig:
     )
     out: str | None = None
     dump: str | None = None
+    sigma: str | None = None
+    kernel: str | None = None
 
     def validate(self) -> "RunConfig":
         if self.n < 1:
@@ -65,14 +68,23 @@ class RunConfig:
         return self
 
 
-# the keys a config file may set, flat: the fields of RunConfig and those of
-# its PipelineConfig, each with its type
-_PIPELINE_TYPES = typing.get_type_hints(factorize.PipelineConfig)
-_CONFIG_TYPES = {
-    key: hint
-    for key, hint in {**typing.get_type_hints(RunConfig), **_PIPELINE_TYPES}.items()
-    if key != "pipeline"
+# the config keys each subcommand reads, besides `out`: fields of RunConfig
+# and of its PipelineConfig. Each key is also a flag, `--key` with dashes
+# except those in _FLAG_NAMES, typed by the field's hint; argparse rejects
+# every other flag and parse_config every other key.
+_PROBLEM = ("builtin", "params", "field_csv", "domain", "n")
+_DUAL_SET = ("radius_margin", "sphere_points", "seed")
+_COMMAND_KEYS = {
+    "decompose": (*_PROBLEM, *_DUAL_SET, "fd_step_rel", "eps_primal", "dump"),
+    "dual": _PROBLEM,
+    "primal": (*_PROBLEM, "eps_primal"),
+    "verify": (*_PROBLEM, *_DUAL_SET, "fd_step_rel", "sigma", "kernel"),
+    "transport": (*_PROBLEM, "dump"),
+    "gallery": (*_DUAL_SET, "fd_step_rel", "eps_primal"),
 }
+_FLAG_NAMES = {"field_csv": "--field", "sphere_points": "--pset-m"}
+_PIPELINE_TYPES = typing.get_type_hints(factorize.PipelineConfig)
+_TYPES = {**typing.get_type_hints(RunConfig), **_PIPELINE_TYPES}
 
 
 def _check_type(key: str, value, hint) -> None:
@@ -86,47 +98,55 @@ def _check_type(key: str, value, hint) -> None:
         raise ValueError(f"config value {key}={value!r} is not {names}")
 
 
+def _flag_type(hint):
+    """argparse type of a field: its hint without None; a dict arrives as
+    JSON text."""
+    t = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    return str if t is dict else t
+
+
+def _read(path: str, what: str, load):
+    """load(path); an input file that cannot be read exits 3."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise FileNotFoundError(f"cannot read {what} file: {exc}") from exc
+
+
+def _load_json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge a JSON config file (if given) with command-line flags.
 
-    Flags win over file values; unknown keys and values of the wrong type
-    are rejected. The keys are flat; the pipeline settings among them go to
-    RunConfig.pipeline.
+    Flags win over file values; keys the subcommand does not read and
+    values of the wrong type are rejected. The keys are flat; the pipeline
+    settings among them go to RunConfig.pipeline.
     """
-    payload: dict = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise FileNotFoundError(f"cannot read config file: {exc}") from exc
-        if not isinstance(payload, dict):
+    keys = (*_COMMAND_KEYS[args.command], "out")
+    merged: dict = {}
+    if args.config:
+        merged = _read(args.config, "config", _load_json)
+        if not isinstance(merged, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(payload) - set(_CONFIG_TYPES)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(payload)
-    for key in _CONFIG_TYPES:
-        flag = key if key != "field_csv" else "field"
-        val = getattr(args, flag, None)
-        if val is not None:
-            merged[key] = val
+        unread = set(merged) - set(keys)
+        if unread:
+            raise ValueError(f"{args.command} does not read config keys {sorted(unread)}")
+    merged.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     if isinstance(merged.get("params"), str):
         merged["params"] = json.loads(merged["params"])
     if isinstance(merged.get("domain"), str):
-        dom_src = merged["domain"]
-        if Path(dom_src).exists():
-            with open(dom_src, "r", encoding="utf-8") as fh:
-                merged["domain"] = json.load(fh)
-        else:
-            merged["domain"] = json.loads(dom_src)
+        # inline JSON or a file name; an inline spec may exceed a file name's length
+        src = merged["domain"]
+        inline = src.lstrip().startswith("{")
+        merged["domain"] = json.loads(src) if inline else _read(src, "domain", _load_json)
     for key, value in merged.items():
-        _check_type(key, value, _CONFIG_TYPES[key])
+        _check_type(key, value, _TYPES[key])
     pipeline = {key: merged.pop(key) for key in _PIPELINE_TYPES if key in merged}
     cfg = RunConfig(**merged, pipeline=factorize.PipelineConfig(**pipeline))
     # the gallery runs every builtin and reads no problem settings
-    return cfg if getattr(args, "command", None) == "gallery" else cfg.validate()
+    return cfg if args.command == "gallery" else cfg.validate()
 
 
 def _load_problem(cfg: RunConfig):
@@ -137,10 +157,7 @@ def _load_problem(cfg: RunConfig):
         fld = sample_field(dom, bf.rule)
         return dom, fld, bf
     dom = build_grid(cfg.domain)
-    try:
-        pts, vals = read_field_csv(cfg.field_csv)
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read field file: {exc}") from exc
+    pts, vals = _read(cfg.field_csv, "field", read_field_csv)
     if pts.shape != dom.points.shape:
         raise ValueError("field file does not match the domain grid size")
     scale = max(1.0, dom.radius)
@@ -159,25 +176,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _dump_cells(path: str, dom, fld, report) -> None:
     """Plot-ready dump: one row per cell with x, u, sigma(x), residual1."""
-    import csv as _csv
-
-    d = dom.dim
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(
-            [f"x{k}" for k in range(d)]
-            + [f"u{k}" for k in range(d)]
-            + [f"sx{k}" for k in range(d)]
-            + ["residual1"]
-        )
-        sx = dom.points[report.sigma.sigma]
-        for i in range(dom.n):
-            w.writerow(
-                [repr(float(c)) for c in dom.points[i]]
-                + [repr(float(c)) for c in fld.values[i]]
-                + [repr(float(c)) for c in sx[i]]
-                + [repr(float(report.residual1.values[i]))]
-            )
+    header = [f"{c}{k}" for c in ("x", "u", "sx") for k in range(dom.dim)] + ["residual1"]
+    sx = dom.points[report.sigma.sigma]
+    table = np.hstack([dom.points, fld.values, sx, report.residual1.values[:, None]])
+    write_csv(path, header, table)
 
 
 def _cmd_decompose(cfg: RunConfig) -> int:
@@ -231,27 +233,20 @@ def _cmd_primal(cfg: RunConfig) -> int:
     return 0 if sol.converged else 1
 
 
-def _cmd_verify(cfg: RunConfig, sigma_path: str | None, kernel_path: str | None) -> int:
+def _cmd_verify(cfg: RunConfig) -> int:
     """Check identities for supplied artifacts without solving."""
     dom, fld, bf = _load_problem(cfg)
     payload: dict = {}
     sigma = None
-    if sigma_path:
-        try:
-            with open(sigma_path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise FileNotFoundError(f"cannot read sigma file: {exc}") from exc
+    if cfg.sigma:
+        raw = _read(cfg.sigma, "sigma", _load_json)
         sigma = Involution(raw["sigma"] if isinstance(raw, dict) else raw)
         payload["D"] = dual_solver.dual_objective(dom, fld, sigma)
         payload["distance"] = dual_solver.distance_objective(dom, fld, sigma)
         payload["transport_cost"] = transport.transport_cost(dom, fld, sigma)
     kernel = None
-    if kernel_path:
-        try:
-            mat = np.loadtxt(kernel_path, delimiter=",")
-        except OSError as exc:
-            raise FileNotFoundError(f"cannot read kernel file: {exc}") from exc
+    if cfg.kernel:
+        mat = _read(cfg.kernel, "kernel", lambda p: np.loadtxt(p, delimiter=","))
         kernel = AntiSymmetricKernel.from_matrix(np.atleast_2d(mat))
         payload["kernel_source"] = "file"
     elif bf is not None and bf.hamiltonian is not None:
@@ -352,16 +347,30 @@ def _print_gallery(rows) -> None:
             print(f"{'':<11}{'':>6}  {label}: D = {val:.6f}")
 
 
-# the flags each subcommand reads; argparse rejects every other one
-_PROBLEM = ("--builtin", "--params", "--field", "--domain", "--n")
-_DUAL_SET = ("--radius-margin", "--pset-m", "--seed")
-_COMMAND_FLAGS = {
-    "decompose": (*_PROBLEM, *_DUAL_SET, "--fd-step-rel", "--eps-primal", "--dump"),
-    "dual": _PROBLEM,
-    "primal": (*_PROBLEM, "--eps-primal"),
-    "verify": (*_PROBLEM, *_DUAL_SET, "--fd-step-rel", "--sigma", "--kernel"),
-    "transport": (*_PROBLEM, "--dump"),
-    "gallery": (*_DUAL_SET, "--fd-step-rel", "--eps-primal"),
+_HANDLERS = {
+    "decompose": _cmd_decompose,
+    "dual": _cmd_dual,
+    "primal": _cmd_primal,
+    "verify": _cmd_verify,
+    "transport": _cmd_transport,
+    "gallery": _cmd_gallery,
+}
+
+_HELP = {
+    "builtin": f"builtin field: {', '.join(fields.builtin_names())}",
+    "params": "JSON parameters for the builtin",
+    "field_csv": "field CSV (x0..x{d-1}, u0..u{d-1})",
+    "domain": "domain spec: inline JSON {...} or a JSON file",
+    "n": "cell budget (default 64)",
+    "fd_step_rel": "difference step h of the residual check, as a fraction of "
+    "the ball radius R (default 1e-4); the residual pass reads every "
+    "piece that a step of h can lift to a maximum, so its time grows "
+    "with h: on sincos at n = 128, about 8 ms at 1e-4, 65 ms at 1e-2 "
+    "and 0.3 s at 1 (2-core VM)",
+    "dump": "write the plot-ready CSV here",
+    "sigma": "involution JSON file",
+    "kernel": "kernel CSV file",
+    "out": "write the JSON payload here",
 }
 
 
@@ -372,68 +381,29 @@ def build_parser() -> argparse.ArgumentParser:
         "preserving involution and an anti-symmetric Hamiltonian.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    flags = {
-        "--builtin": dict(choices=fields.builtin_names()),
-        "--params": dict(help="JSON parameters for the builtin"),
-        "--field": dict(help="field CSV (x0..x{d-1}, u0..u{d-1})"),
-        "--domain": dict(help="domain spec JSON (file or inline)"),
-        "--n": dict(type=int, help="cell budget (default 64)"),
-        "--radius-margin": dict(dest="radius_margin", type=float),
-        "--pset-m": dict(dest="sphere_points", type=int),
-        "--seed": dict(type=int),
-        "--fd-step-rel": dict(
-            dest="fd_step_rel",
-            type=float,
-            help="difference step h of the residual check, as a fraction of "
-            "the ball radius R (default 1e-4); the residual pass reads every "
-            "piece that a step of h can lift to a maximum, so its time grows "
-            "with h: on sincos at n = 128, about 8 ms at 1e-4, 65 ms at 1e-2 "
-            "and 0.3 s at 1 (2-core VM)",
-        ),
-        "--eps-primal": dict(dest="eps_primal", type=float),
-        "--dump": dict(help="write the plot-ready CSV here"),
-        "--sigma": dict(dest="sigma_path", help="involution JSON file"),
-        "--kernel": dict(dest="kernel_path", help="kernel CSV file"),
-    }
-    for command, reads in _COMMAND_FLAGS.items():
+    for command, keys in _COMMAND_KEYS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags override it")
-        for flag in reads:
-            p.add_argument(flag, **flags[flag])
-        p.add_argument("--out", help="write the JSON payload here")
+        for key in (*keys, "out"):
+            p.add_argument(
+                _FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
+                dest=key,
+                type=_flag_type(_TYPES[key]),
+                help=_HELP.get(key),
+            )
     return ap
 
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "decompose":
-            return _cmd_decompose(cfg)
-        if args.command == "dual":
-            return _cmd_dual(cfg)
-        if args.command == "primal":
-            return _cmd_primal(cfg)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args.sigma_path, args.kernel_path)
-        if args.command == "transport":
-            return _cmd_transport(cfg)
-        if args.command == "gallery":
-            return _cmd_gallery(cfg)
+        return _HANDLERS[args.command](parse_config(args))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

@@ -41,6 +41,7 @@ __all__ = [
     "swap_permutation",
     "read_field_csv",
     "write_field_csv",
+    "write_csv",
     "load_domain_spec",
 ]
 
@@ -457,6 +458,18 @@ def symmetric_square_grid(half_width: float, n: int) -> DiscreteDomain:
     return DiscreteDomain(pts, measure, 2, 0.0)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v))
+
+
 def build_grid(spec: Mapping) -> DiscreteDomain:
     """Build a domain from a declarative spec.
 
@@ -465,23 +478,27 @@ def build_grid(spec: Mapping) -> DiscreteDomain:
         {"kind": "interval", "bounds": [a, b], "cells": n}
         {"kind": "box", "bounds": [[a1, b1], ...], "cells": [n1, ...]}
         {"kind": "symmetric-square", "bounds": a, "cells": n}
+
+    The symmetric square also takes bounds [-a, a]. Any other key, and
+    bounds or cells of another form (a cell count is an int, not a bool
+    or a float), raise ValueError.
     """
-    kind = spec.get("kind")
-    if kind == "interval":
-        a, b = spec["bounds"]
-        return interval_grid(float(a), float(b), int(spec["cells"]))
-    if kind == "box":
-        return box_grid(spec["bounds"], spec["cells"])
-    if kind == "symmetric-square":
-        bounds = spec["bounds"]
-        if isinstance(bounds, (list, tuple)):
-            lo, hi = map(float, bounds)
-            if lo != -hi:
-                raise ValueError("symmetric square bounds must be [-a, a]")
-            half = hi
-        else:
-            half = float(bounds)
-        return symmetric_square_grid(half, int(spec["cells"]))
+    unknown = set(spec) - {"kind", "bounds", "cells"}
+    if unknown:
+        raise ValueError(f"unknown domain spec keys: {sorted(unknown)}")
+    kind, bounds, cells = spec.get("kind"), spec.get("bounds"), spec.get("cells")
+    if kind == "interval" and _is_pair(bounds) and _is_int(cells):
+        return interval_grid(float(bounds[0]), float(bounds[1]), cells)
+    lists = isinstance(bounds, (list, tuple)) and isinstance(cells, (list, tuple))
+    if kind == "box" and lists and all(map(_is_pair, bounds)) and all(map(_is_int, cells)):
+        return box_grid(bounds, cells)
+    if kind == "symmetric-square" and _is_int(cells):
+        if _is_pair(bounds) and float(bounds[0]) == -float(bounds[1]):
+            return symmetric_square_grid(float(bounds[1]), cells)
+        if _is_real(bounds):
+            return symmetric_square_grid(float(bounds), cells)
+    if kind in ("interval", "box", "symmetric-square"):
+        raise ValueError(f"malformed {kind} domain spec: {dict(spec)}")
     raise ValueError(f"unknown domain kind: {kind!r}")
 
 
@@ -546,16 +563,20 @@ def swap_permutation(dom: DiscreteDomain) -> Involution:
 # file formats
 
 
+def write_csv(path: str | Path, header: Sequence[str], table: np.ndarray) -> None:
+    """One row per row of table, each value written as repr(float)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(c)) for c in row] for row in table)
+
+
 def write_field_csv(path: str | Path, dom: DiscreteDomain, fld: SampledField) -> None:
     """One row per cell: x0..x{d-1}, u0..u{d-1}."""
     check_pairing(dom, fld)
     d = dom.dim
     header = [f"x{k}" for k in range(d)] + [f"u{k}" for k in range(d)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for p, v in zip(dom.points, fld.values):
-            w.writerow([repr(float(c)) for c in p] + [repr(float(c)) for c in v])
+    write_csv(path, header, np.hstack([dom.points, fld.values]))
 
 
 def read_field_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -206,6 +206,9 @@ _BUILTINS = {
     "monotone1d": _monotone1d,
 }
 
+# the params each builtin reads; the others read none
+_PARAMS = {"matrix": ("A",), "gradskew": ("Q", "A", "b")}
+
 
 def builtin_names() -> list[str]:
     return list(_BUILTINS)
@@ -217,4 +220,7 @@ def builtin_field(name: str, n: int, params: Mapping | None = None) -> BuiltinFi
         raise ValueError(f"unknown builtin field {name!r}; know {sorted(_BUILTINS)}")
     if n < 1:
         raise ValueError("cell count must be at least 1")
+    unread = set(params or {}) - set(_PARAMS.get(name, ()))
+    if unread:
+        raise ValueError(f"builtin {name} does not read params {sorted(unread)}")
     return _BUILTINS[name](int(n), params or {})

@@ -9,7 +9,6 @@ objective of the dual solver.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .domain import (
     SampledField,
     check_pairing,
     check_permutation,
+    write_csv,
 )
 
 __all__ = [
@@ -121,9 +121,5 @@ def _same_multiset(a: np.ndarray, b: np.ndarray) -> bool:
 
 def export_atoms_csv(path: str | Path, pm: PairMeasure) -> None:
     """One row per atom: mass, p0..p{2d-1}; feed for external solvers."""
-    twod = pm.atoms.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mass"] + [f"p{k}" for k in range(twod)])
-        for m, atom in zip(pm.masses, pm.atoms):
-            w.writerow([repr(float(m))] + [repr(float(c)) for c in atom])
+    header = ["mass"] + [f"p{k}" for k in range(pm.atoms.shape[1])]
+    write_csv(path, header, np.column_stack([pm.masses, pm.atoms]))

@@ -129,6 +129,106 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("decompose", {"kernel": "k.csv"}),
+            ("dual", {"dump": "x.csv", "seed": 9}),
+            ("primal", {"fd_step_rel": 0.5}),
+            ("verify", {"eps_primal": 1e-6}),
+            ("transport", {"seed": 9}),
+            ("gallery", {"builtin": "sincos"}),
+        ],
+    )
+    def test_unread_config_key_exits_2(self, tmp_path, monkeypatch, capsys, command, keys):
+        monkeypatch.chdir(tmp_path)
+        base = {} if command == "gallery" else {"builtin": "sincos", "n": 16}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, **keys}))
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{command} does not read config keys {sorted(keys)}" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c, keys in cli._COMMAND_KEYS.items() for k in (*keys, "out")],
+    )
+    def test_every_flag_parses_to_its_field_type(self, command, key):
+        domain = {"kind": "interval", "bounds": [0, 1], "cells": 4}
+        flag, text, value = {
+            "builtin": ("--builtin", "tent", "tent"),
+            "params": ("--params", '{"A": [[1, 0], [0, 1]]}', {"A": [[1, 0], [0, 1]]}),
+            "field_csv": ("--field", "f.csv", "f.csv"),
+            "domain": ("--domain", json.dumps(domain), domain),
+            "n": ("--n", "12", 12),
+            "radius_margin": ("--radius-margin", "0.25", 0.25),
+            "sphere_points": ("--pset-m", "5", 5),
+            "seed": ("--seed", "9", 9),
+            "fd_step_rel": ("--fd-step-rel", "0.001", 0.001),
+            "eps_primal": ("--eps-primal", "1e-05", 1e-05),
+            "dump": ("--dump", "x.csv", "x.csv"),
+            "sigma": ("--sigma", "s.json", "s.json"),
+            "kernel": ("--kernel", "k.csv", "k.csv"),
+            "out": ("--out", "r.json", "r.json"),
+        }[key]
+        if command == "gallery" or key == "builtin":
+            base = []
+        elif key == "field_csv":
+            base = ["--domain", json.dumps(domain)]
+        elif key == "domain":
+            base = ["--field", "f.csv"]
+        else:
+            base = ["--builtin", "sincos"]
+        cfg = cli.parse_config(cli.build_parser().parse_args([command, flag, text, *base]))
+        parsed = getattr(cfg.pipeline if hasattr(cfg.pipeline, key) else cfg, key)
+        assert parsed == value
+        assert type(parsed) is type(value)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "interval", "bounds": 5, "cells": 4},
+            {"kind": "box", "bounds": 5, "cells": [4]},
+            {"kind": "box", "bounds": [[0, 1]], "cells": 4},
+            {"kind": "interval", "bounds": [0, 1], "cells": 4.7},
+            {"kind": "interval", "bounds": [0, 1], "cells": True},
+            {"kind": "interval", "bounds": [0, 1], "cells": 4, "extra": 5},
+        ],
+        ids=str,
+    )
+    def test_malformed_domain_spec_exits_2(self, capsys, spec):
+        argv = ["dual", "--field", "f.csv", "--domain", json.dumps(spec)]
+        assert run_cli(argv) == 2
+        assert "domain spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["config", "domain", "field", "sigma", "kernel"])
+    def test_directory_input_exits_3(self, tmp_path, capsys, what):
+        spec = tmp_path / "dom.json"
+        spec.write_text(json.dumps({"kind": "interval", "bounds": [0, 1], "cells": 4}))
+        fcsv = tmp_path / "f.csv"
+        dom = sd.interval_grid(0.0, 1.0, 4)
+        write_field_csv(fcsv, dom, sd.sample_field(dom, lambda x: x))
+        # a repeated flag takes its last value
+        argv = ["verify", "--domain", str(spec), "--field", str(fcsv)]
+        argv += [f"--{what}", str(tmp_path)]
+        assert run_cli(argv) == 3
+        assert f"cannot read {what} file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "builtin, params",
+        [
+            ("sincos", {"A": 1}),
+            ("matrix", {"B": 1}),
+            ("gradskew", {"A": [[0, 1], [-1, 0]], "q": 1}),
+        ],
+        ids=str,
+    )
+    def test_unread_params_exit_2(self, capsys, builtin, params):
+        argv = ["dual", "--builtin", builtin, "--n", "16", "--params", json.dumps(params)]
+        assert run_cli(argv) == 2
+        assert f"builtin {builtin} does not read params" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"builtin": "monotone1d", "n": 4}))
@@ -155,6 +255,14 @@ class TestBuiltinFields:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             fields.builtin_field("mystery", 8)
+
+    def test_params_each_builtin_reads(self):
+        params = {"Q": [[1, 0], [0, 1]], "A": [[0, 0], [0, 0]], "b": [1, 0]}
+        bf = fields.builtin_field("gradskew", 16, params)
+        np.testing.assert_array_equal(bf.rule(np.array([1.0, 2.0])), [2.0, 2.0])
+        for name in fields.builtin_names():
+            with pytest.raises(ValueError, match="does not read params"):
+                fields.builtin_field(name, 16, {"z": 1})
 
     def test_planar_cell_budget(self):
         bf = fields.builtin_field("matrix", 144)
@@ -205,6 +313,7 @@ class TestRunDecompose:
         assert code == 0
         rows = dump.read_text().strip().splitlines()
         assert rows[0] == "x0,u0,sx0,residual1"
+        assert rows[1] == "0.03125,0.0625,0.03125,1.0484374999999968"
         assert len(rows) == 17
 
     def test_file_backed_run(self, tmp_path):
@@ -228,6 +337,14 @@ class TestRunDecompose:
         )
         assert code == 0
         assert json.loads(out.read_text())["sigma"] == list(range(12))
+
+    def test_long_inline_domain_spec(self, tmp_path):
+        dom = sd.interval_grid(0.0, 1.0, 12)
+        fcsv = tmp_path / "f.csv"
+        write_field_csv(fcsv, dom, sd.sample_field(dom, lambda x: x))
+        # longer than a file name may be
+        spec = '{"kind": "interval",' + " " * 300 + '"bounds": [0, 1], "cells": 12}'
+        assert run_cli(["dual", "--field", str(fcsv), "--domain", spec]) == 0
 
     def test_grid_mismatch_exits_2(self, tmp_path):
         dom = sd.interval_grid(0.0, 1.0, 12)
@@ -299,6 +416,23 @@ class TestVerify:
         assert payload["weak_duality_gap"] >= 0
         assert payload["complementarity"]["min"] >= 0
         assert "residual2" in payload
+
+    def test_sigma_and_kernel_config_keys_match_flags(self, tmp_path):
+        dom = sd.interval_grid(0.0, math.pi, 16)
+        kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
+        kcsv = tmp_path / "k.csv"
+        np.savetxt(kcsv, kernel.matrix, delimiter=",")
+        sigma_file = tmp_path / "s.json"
+        sigma_file.write_text(json.dumps(list(range(15, -1, -1))))
+        base = ["verify", "--builtin", "sincos", "--n", "16"]
+        by_flags, by_file = tmp_path / "flags.json", tmp_path / "file.json"
+        argv = [*base, "--sigma", str(sigma_file), "--kernel", str(kcsv)]
+        assert run_cli([*argv, "--out", str(by_flags)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": str(sigma_file), "kernel": str(kcsv)}))
+        assert run_cli([*base, "--config", str(cfg), "--out", str(by_file)]) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        assert "selfdual_verdict" in json.loads(by_file.read_text())
 
     def test_fd_step_rel_sets_residual_step(self, tmp_path):
         sigma_file = tmp_path / "refl.json"

@@ -56,6 +56,17 @@ class TestBuildGrid:
             {"kind": "box", "bounds": [[0, 1], [0, 0]], "cells": [2, 2]},
             {"kind": "symmetric-square", "bounds": -1.0, "cells": 4},
             {"kind": "mystery", "bounds": [0, 1], "cells": 4},
+            {"kind": "interval", "bounds": 5, "cells": 4},
+            {"kind": "interval", "bounds": [0, "1"], "cells": 4},
+            {"kind": "interval", "bounds": [0, 1], "cells": 4.7},
+            {"kind": "interval", "bounds": [0, 1], "cells": True},
+            {"kind": "interval", "bounds": [0, 1], "cells": 4, "extra": 5},
+            {"kind": "interval", "bounds": [0, 1]},
+            {"kind": "box", "bounds": 5, "cells": [4]},
+            {"kind": "box", "bounds": [[0, 1]], "cells": 4},
+            {"kind": "box", "bounds": [[0, 1]], "cells": [4.0]},
+            {"kind": "symmetric-square", "bounds": [-1, 2], "cells": 4},
+            {"kind": "symmetric-square", "bounds": 1.0, "cells": False},
         ],
     )
     def test_bad_specs_rejected(self, spec):
@@ -65,6 +76,11 @@ class TestBuildGrid:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             sd.DiscreteDomain(np.array([[0.0], [0.0]]), 0.5, 1, 0.0)
+
+    def test_symmetric_square_bounds_forms(self):
+        dom = build_grid({"kind": "symmetric-square", "bounds": 1, "cells": 3})
+        pair = build_grid({"kind": "symmetric-square", "bounds": [-1.0, 1.0], "cells": 3})
+        assert np.array_equal(dom.points, pair.points)
 
     def test_box_grid(self):
         dom = build_grid({"kind": "box", "bounds": [[0, 1], [0, 2]], "cells": [2, 4]})
@@ -290,6 +306,14 @@ class TestFieldCsv:
         pts, vals = read_field_csv(path)
         np.testing.assert_array_equal(pts, dom.points)
         np.testing.assert_array_equal(vals, fld.values)
+
+    def test_format(self, tmp_path):
+        dom = sd.interval_grid(0.0, 3.0, 7)
+        path = tmp_path / "field.csv"
+        write_field_csv(path, dom, sd.sample_field(dom, lambda x: x * x))
+        rows = path.read_text().splitlines()
+        assert rows[:2] == ["x0,u0", "0.21428571428571427,0.04591836734693877"]
+        assert len(rows) == 8
 
     def test_2d_roundtrip(self, tmp_path):
         dom = sd.symmetric_square_grid(1.0, 3)
