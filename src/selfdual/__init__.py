@@ -17,15 +17,12 @@ from .conjugacy import (
 )
 from .domain import (
     AntiSymmetricKernel,
-    BallRadius,
     DiscreteDomain,
     DualPointSet,
     Involution,
     SampledField,
-    ball_radius,
     build_dual_points,
     build_grid,
-    compose_check,
     interval_grid,
     make_kernel,
     pairing,

@@ -10,8 +10,8 @@ transport   atom export and the cost identity
 gallery     every builtin at sizes 16 / 32 / 64, one summary row each
 
 Exit codes: 0 success, 1 solver non-convergence, 2 bad configuration,
-3 unreadable input file. Runs are deterministic for a fixed config and
-seed; reports embed every tolerance used.
+3 a file that cannot be read or written. Runs are deterministic for a
+fixed config and seed; reports embed every tolerance used.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .domain import (
     AntiSymmetricKernel,
     Involution,
     SampledField,
-    ball_radius,
     build_dual_points,
     build_grid,
     make_kernel,
@@ -106,11 +105,11 @@ def _flag_type(hint):
 
 
 def _read(path: str, what: str, load):
-    """load(path); an input file that cannot be read exits 3."""
+    """load(path), naming the input in the message of any OSError."""
     try:
         return load(path)
     except OSError as exc:
-        raise FileNotFoundError(f"cannot read {what} file: {exc}") from exc
+        raise OSError(f"cannot read {what} file: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -267,10 +266,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
         payload["selfdual_sum"] = value
         payload["selfdual_verdict"] = verdict
         pcfg = cfg.pipeline
-        ball = ball_radius(dom, fld, pcfg.radius_margin)
-        pset = build_dual_points(dom, fld, ball, pcfg.sphere_points, pcfg.seed)
+        pset = build_dual_points(
+            dom, fld, margin=pcfg.radius_margin, sphere_points=pcfg.sphere_points, seed=pcfg.seed
+        )
         hreg = regularize(kernel, dom, pset)
-        h = pcfg.fd_step_rel * hreg.radius
+        h = pcfg.fd_step_rel * pset.radius
         res2 = factorize.second_identity_check(dom, fld, hreg, sigma, h)
         payload["residual2"] = {"median": res2.median, "max": res2.max}
     payload["monotone"] = factorize.check_monotone(dom, fld).verdict
@@ -362,6 +362,8 @@ _HELP = {
     "field_csv": "field CSV (x0..x{d-1}, u0..u{d-1})",
     "domain": "domain spec: inline JSON {...} or a JSON file",
     "n": "cell budget (default 64)",
+    "sphere_points": "samples on the shell of the dual ball in d >= 2 "
+    "(default 64 d); in d = 1 the shell is the two points -R and R",
     "fd_step_rel": "difference step h of the residual check, as a fraction of "
     "the ball radius R (default 1e-4); the residual pass reads every "
     "piece that a step of h can lift to a maximum, so its time grows "
@@ -398,7 +400,8 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](parse_config(args))
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a file that cannot be read or written; the message names it
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

@@ -168,11 +168,10 @@ class RegularHamiltonian:
         self.dom = dom
         self.pset = pset
         self.lstar_table = lstar_table
-        self.radius = float(pset.radius)
         self._xp = _grid_pairing(dom, pset)  # [j, k] = <x_j, p_k>
         # resolution of the finite dual set, reported with every run
         self.covering_radius = pset.covering_radius()
-        self.tol_reg = 2.0 * self.radius * self.covering_radius
+        self.tol_reg = 2.0 * pset.radius * self.covering_radius
 
     # -- evaluators --------------------------------------------------
 

@@ -11,7 +11,6 @@ simply a permutation that squares to the identity.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -22,7 +21,6 @@ from scipy.spatial import cKDTree
 __all__ = [
     "DiscreteDomain",
     "SampledField",
-    "BallRadius",
     "DualPointSet",
     "AntiSymmetricKernel",
     "Involution",
@@ -34,15 +32,12 @@ __all__ = [
     "symmetric_square_grid",
     "sample_field",
     "make_kernel",
-    "compose_check",
-    "ball_radius",
     "build_dual_points",
     "rotation_permutation",
     "swap_permutation",
     "read_field_csv",
     "write_field_csv",
     "write_csv",
-    "load_domain_spec",
 ]
 
 # DualPointSet.covering_radius estimates a covering radius in d > 1 from
@@ -93,10 +88,6 @@ class DiscreteDomain:
         return self.points.shape[0]
 
     @property
-    def total_measure(self) -> float:
-        return self.cell_measure * self.n
-
-    @property
     def mesh(self) -> float:
         """Linear cell size, cell_measure ** (1/d) for the cubic cells built here."""
         return float(self.cell_measure ** (1.0 / self.dim))
@@ -145,30 +136,6 @@ def pairing(dom: DiscreteDomain, fld: SampledField) -> np.ndarray:
     """
     check_pairing(dom, fld)
     return fld.values @ dom.points.T
-
-
-@dataclass(frozen=True)
-class BallRadius:
-    """Radius of the ball containing both the domain and the field values."""
-
-    value: float
-    margin: float
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("radius must be positive")
-
-
-def ball_radius(dom: DiscreteDomain, fld: SampledField, margin: float = 0.05) -> BallRadius:
-    """R = (1 + margin) * max(domain radius, field radius).
-
-    The margin keeps suprema off the ball boundary; the containment
-    invariants only need margin >= 0.
-    """
-    if not (np.isfinite(margin) and margin >= 0):
-        raise ValueError("margin must be non-negative and finite")
-    check_pairing(dom, fld)
-    return BallRadius(float((1.0 + margin) * max(dom.radius, fld.field_radius)), margin)
 
 
 @dataclass(frozen=True)
@@ -235,12 +202,25 @@ def _sphere_samples(dim: int, m: int, radius: float, seed: int = 0) -> np.ndarra
 def build_dual_points(
     dom: DiscreteDomain,
     fld: SampledField,
-    ball: BallRadius,
+    *,
+    margin: float = 0.05,
     sphere_points: int | None = None,
     seed: int = 0,
 ) -> DualPointSet:
-    """Assemble {0} + sampled field values + sphere shell, duplicates dropped."""
+    """Assemble {0} + sampled field values + sphere shell, duplicates dropped.
+
+    The shell lies on the ball of radius R = (1 + margin) * max(domain
+    radius, field radius), which holds the domain and the field values; the
+    margin keeps suprema off the ball boundary, and the containment
+    invariants only need margin >= 0. The shell has sphere_points samples
+    (default 64 * d) in d >= 2 and is the two points +-R in d = 1.
+    """
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ValueError("margin must be non-negative and finite")
     check_pairing(dom, fld)
+    radius = float((1.0 + margin) * max(dom.radius, fld.field_radius))
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     m = 64 * dom.dim if sphere_points is None else int(sphere_points)
     if m < 1:
         raise ValueError("need at least one sphere sample")
@@ -248,12 +228,12 @@ def build_dual_points(
         [
             np.zeros((1, dom.dim)),
             fld.values,
-            _sphere_samples(dom.dim, m, ball.value, seed),
+            _sphere_samples(dom.dim, m, radius, seed),
         ]
     )
     _, keep = np.unique(pts, axis=0, return_index=True)
     pts = pts[np.sort(keep)]
-    return DualPointSet(pts, ball.value)
+    return DualPointSet(pts, radius)
 
 
 class AntiSymmetricKernel:
@@ -282,10 +262,6 @@ class AntiSymmetricKernel:
         """Anti-symmetrize an arbitrary square table, (M - M.T) / 2."""
         m = np.asarray(m, dtype=float)
         return cls(0.5 * (m - m.T))
-
-    @classmethod
-    def zero(cls, n: int) -> "AntiSymmetricKernel":
-        return cls(np.zeros((n, n)))
 
     @property
     def n(self) -> int:
@@ -365,9 +341,6 @@ class Involution:
         """The 2-cycles, each listed once as (i, j) with i < j."""
         return [(int(i), int(j)) for i, j in enumerate(self.sigma) if i < j]
 
-    def fixed_points(self) -> np.ndarray:
-        return np.flatnonzero(self.sigma == np.arange(self.n))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Involution) and np.array_equal(self.sigma, other.sigma)
 
@@ -395,28 +368,13 @@ def check_permutation(
     return sig
 
 
-def compose_check(sigma: Sequence[int] | np.ndarray) -> bool:
-    """True iff the index array is a permutation that is its own inverse."""
-    try:
-        Involution(sigma)
-    except ValueError:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # grid builders
 
 
 def interval_grid(a: float, b: float, n: int) -> DiscreteDomain:
-    """Midpoints of n equal cells of [a, b]."""
-    if n < 1:
-        raise ValueError("need at least one cell")
-    if not b > a:
-        raise ValueError("interval extent must be positive")
-    h = (b - a) / n
-    pts = a + (np.arange(n) + 0.5) * h
-    return DiscreteDomain(pts.reshape(-1, 1), h, 1, 0.0)
+    """Midpoints of n equal cells of [a, b], the one-axis box_grid."""
+    return box_grid([(a, b)], [n])
 
 
 def box_grid(bounds: Sequence[Sequence[float]], cells: Sequence[int]) -> DiscreteDomain:
@@ -488,7 +446,7 @@ def build_grid(spec: Mapping) -> DiscreteDomain:
         raise ValueError(f"unknown domain spec keys: {sorted(unknown)}")
     kind, bounds, cells = spec.get("kind"), spec.get("bounds"), spec.get("cells")
     if kind == "interval" and _is_pair(bounds) and _is_int(cells):
-        return interval_grid(float(bounds[0]), float(bounds[1]), cells)
+        return box_grid([bounds], [cells])
     lists = isinstance(bounds, (list, tuple)) and isinstance(cells, (list, tuple))
     if kind == "box" and lists and all(map(_is_pair, bounds)) and all(map(_is_int, cells)):
         return box_grid(bounds, cells)
@@ -500,13 +458,6 @@ def build_grid(spec: Mapping) -> DiscreteDomain:
     if kind in ("interval", "box", "symmetric-square"):
         raise ValueError(f"malformed {kind} domain spec: {dict(spec)}")
     raise ValueError(f"unknown domain kind: {kind!r}")
-
-
-def load_domain_spec(source: str | Path | Mapping) -> DiscreteDomain:
-    if isinstance(source, Mapping):
-        return build_grid(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return build_grid(json.load(fh))
 
 
 def sample_field(dom: DiscreteDomain, f: Callable) -> SampledField:
@@ -525,22 +476,13 @@ def sample_field(dom: DiscreteDomain, f: Callable) -> SampledField:
 
 
 def _index_of_points(dom: DiscreteDomain, targets: np.ndarray) -> np.ndarray:
-    """Exact lookup of target points among the grid representatives."""
-    order = np.lexsort(dom.points.T[::-1])
-    spts = dom.points[order]
-    out = np.empty(len(targets), dtype=np.intp)
-    for k, t in enumerate(targets):
-        lo = np.searchsorted(spts[:, 0], t[0], side="left")
-        hit = -1
-        while lo < len(spts) and spts[lo, 0] == t[0]:
-            if np.array_equal(spts[lo], t):
-                hit = order[lo]
-                break
-            lo += 1
-        if hit < 0:
-            raise ValueError("grid is not closed under the requested map")
-        out[k] = hit
-    return out
+    """Exact lookup of target points among the grid representatives (as
+    floats compare, so -0.0 finds 0.0)."""
+    index = {tuple(p): i for i, p in enumerate(dom.points.tolist())}
+    try:
+        return np.array([index[tuple(t)] for t in targets.tolist()], dtype=np.intp)
+    except KeyError:
+        raise ValueError("grid is not closed under the requested map") from None
 
 
 def rotation_permutation(dom: DiscreteDomain) -> np.ndarray:

@@ -29,7 +29,6 @@ from .domain import (
     DiscreteDomain,
     Involution,
     SampledField,
-    ball_radius,
     build_dual_points,
     check_pairing,
     check_permutation,
@@ -119,7 +118,6 @@ class DecompositionReport:
     kernel: AntiSymmetricKernel
     hamiltonian: RegularHamiltonian
     dual: dual_solver.DualSolution
-    primal: primal_solver.PrimalSolution
     tolerances: dict
 
     def to_dict(self) -> dict:
@@ -162,11 +160,12 @@ def decompose(
     dual = dual_solver.solve(dom, fld, relaxation)
     primal = primal_solver.minimize_primal(dom, fld, relaxation, cfg.eps_primal)
 
-    ball = ball_radius(dom, fld, cfg.radius_margin)
-    pset = build_dual_points(dom, fld, ball, cfg.sphere_points, cfg.seed)
+    pset = build_dual_points(
+        dom, fld, margin=cfg.radius_margin, sphere_points=cfg.sphere_points, seed=cfg.seed
+    )
     hreg = conjugacy.regularize(primal.kernel, dom, pset)
 
-    h = cfg.fd_step_rel * ball.value
+    h = cfg.fd_step_rel * pset.radius
     sigma = dual.sigma
     g1, g2 = residual_gradients(hreg, sigma.sigma, h)
     res1 = ResidualStats(np.linalg.norm(fld.values - g1, axis=1))
@@ -181,7 +180,7 @@ def decompose(
         "eps_primal": cfg.eps_primal,
         "fd_step": h,
         "mesh": mesh,
-        "radius": ball.value,
+        "radius": pset.radius,
         "radius_margin": cfg.radius_margin,
         "tol_reg": hreg.tol_reg,
         "pset_covering_radius": hreg.covering_radius,
@@ -207,7 +206,6 @@ def decompose(
         primal.kernel,
         hreg,
         dual,
-        primal,
         tolerances,
     )
 
@@ -392,7 +390,7 @@ def krauss_check(
         )
     if not np.array_equal(hreg.dom.points, dom.points):
         raise ValueError("hamiltonian was built on another grid")
-    h = h if h is not None else PipelineConfig.fd_step_rel * hreg.radius
+    h = h if h is not None else PipelineConfig.fd_step_rel * hreg.pset.radius
     g1, _ = residual_gradients(hreg, np.arange(dom.n), h)
     return ResidualStats(np.linalg.norm(fld.values - g1, axis=1))
 
@@ -410,6 +408,6 @@ def second_identity_check(
         raise ValueError("involution length does not match domain")
     if not np.array_equal(hreg.dom.points, dom.points):
         raise ValueError("hamiltonian was built on another grid")
-    h = h if h is not None else PipelineConfig.fd_step_rel * hreg.radius
+    h = h if h is not None else PipelineConfig.fd_step_rel * hreg.pset.radius
     _, g2 = residual_gradients(hreg, s.sigma, h)
     return ResidualStats(np.linalg.norm(fld.values[s.sigma] + g2, axis=1))

@@ -29,7 +29,6 @@ class BuiltinField:
     jacobian: Callable | None = None
     hamiltonian: Callable | None = None
     involutions: Callable | None = None  # dom -> list[(label, Involution)]
-    actual_cells: int = 0
 
 
 def _sincos(n: int, params: Mapping) -> BuiltinField:
@@ -52,7 +51,6 @@ def _sincos(n: int, params: Mapping) -> BuiltinField:
         jac,
         ham,
         invs,
-        n,
     )
 
 
@@ -76,7 +74,6 @@ def _tent(n: int, params: Mapping) -> BuiltinField:
         jac,
         None,
         invs,
-        n,
     )
 
 
@@ -88,7 +85,6 @@ def _monotone1d(n: int, params: Mapping) -> BuiltinField:
         lambda x: np.array([[1.0]]),
         lambda x, y: 0.5 * x * x - 0.5 * y * y,
         lambda dom: [("identity", Involution.identity(dom.n))],
-        n,
     )
 
 
@@ -137,7 +133,6 @@ def _matrix(n: int, params: Mapping) -> BuiltinField:
         jac,
         ham,
         invs,
-        side * side,
     )
 
 
@@ -169,7 +164,6 @@ def _gradskew(n: int, params: Mapping) -> BuiltinField:
         jac,
         ham,
         lambda dom: [("identity", Involution.identity(dom.n))],
-        side * side,
     )
 
 
@@ -192,8 +186,6 @@ def _rotationJ(n: int, params: Mapping) -> BuiltinField:
         rule,
         lambda x: np.array([[0.0, -1.0], [1.0, 0.0]]),
         ham,
-        None,
-        side * side,
     )
 
 

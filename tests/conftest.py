@@ -70,9 +70,8 @@ def sincos64():
 def sincos64_hreg(sincos64):
     dom, fld = sincos64
     kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
-    ball = sd.ball_radius(dom, fld)
-    pset = sd.build_dual_points(dom, fld, ball)
-    return sd.regularize(kernel, dom, pset), kernel, ball, pset
+    pset = sd.build_dual_points(dom, fld)
+    return sd.regularize(kernel, dom, pset), kernel, pset
 
 
 def odd_cycle_problem():

@@ -190,8 +190,8 @@ def test_criterion_5_exact_weak_duality():
 
 def test_criterion_6_regularization_suite(sincos64, sincos64_hreg):
     dom, fld = sincos64
-    hreg, kernel, ball, pset = sincos64_hreg
-    r = ball.value
+    hreg, kernel, pset = sincos64_hreg
+    r = pset.radius
     rng = np.random.default_rng(106)
 
     a = rng.uniform(-2 * r, 2 * r, size=(1000, 1))
@@ -316,7 +316,7 @@ def test_criterion_10_matrix_example():
     d2 = ((targets[:, None, :] - dom.points[None, :, :]) ** 2).sum(axis=2)
     sigma_oracle = d2.argmin(axis=1)
     assert np.sqrt(d2.min(axis=1)).max() < 1e-9
-    assert sd.compose_check(sigma_oracle)
+    sd.Involution(sigma_oracle)  # raises unless an involution
 
     rep = decompose(dom, fld, rule=lambda p: a @ p, jacobian=lambda p: a)
     agree = float((rep.sigma.sigma == sigma_oracle).mean())
@@ -330,9 +330,9 @@ def test_criterion_10_matrix_example():
 
 
 def test_criterion_11_directional_derivative_symmetry(sincos64_hreg):
-    hreg, kernel, ball, pset = sincos64_hreg
+    hreg, kernel, pset = sincos64_hreg
     rng = np.random.default_rng(111)
-    h = 1e-4 * ball.value
+    h = 1e-4 * pset.radius
     mesh = hreg.dom.mesh
     hits = 0
     for _ in range(100):

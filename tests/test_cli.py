@@ -216,6 +216,20 @@ class TestParseConfig:
         assert f"cannot read {what} file" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [("dual", "--out"), ("decompose", "--dump"), ("transport", "--dump")],
+    )
+    @pytest.mark.parametrize("target", ["dir", "missing-dir"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, command, flag, target):
+        path = tmp_path if target == "dir" else tmp_path / "missing" / "x.out"
+        argv = [command, "--builtin", "sincos", "--n", "8", flag, str(path)]
+        if flag != "--out":
+            argv += ["--out", str(tmp_path / "report.json")]
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "builtin, params",
         [
             ("sincos", {"A": 1}),
@@ -267,7 +281,7 @@ class TestBuiltinFields:
     def test_planar_cell_budget(self):
         bf = fields.builtin_field("matrix", 144)
         assert bf.domain_spec["cells"] == 12
-        assert bf.actual_cells == 144
+        assert sd.build_grid(bf.domain_spec).n == 144
 
 
 class TestRunDecompose:

@@ -24,7 +24,7 @@ from conftest import odd_cycle_problem, random_problem, sincos_problem
 def single_point_setup():
     dom = sd.interval_grid(0.0, 1.0, 1)  # the lone midpoint is 0.5
     fld = sd.SampledField(np.array([[0.0]]))
-    kernel = sd.AntiSymmetricKernel.zero(1)
+    kernel = sd.AntiSymmetricKernel(np.zeros((1, 1)))
     pset = sd.DualPointSet(np.array([[0.0], [1.0]]), 1.0)
     return dom, fld, kernel, pset
 
@@ -33,7 +33,7 @@ class TestLagrangian:
     def test_zero_kernel_is_support_function(self):
         rng = np.random.default_rng(0)
         dom, fld = sincos_problem(12)
-        kernel = sd.AntiSymmetricKernel.zero(12)
+        kernel = sd.AntiSymmetricKernel(np.zeros((12, 12)))
         for _ in range(5):
             p = rng.normal(size=1)
             vals, arg = lagrangian(kernel, dom, p)
@@ -65,7 +65,7 @@ class TestLagrangian:
 
     def test_argmax_smallest_index_on_ties(self):
         dom = sd.interval_grid(0.0, 1.0, 3)
-        kernel = sd.AntiSymmetricKernel.zero(3)
+        kernel = sd.AntiSymmetricKernel(np.zeros((3, 3)))
         vals, arg = lagrangian(kernel, dom, np.array([0.0]))  # all pieces tie at 0
         assert arg.tolist() == [0, 0, 0]
 
@@ -81,7 +81,7 @@ class TestLagrangian:
     def test_at_field_rejects_kernel_of_another_size(self):
         # the primal objective and the Lagrangian share one score table
         dom, fld = sincos_problem(10)
-        kernel = sd.AntiSymmetricKernel.zero(9)
+        kernel = sd.AntiSymmetricKernel(np.zeros((9, 9)))
         for call in (
             lambda: lagrangian_at_field(kernel, dom, fld),
             lambda: sd.primal_objective(dom, fld, kernel),
@@ -102,8 +102,7 @@ class TestRestrictedDual:
         rng = np.random.default_rng(1)
         dom, fld = sincos_problem(16)
         kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         table = restricted_dual(kernel, dom, pset)
         lh = np.stack([lagrangian(kernel, dom, p)[0] for p in pset.pts])  # [k, i]
         for _ in range(200):
@@ -120,7 +119,7 @@ class TestRestrictedDual:
 
     def test_dual_below_lagrangian_on_tables(self, sincos64_hreg):
         # restriction inequality, exact at grid points and dual-set slopes
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         dom = hreg.dom
         lh = np.stack([lagrangian(kernel, dom, p)[0] for p in pset.pts])
         assert (hreg.lstar_table - lh).max() <= 1e-9
@@ -134,7 +133,7 @@ class TestRestrictedBidual:
 
     def test_below_lagrangian_at_field_slopes(self, sincos64, sincos64_hreg):
         dom, fld = sincos64
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         lvals, _ = lagrangian_at_field(kernel, dom, fld)
         bid = np.array(
             [
@@ -145,9 +144,9 @@ class TestRestrictedBidual:
         assert (bid - lvals[::4]).max() <= 1e-6
 
     def test_growth_bound_random_probes(self, sincos64_hreg):
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(2)
-        r = ball.value
+        r = pset.radius
         ys = rng.uniform(-2 * r, 2 * r, size=(50, 1))
         qs = rng.uniform(-2 * r, 2 * r, size=(50, 1))
         for y, q in zip(ys, qs):
@@ -168,7 +167,7 @@ class TestBallHamiltonian:
         assert hreg([[0.5]], [[0.5]])[0] == 0.0
 
     def test_sign_inequality_on_grid_pairs(self, sincos64_hreg):
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(3)
         idx = rng.integers(0, hreg.dom.n, size=(300, 2))
         a = hreg.ball_ham(hreg.dom.points[idx[:, 0]], hreg.dom.points[idx[:, 1]])
@@ -177,9 +176,9 @@ class TestBallHamiltonian:
         assert (a + b).max() <= 1e-12 * scale
 
     def test_growth_bound(self, sincos64_hreg):
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(4)
-        r = ball.value
+        r = pset.radius
         xs = rng.uniform(-2 * r, 2 * r, size=(60, 1))
         ys = rng.uniform(-2 * r, 2 * r, size=(60, 1))
         vals = hreg.ball_ham(xs, ys)
@@ -188,7 +187,7 @@ class TestBallHamiltonian:
 
     def test_first_slot_convexity_exact(self, sincos64_hreg):
         # max of affine pieces: interpolation can only round, never overshoot
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(5)
         for _ in range(100):
             x1 = rng.uniform(0, math.pi, (1, 1))
@@ -202,7 +201,7 @@ class TestBallHamiltonian:
 
 class TestRegularize:
     def test_antisymmetry_bit_exact(self, sincos64_hreg):
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(6)
         a = rng.uniform(-4, 4, size=(1000, 1))
         b = rng.uniform(-4, 4, size=(1000, 1))
@@ -210,7 +209,7 @@ class TestRegularize:
 
     def test_lagrangian_never_worse_at_data(self, sincos64, sincos64_hreg):
         dom, fld = sincos64
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         mu = dom.cell_measure
         lvals, _ = lagrangian_at_field(kernel, dom, fld)
         lreg = hreg.lagrangian_of(dom.points, fld.values)
@@ -219,7 +218,7 @@ class TestRegularize:
         assert (lreg - lvals).max() <= 1e-9
 
     def test_lipschitz_probe(self, sincos64_hreg):
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(7)
         a = rng.uniform(-3, 3, size=(400, 1))
         a2 = a + rng.uniform(-0.5, 0.5, size=(400, 1))
@@ -228,12 +227,12 @@ class TestRegularize:
         den = np.abs(a - a2)[:, 0]
         keep = den > 1e-12
         quot = num[keep] / den[keep]
-        assert quot.max() <= 4.0 * hreg.dom.dim * hreg.radius + 1e-9
+        assert quot.max() <= 4.0 * hreg.dom.dim * hreg.pset.radius + 1e-9
 
     def test_hreg_convexity_within_resolution(self, sincos64_hreg):
         # the finite dual set breaks exact convexity of the symmetrized
         # extension; the defect is bounded by the reported resolution
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(8)
         worst = 0.0
         for _ in range(200):
@@ -247,15 +246,15 @@ class TestRegularize:
         assert worst <= hreg.tol_reg
 
     def test_tol_reg_reported(self, sincos64_hreg):
-        hreg, kernel, ball, pset = sincos64_hreg
-        assert hreg.tol_reg == pytest.approx(2 * ball.value * hreg.covering_radius)
+        hreg, kernel, pset = sincos64_hreg
+        assert hreg.tol_reg == pytest.approx(2 * pset.radius * hreg.covering_radius)
         assert hreg.tol_reg > 0
 
 
 class TestGradients:
     def test_grad1_sincos_oracle(self, sincos64_hreg):
-        hreg, kernel, ball, pset = sincos64_hreg
-        h = 1e-4 * ball.value
+        hreg, kernel, pset = sincos64_hreg
+        h = 1e-4 * pset.radius
         mesh = hreg.dom.mesh
         for x0 in (math.pi / 4, math.pi / 3):
             got = grad1(hreg, [math.pi - x0], [x0], h)
@@ -264,8 +263,8 @@ class TestGradients:
 
     def test_grad2_symbolic_oracle(self, sincos64_hreg):
         # d/dy of the analytic kernel is x cos y - sin x
-        hreg, kernel, ball, pset = sincos64_hreg
-        h = 1e-4 * ball.value
+        hreg, kernel, pset = sincos64_hreg
+        h = 1e-4 * pset.radius
         mesh = hreg.dom.mesh
         x0 = math.pi / 4
         a, b = math.pi - x0, x0
@@ -280,10 +279,9 @@ class TestGradients:
         dom = sd.interval_grid(0.0, 1.0, 128)
         fld = sd.sample_field(dom, lambda x: x)
         kernel = sd.make_kernel(dom, lambda x, y: 0.5 * x * x - 0.5 * y * y)
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         hreg = regularize(kernel, dom, pset)
-        h = 1e-4 * ball.value
+        h = 1e-4 * pset.radius
         tol = 10 * (h + dom.mesh)
         for x0 in (0.3, 0.55, 0.8):
             g1 = grad1(hreg, [x0], [0.4], h)
@@ -293,9 +291,9 @@ class TestGradients:
 
     def test_grad2_is_negated_swapped_grad1(self, sincos64_hreg):
         # bit-exact consequence of the anti-symmetric evaluator
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(9)
-        h = 1e-4 * ball.value
+        h = 1e-4 * pset.radius
         xs = rng.uniform(0, math.pi, size=(20, 1))
         ys = rng.uniform(0, math.pi, size=(20, 1))
         a = np.atleast_2d(grad2(hreg, xs, ys, h))
@@ -303,9 +301,9 @@ class TestGradients:
         assert np.array_equal(a, -b)
 
     def test_one_sided_direction_symmetry(self, sincos64_hreg):
-        hreg, kernel, ball, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         rng = np.random.default_rng(10)
-        h = 1e-4 * ball.value
+        h = 1e-4 * pset.radius
         mesh = hreg.dom.mesh
         hits = 0
         trials = 100
@@ -458,7 +456,7 @@ class TestResidualGradients:
             rep = sd.decompose(dom, fld)
             hreg = rep.hamiltonian
             for perm in (np.arange(dom.n), rep.sigma.sigma):
-                assert_shared_pass_matches(hreg, perm, step * hreg.radius)
+                assert_shared_pass_matches(hreg, perm, step * hreg.pset.radius)
 
     @pytest.mark.parametrize("step", [1e-300, 1e-320])
     def test_margin_keeps_rounding_allowance(self, step):
@@ -478,7 +476,7 @@ class TestResidualGradients:
                 dom.points @ hreg.pset.pts.T - t0,  # the pieces of HB
             )
             scale = max(float(np.abs(a).max()) for a in pieces)
-            tau = conjugacy._candidate_margin(hreg, step * hreg.radius)
+            tau = conjugacy._candidate_margin(hreg, step * hreg.pset.radius)
             assert tau >= 8 * np.spacing(scale)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -497,7 +495,7 @@ class TestResidualGradients:
         dom, fld, bf = builtin_problem("matrix", 36)
         rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         hreg, perm = rep.hamiltonian, rep.sigma.sigma
-        for h in (rep.tolerances["fd_step"], 0.1 * hreg.radius):
+        for h in (rep.tolerances["fd_step"], 0.1 * hreg.pset.radius):
             want = residual_gradients(hreg, perm, h)
             monkeypatch.setattr(conjugacy, "_GATHER_BUDGET", 1)
             monkeypatch.setattr(conjugacy, "_GROUP_BUDGET", 1)
@@ -573,7 +571,7 @@ class TestRunningMaxEvaluators:
     def test_bidual_at_slopes_matches_broadcast(self, sincos64_hreg, plane_hreg):
         rng = np.random.default_rng(11)
         for hreg in (sincos64_hreg[0], plane_hreg):
-            r = hreg.radius
+            r = hreg.pset.radius
             ys = np.concatenate(
                 [hreg.dom.points, rng.uniform(-2 * r, 2 * r, size=(40, hreg.dom.dim))]
             )
@@ -633,7 +631,7 @@ class TestMaxPlusProducts:
             assert np.array_equal(conjugacy._maxplus(a[i : i + 1], b)[0], want[i])
 
     def test_restricted_dual_matches_broadcast(self, sincos64_hreg):
-        hreg, kernel, _, pset = sincos64_hreg
+        hreg, kernel, pset = sincos64_hreg
         dom, fld, bf = builtin_problem("matrix", 36)
         rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         # m = 67 > n = 64, m > n = 36, and a hand-built dual set of

@@ -18,7 +18,7 @@ from selfdual.domain import (
     write_field_csv,
 )
 
-from conftest import BAD_PERMUTATIONS, monotone_problem, sincos_problem
+from conftest import BAD_PERMUTATIONS, monotone_problem, random_problem, sincos_problem
 
 
 class TestBuildGrid:
@@ -141,13 +141,15 @@ class TestMakeKernel:
 
 
 class TestInvolution:
-    def test_compose_check_examples(self):
-        assert sd.compose_check(np.arange(5))
-        assert sd.compose_check(np.arange(6)[::-1])
-        assert not sd.compose_check(np.array([1, 2, 0]))
+    def test_involution_examples(self):
+        sd.Involution(np.arange(5))
+        sd.Involution(np.arange(6)[::-1])
+        with pytest.raises(ValueError, match="not an involution"):
+            sd.Involution(np.array([1, 2, 0]))
 
     def test_not_a_permutation(self):
-        assert not sd.compose_check(np.array([0, 0, 2]))
+        with pytest.raises(ValueError, match="permutation of range"):
+            sd.Involution(np.array([0, 0, 2]))
 
     def test_half_shift_needs_even(self):
         with pytest.raises(ValueError):
@@ -156,7 +158,7 @@ class TestInvolution:
     def test_pairs_and_fixed_points(self):
         s = sd.Involution(np.array([1, 0, 2, 4, 3]))
         assert s.pairs() == [(0, 1), (3, 4)]
-        assert s.fixed_points().tolist() == [2]
+        assert np.flatnonzero(s.sigma == np.arange(s.n)).tolist() == [2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,8 +175,8 @@ def test_permutations_preserve_measure(n, seed):
 
 
 def _zero_hamiltonian(dom, fld):
-    pset = sd.build_dual_points(dom, fld, sd.ball_radius(dom, fld))
-    return sd.regularize(sd.AntiSymmetricKernel.zero(dom.n), dom, pset)
+    pset = sd.build_dual_points(dom, fld)
+    return sd.regularize(sd.AntiSymmetricKernel(np.zeros((dom.n, dom.n))), dom, pset)
 
 
 PERMUTATION_READERS = {
@@ -182,7 +184,7 @@ PERMUTATION_READERS = {
     "transport_cost": lambda dom, fld, s: sd.transport_cost(dom, fld, s),
     "parametrize_map": lambda dom, fld, s: sd.parametrize_map(dom, fld, s),
     "selfdual_test": lambda dom, fld, s: sd.selfdual_test(
-        sd.AntiSymmetricKernel.zero(dom.n), s
+        sd.AntiSymmetricKernel(np.zeros((dom.n, dom.n))), s
     ),
     "residual_gradients": lambda dom, fld, s: sd.residual_gradients(
         _zero_hamiltonian(dom, fld), s, 1e-4
@@ -197,10 +199,6 @@ class TestCheckPermutation:
         dom, fld = monotone_problem(len(bad))
         with pytest.raises(ValueError, match="permutation of range"):
             PERMUTATION_READERS[reader](dom, fld, bad)
-
-    @pytest.mark.parametrize("bad", BAD_PERMUTATIONS, ids=str)
-    def test_compose_check_says_no(self, bad):
-        assert not sd.compose_check(bad)
 
     def test_returns_the_index_array(self):
         assert check_permutation([2, 0, 1], 3).tolist() == [2, 0, 1]
@@ -218,7 +216,7 @@ class TestPairing:
         fld = sd.sample_field(dom, bf.rule)
         c = sd.pairing(dom, fld)
         assert np.array_equal(c, fld.values @ dom.points.T)
-        zero = sd.AntiSymmetricKernel.zero(dom.n)
+        zero = sd.AntiSymmetricKernel(np.zeros((dom.n, dom.n)))
         assert np.array_equal(lagrangian_scores(zero, dom, fld), c.T)
 
         seen = []
@@ -243,16 +241,32 @@ class TestPairing:
 class TestBallAndDualPoints:
     def test_radius_dominates(self):
         dom, fld = sincos_problem(16)
-        ball = sd.ball_radius(dom, fld, margin=0.05)
-        assert ball.value >= dom.radius and ball.value >= fld.field_radius
+        pset = sd.build_dual_points(dom, fld, margin=0.05)
+        assert pset.radius >= dom.radius and pset.radius >= fld.field_radius
+
+    @pytest.mark.parametrize("margin", [0.0, 0.05, 0.2])
+    def test_radius_is_the_margin_over_both_radii(self, margin):
+        for dom, fld in (sincos_problem(16), random_problem(np.random.default_rng(5), 9, d=2)):
+            pset = sd.build_dual_points(dom, fld, margin=margin)
+            assert pset.radius == (1 + margin) * max(dom.radius, fld.field_radius)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -0.01])
+    def test_bad_margin_rejected(self, margin):
+        dom, fld = sincos_problem(8)
+        with pytest.raises(ValueError, match="margin"):
+            sd.build_dual_points(dom, fld, margin=margin)
+
+    def test_settings_are_keywords(self):
+        dom, fld = sincos_problem(8)
+        with pytest.raises(TypeError):
+            sd.build_dual_points(dom, fld, 0.05)
 
     def test_dual_point_invariants(self):
         dom, fld = sincos_problem(16)
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         norms = np.linalg.norm(pset.pts, axis=1)
-        assert norms.max() <= ball.value * (1 + 1e-12)
-        assert norms.max() >= 0.99 * ball.value
+        assert norms.max() <= pset.radius * (1 + 1e-12)
+        assert norms.max() >= 0.99 * pset.radius
         assert (norms == 0).any()
         for u in fld.values:
             assert (pset.pts == u).all(axis=1).any()
@@ -275,7 +289,7 @@ class TestBallAndDualPoints:
         for n, d in ((8, 2), (48, 2), (200, 2), (30, 3)):
             dom = sd.DiscreteDomain(rng.normal(size=(n, d)), 1.0 / n, d, 0.0)
             fld = sd.SampledField(rng.normal(size=(n, d)))
-            pset = sd.build_dual_points(dom, fld, sd.ball_radius(dom, fld))
+            pset = sd.build_dual_points(dom, fld)
             probe_rng = np.random.default_rng(0)
             g = probe_rng.standard_normal((samples, d))
             g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -288,7 +302,7 @@ class TestSymmetricGridMaps:
     def test_swap_is_involution(self):
         dom = sd.symmetric_square_grid(1.0, 4)
         s = swap_permutation(dom)
-        assert sd.compose_check(s.sigma)
+        assert np.array_equal(s.sigma[s.sigma], np.arange(dom.n))
 
     def test_rotation_is_order_four(self):
         dom = sd.symmetric_square_grid(1.0, 4)
@@ -296,6 +310,22 @@ class TestSymmetricGridMaps:
         twice = r[r]
         assert not np.array_equal(twice, np.arange(dom.n))
         assert np.array_equal(twice[twice], np.arange(dom.n))
+
+    @pytest.mark.parametrize("side", [3, 5])
+    def test_odd_sides_find_negated_zero(self, side):
+        # the middle coordinate is 0.0; the quarter turn sends it to -0.0
+        dom = sd.symmetric_square_grid(1.0, side)
+        x, y = dom.points[:, 0], dom.points[:, 1]
+        rot = rotation_permutation(dom)
+        assert np.array_equal(dom.points[rot], np.stack([y, -x], axis=1))
+        swap = swap_permutation(dom)
+        assert np.array_equal(dom.points[swap.sigma], np.stack([y, x], axis=1))
+
+    @pytest.mark.parametrize("perm", [rotation_permutation, swap_permutation])
+    def test_map_off_the_grid_rejected(self, perm):
+        dom = build_grid({"kind": "box", "bounds": [[0, 1], [0, 2]], "cells": [3, 3]})
+        with pytest.raises(ValueError, match="not closed"):
+            perm(dom)
 
 
 class TestFieldCsv:
@@ -328,6 +358,6 @@ class TestFieldCsv:
         spec = {"kind": "interval", "bounds": [0.0, 2.0], "cells": 5}
         path = tmp_path / "dom.json"
         path.write_text(json.dumps(spec))
-        dom = sd.domain.load_domain_spec(path)
+        dom = build_grid(json.loads(path.read_text()))
         assert dom.n == 5
         assert dom.cell_measure == pytest.approx(0.4)

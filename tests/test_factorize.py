@@ -147,10 +147,9 @@ class TestDecompose:
         # the closed-form planar Hamiltonian reproduces u along the swap
         dom, fld, bf = matrix_problem(8)
         kernel = sd.make_kernel(dom, bf.hamiltonian)
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
-        h = 1e-4 * ball.value
+        h = 1e-4 * pset.radius
         swap = swap_permutation(dom)
         g1 = sd.grad1(hreg, dom.points[swap.sigma], dom.points, h)
         res1 = np.linalg.norm(fld.values - np.atleast_2d(g1), axis=1)
@@ -210,7 +209,7 @@ class TestDecompose:
             lambda: PipelineConfig(eps_primal=value),
             lambda: PipelineConfig(radius_margin=value),
             lambda: sd.minimize_primal(dom, fld, eps_rel=value),
-            lambda: sd.ball_radius(dom, fld, value),
+            lambda: sd.build_dual_points(dom, fld, margin=value),
         ):
             with pytest.raises(ValueError, match="finite"):
                 make()
@@ -273,14 +272,18 @@ class TestDecompose:
         assert rep.residual2.median <= 1e-9
 
     def test_config_overrides_reach_report(self):
-        dom, fld = sincos_problem(16)
-        cfg = PipelineConfig(sphere_points=8, fd_step_rel=1e-3, eps_primal=1e-4)
-        rep = decompose(dom, fld, cfg)
-        ball = sd.ball_radius(dom, fld, cfg.radius_margin)
-        assert rep.tolerances["fd_step"] == pytest.approx(1e-3 * ball.value)
-        assert rep.tolerances["eps_primal"] == 1e-4
-        # dedup can only shrink the assembled set: origin + values + shell
-        assert rep.tolerances["pset_size"] <= 16 + 8 + 1
+        # planar, so that sphere_points sets the shell (a 1-d shell is +-R)
+        dom, fld, _ = matrix_problem(4)
+        sizes = {}
+        for m in (8, 16):
+            cfg = PipelineConfig(sphere_points=m, fd_step_rel=1e-3, eps_primal=1e-4)
+            rep = decompose(dom, fld, cfg)
+            radius = sd.build_dual_points(dom, fld, margin=cfg.radius_margin).radius
+            assert rep.tolerances["fd_step"] == pytest.approx(1e-3 * radius)
+            assert rep.tolerances["eps_primal"] == 1e-4
+            sizes[m] = rep.tolerances["pset_size"]
+        # dedup drops no shell point: none is the origin or a field value
+        assert sizes[16] - sizes[8] == 8
 
 
 class TestSelfdualTest:
@@ -467,10 +470,9 @@ class TestKraussCheck:
     def test_quadratic_pair(self):
         dom, fld = monotone_problem(64)
         kernel = sd.make_kernel(dom, lambda x, y: 0.5 * x * x - 0.5 * y * y)
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
-        h = 1e-4 * ball.value
+        h = 1e-4 * pset.radius
         stats = krauss_check(dom, fld, hreg, h)
         assert stats.median <= 10 * (h + dom.mesh)
 
@@ -481,18 +483,16 @@ class TestKraussCheck:
         kernel = sd.make_kernel(
             dom, lambda x, y: float(x @ x) - float(y @ y) - float((a @ x) @ y)
         )
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
-        h = 1e-4 * ball.value
+        h = 1e-4 * pset.radius
         stats = krauss_check(dom, fld, hreg, h)
         assert stats.median <= 10 * (h + dom.mesh)
 
     def test_refuses_non_monotone(self):
         dom, fld = sincos_problem(16)
         kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
         with pytest.raises(ValueError):
             krauss_check(dom, fld, hreg)
@@ -502,7 +502,7 @@ class TestKraussCheck:
         dom, fld = monotone_problem(16)
         other, ofld = monotone_problem(12)
         kernel = sd.make_kernel(other, lambda x, y: 0.5 * x * x - 0.5 * y * y)
-        pset = sd.build_dual_points(other, ofld, sd.ball_radius(other, ofld))
+        pset = sd.build_dual_points(other, ofld)
         hreg = sd.regularize(kernel, other, pset)
         with pytest.raises(ValueError, match="another grid"):
             krauss_check(dom, fld, hreg)
@@ -514,8 +514,7 @@ class TestSecondIdentity:
     def test_sincos_reflection(self):
         dom, fld = sincos_problem(64)
         kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
         stats = second_identity_check(dom, fld, hreg, sd.Involution.reversal(64))
         assert stats.median <= 0.1
@@ -523,10 +522,9 @@ class TestSecondIdentity:
     def test_monotone_identity_reduces_to_krauss(self):
         dom, fld = monotone_problem(32)
         kernel = sd.make_kernel(dom, lambda x, y: 0.5 * x * x - 0.5 * y * y)
-        ball = sd.ball_radius(dom, fld)
-        pset = sd.build_dual_points(dom, fld, ball)
+        pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
-        h = 1e-4 * ball.value
+        h = 1e-4 * pset.radius
         res2 = second_identity_check(dom, fld, hreg, sd.Involution.identity(32), h)
         krauss = krauss_check(dom, fld, hreg, h)
         # same points, second-slot derivative of the sign-flipped evaluator
