@@ -165,6 +165,17 @@ def _load_problem(cfg: RunConfig):
     return dom, SampledField(vals), None
 
 
+def _check_outputs(cfg: RunConfig) -> None:
+    """Refuse an output path before anything runs, so that a run that fails
+    on it writes nothing: its directory must exist and it must not name a
+    directory."""
+    for path in filter(None, (cfg.out, cfg.dump)):
+        if Path(path).is_dir():
+            raise OSError(f"cannot write output file {path}: it is a directory")
+        if not Path(path).parent.is_dir():
+            raise OSError(f"cannot write output file {path}: {Path(path).parent} is no directory")
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
@@ -399,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](parse_config(args))
+        cfg = parse_config(args)
+        _check_outputs(cfg)
+        return _HANDLERS[args.command](cfg)
     except OSError as exc:
         # a file that cannot be read or written; the message names it
         print(f"error: {exc}", file=sys.stderr)

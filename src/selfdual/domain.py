@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 __all__ = [
     "DiscreteDomain",
@@ -40,8 +40,8 @@ __all__ = [
     "write_csv",
 ]
 
-# DualPointSet.covering_radius estimates a covering radius in d > 1 from
-# this many seeded probes
+# DualPointSet.covering_radius estimates a covering radius in d >= 3 from
+# this many seeded probes; it is exact in d <= 2
 _COVERING_PROBES = 4096
 
 
@@ -165,12 +165,22 @@ class DualPointSet:
     def m(self) -> int:
         return self.pts.shape[0]
 
-    def covering_radius(self) -> float:
-        """Covering radius of the point set inside the ball of radius R.
+    @property
+    def covering_kind(self) -> str:
+        """What covering_radius returns: "exact" in d <= 2, "estimate" (a
+        lower bound) in d >= 3."""
+        return "exact" if self.pts.shape[1] <= 2 else "estimate"
 
-        Exact in one dimension; estimated from _COVERING_PROBES seeded
-        uniform probes of the ball otherwise (an under-estimate, adequate
-        for reporting), with each probe's nearest point found by a KD-tree.
+    def covering_radius(self) -> float:
+        """Covering radius of the point set inside the ball of radius R: the
+        largest distance from a point of the ball to its nearest point of
+        the set.
+
+        Exact in d = 1 from the sorted points. Exact in d = 2 up to
+        rounding, as the largest empty circle centred in the disk (see
+        _disk_candidates). Estimated in d >= 3 from _COVERING_PROBES
+        seeded uniform probes of the ball, an under-estimate. Each
+        candidate's or probe's nearest point is found by a KD-tree.
         """
         d = self.pts.shape[1]
         if d == 1:
@@ -179,12 +189,78 @@ class DualPointSet:
             if len(xs) > 1:
                 gaps.append(0.5 * np.diff(xs).max())
             return float(max(gaps))
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal((_COVERING_PROBES, d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = self.radius * rng.random(_COVERING_PROBES) ** (1.0 / d)
-        probes = g * r[:, None]
+        if d == 2:
+            probes = _disk_candidates(self.pts, self.radius)
+        else:
+            rng = np.random.default_rng(0)
+            g = rng.standard_normal((_COVERING_PROBES, d))
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            r = self.radius * rng.random(_COVERING_PROBES) ** (1.0 / d)
+            probes = g * r[:, None]
         return float(cKDTree(self.pts).query(probes)[0].max())
+
+
+def _disk_candidates(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Points of the disk |z| <= radius among which the distance to the
+    nearest of the planar sites pts, the origin among them, is largest:
+    the centre of the largest empty circle centred in the disk (Toussaint,
+    Int. J. Comput. Inf. Sci. 12, 1983).
+
+    Inside a Voronoi cell the distance to its site is convex, so its
+    maximum over the disk lies at a Voronoi vertex inside the disk or on
+    the circle. Along the circle the distance to a site p grows towards the
+    antipode -R p/|p|, which is nearer the origin than p and so outside
+    p's cell; the maximum along the circle is therefore where a Voronoi
+    edge crosses it. The candidates are the circumcentres of the Delaunay
+    triangles inside the disk and both crossings of the bisector of each
+    Delaunay edge whose Voronoi edge leaves the disk. Every candidate is a
+    point of the disk, so scoring it on the sites never overshoots.
+    """
+    m = len(pts)
+    if m < 4:
+        # too few sites for qhull: every triple and pair
+        simplices = np.array([[0, 1, 2]] if m == 3 else [], dtype=np.intp).reshape(-1, 3)
+    else:
+        # cocircular sites (the shell) make plain qhull merge facets; the
+        # joggle only picks among their triangulations, and collinear sites
+        # still get every consecutive pair as an edge. The candidates are
+        # computed from the unjoggled sites.
+        tri = Delaunay(pts, qhull_options="QJ")
+        simplices = tri.simplices
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # circumcentres, NaN or far away for (nearly) collinear triples
+        o = pts[simplices[:, 0]]
+        u, v = pts[simplices[:, 1]] - o, pts[simplices[:, 2]] - o
+        uu, vv = (u * u).sum(axis=1), (v * v).sum(axis=1)
+        det = 2.0 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+        centres = o + np.stack(
+            [(v[:, 1] * uu - u[:, 1] * vv) / det, (u[:, 0] * vv - v[:, 0] * uu) / det],
+            axis=1,
+        )
+        inside = np.linalg.norm(centres, axis=1) <= radius
+        if m < 4:
+            a, b = np.triu_indices(m, k=1)
+        else:
+            # the edge opposite vertex k of triangle t, listed once; its
+            # Voronoi edge joins the circumcentres of t and of the neighbour
+            # across it, or is a ray on the hull, and it can cross the
+            # circle only if an end lies outside the disk
+            nb = tri.neighbors
+            hull = nb < 0
+            leaves = ~inside[:, None] | hull | ~inside[nb]
+            keep = leaves & (hull | (nb > np.arange(len(nb))[:, None]))
+            a, b = simplices[:, [1, 2, 0]][keep], simplices[:, [2, 0, 1]][keep]
+        # z = mid + s t on the bisector with |z| = radius; |mid| <= radius
+        mid = 0.5 * (pts[a] + pts[b])
+        t = (pts[b] - pts[a])[:, ::-1] * [-1.0, 1.0]
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        mt = (mid * t).sum(axis=1)
+        root = np.sqrt(np.maximum(mt * mt - (mid * mid).sum(axis=1) + radius * radius, 0.0))
+        crossings = np.vstack([mid + (s * root - mt)[:, None] * t for s in (-1.0, 1.0)])
+    # a circle point: the answer when the origin is the only site
+    cands = np.vstack([centres[inside], crossings, [[radius, 0.0]]])
+    # a repeated site has no bisector
+    return cands[np.isfinite(cands).all(axis=1)]
 
 
 def _sphere_samples(dim: int, m: int, radius: float, seed: int = 0) -> np.ndarray:

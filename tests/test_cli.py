@@ -228,6 +228,17 @@ class TestParseConfig:
         assert run_cli(argv) == 3
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+        # the paths are checked before the pipeline runs: no report is left
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("target", ["dir", "missing-dir"])
+    def test_gallery_refuses_its_output_before_running(self, tmp_path, capsys, target):
+        path = tmp_path if target == "dir" else tmp_path / "missing" / "g.json"
+        assert run_cli(["gallery", "--out", str(path)]) == 3
+        out, err = capsys.readouterr()
+        # no decomposition ran: the table is printed after all 18
+        assert out == "" and str(path) in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "builtin, params",

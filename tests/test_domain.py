@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -10,6 +11,7 @@ import selfdual as sd
 from selfdual import factorize, fields
 from selfdual.conjugacy import lagrangian_scores
 from selfdual.domain import (
+    box_grid,
     build_grid,
     check_permutation,
     read_field_csv,
@@ -275,27 +277,175 @@ class TestBallAndDualPoints:
         pset = sd.DualPointSet(np.array([[-1.0], [0.0], [1.0]]), 1.0)
         assert pset.covering_radius() == pytest.approx(0.5)
 
-    def test_covering_radius_2d_estimate(self):
+    def test_covering_radius_2d_closed_form(self):
+        # the point of the disk farthest from the origin and 32 unit-circle
+        # points is the circumcentre of the origin and two neighbours, at
+        # 1 / (2 cos(pi/32)) from each
         ang = 2 * np.pi * np.arange(32) / 32
         pts = np.vstack([[[0.0, 0.0]], np.stack([np.cos(ang), np.sin(ang)], axis=1)])
         pset = sd.DualPointSet(pts, 1.0)
-        est = pset.covering_radius()
-        assert 0.05 < est < 0.7
+        expect = 1.0 / (2.0 * math.cos(math.pi / 32))
+        assert pset.covering_radius() == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_covering_radius_2d_at_a_circle_crossing(self):
+        # unit-circle points every 30 degrees from 90 to 330 and at 0, and the
+        # origin: the farthest point is the circle point at 45 degrees, where
+        # the bisector of the two sites at 0 and 90 degrees crosses the
+        # circle; negating the set swaps which of the bisector's two
+        # crossings it is
+        ang = np.radians([0.0, *range(90, 360, 30)])
+        pts = np.vstack([[[0.0, 0.0]], np.stack([np.cos(ang), np.sin(ang)], axis=1)])
+        for sign in (1.0, -1.0):
+            pset = sd.DualPointSet(sign * pts, 1.0)
+            rho = pset.covering_radius()
+            assert rho == pytest.approx(2.0 * math.sin(math.pi / 8), rel=1e-12, abs=0)
+            assert rho == pytest.approx(_covering_oracle(pset.pts, 1.0), rel=1e-9, abs=0)
 
     def test_covering_radius_matches_brute_force_probes(self):
-        # reference: the same seeded probes against every point, no tree
-        rng = np.random.default_rng(40)
-        samples = 4096
-        for n, d in ((8, 2), (48, 2), (200, 2), (30, 3)):
-            dom = sd.DiscreteDomain(rng.normal(size=(n, d)), 1.0 / n, d, 0.0)
-            fld = sd.SampledField(rng.normal(size=(n, d)))
-            pset = sd.build_dual_points(dom, fld)
-            probe_rng = np.random.default_rng(0)
-            g = probe_rng.standard_normal((samples, d))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            probes = g * (pset.radius * probe_rng.random(samples) ** (1.0 / d))[:, None]
+        # the d >= 3 estimate; reference: the same seeded probes against
+        # every point, no tree
+        for pset in _seeded_psets():
+            d = pset.pts.shape[1]
+            if d < 3:
+                continue
+            probes = _seeded_probes(pset)
             d2 = ((probes[:, None, :] - pset.pts[None, :, :]) ** 2).sum(axis=2)
             assert pset.covering_radius() == float(np.sqrt(d2.min(axis=1)).max())
+
+    def test_covering_radius_2d_matches_oracle(self):
+        for pset in _small_planar_psets():
+            assert pset.m <= 30
+            expect = _covering_oracle(pset.pts, pset.radius)
+            assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
+
+    def test_covering_radius_2d_dominates_probes(self):
+        # the seeded probes are points of the disk, so none is farther from
+        # the set than the exact covering radius
+        psets = [p for p in _seeded_psets() if p.pts.shape[1] == 2]
+        for pset in psets + _small_planar_psets():
+            probes = _seeded_probes(pset)
+            d2 = ((probes[:, None, :] - pset.pts[None, :, :]) ** 2).sum(axis=2)
+            assert pset.covering_radius() >= float(np.sqrt(d2.min(axis=1)).max())
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[0.0, 0.0], [1.0, 0.0]],
+            [[0.0, 0.0], [0.6, -0.8]],
+            [[0.0, 0.0], [0.3, 0.1], [-0.2, 0.99]],
+            [[0.0, 0.0], [0.5, 0.5], [-0.3, -0.3], [0.7, 0.7]],
+            [[0.0, 0.0], [0.0, 0.25], [0.0, -0.5], [0.0, 0.9], [0.0, 1.0], [0.0, -1.0]],
+            [[k / 8.0, -k / 16.0] for k in range(-8, 9)],
+        ],
+        ids=["m2", "m2-oblique", "m3", "collinear-4", "collinear-axis", "collinear-17"],
+    )
+    def test_covering_radius_2d_few_or_collinear_sites(self, pts):
+        pts = np.array(pts)
+        pset = sd.DualPointSet(pts, float(np.linalg.norm(pts, axis=1).max()))
+        expect = _covering_oracle(pset.pts, pset.radius)
+        assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
+
+    def test_covering_radius_2d_collinear_field(self):
+        # field values on the first axis and a one-point shell at -R: the
+        # sites lie on one line up to the rounding of sin(pi)
+        dom = box_grid([(0.0, 1.0), (0.0, 1.0)], [3, 3])
+        x, y = dom.points.T
+        fld = sd.SampledField(np.stack([x - y, np.zeros(dom.n)], axis=1))
+        for sphere_points in (1, 8):
+            pset = sd.build_dual_points(dom, fld, sphere_points=sphere_points)
+            expect = _covering_oracle(pset.pts, pset.radius)
+            assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("name", ["matrix", "rotationJ"])
+    def test_covering_radius_2d_grid_valued_builtins(self, name):
+        # grid values and the shell put many sites on common circles
+        bf = fields.builtin_field(name, 16)
+        dom = build_grid(bf.domain_spec)
+        fld = sd.sample_field(dom, bf.rule)
+        for sphere_points in (4, 8, 12):
+            pset = sd.build_dual_points(dom, fld, sphere_points=sphere_points)
+            expect = _covering_oracle(pset.pts, pset.radius)
+            assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
+
+    def test_covering_radius_is_deterministic(self):
+        bf = fields.builtin_field("gradskew", 196)
+        dom = build_grid(bf.domain_spec)
+        pset = sd.build_dual_points(dom, sd.sample_field(dom, bf.rule))
+        assert pset.covering_radius() == pset.covering_radius()
+
+    def test_covering_kind(self):
+        for d, kind in ((1, "exact"), (2, "exact"), (3, "estimate")):
+            pts = np.vstack([np.zeros(d), np.eye(d)])
+            assert sd.DualPointSet(pts, 1.0).covering_kind == kind
+
+
+def _seeded_probes(pset):
+    """The 4096 seeded uniform probes of the ball that
+    DualPointSet.covering_radius estimates the d >= 3 covering radius from."""
+    samples, d = 4096, pset.pts.shape[1]
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((samples, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g * (pset.radius * rng.random(samples) ** (1.0 / d))[:, None]
+
+
+def _seeded_psets():
+    rng = np.random.default_rng(40)
+    psets = []
+    for n, d in ((8, 2), (48, 2), (200, 2), (30, 3)):
+        dom = sd.DiscreteDomain(rng.normal(size=(n, d)), 1.0 / n, d, 0.0)
+        fld = sd.SampledField(rng.normal(size=(n, d)))
+        psets.append(sd.build_dual_points(dom, fld))
+    return psets
+
+
+def _small_planar_psets():
+    """Seeded planar dual sets of at most 30 points: random field values,
+    tenths-rounded ones (sites on common lines and circles), and shells of
+    one to three points far outside the field values, where the farthest
+    point is often on the circle."""
+    rng = np.random.default_rng(41)
+    psets = []
+    for n, sphere_points in ((3, 4), (8, 8), (12, 12), (16, 8), (20, 6)):
+        for decimals in (None, 1):
+            dom, fld = random_problem(rng, n, d=2)
+            if decimals is not None:
+                fld = sd.SampledField(np.round(fld.values, decimals))
+            psets.append(sd.build_dual_points(dom, fld, sphere_points=sphere_points))
+    for n, sphere_points, margin in ((7, 2, 1.0), (11, 3, 1.0), (17, 1, 0.5), (18, 2, 0.5)):
+        for _ in range(8):
+            dom, fld = random_problem(rng, n, d=2)
+            fld = sd.SampledField(fld.values * rng.random((n, 1)))
+            psets.append(
+                sd.build_dual_points(dom, fld, sphere_points=sphere_points, margin=margin)
+            )
+    return psets
+
+
+def _covering_oracle(pts, radius):
+    """Covering radius of planar sites in the disk |z| <= radius by brute
+    force: the distance to the nearest site, against every site, maximised
+    over the circumcentres of all triples inside the disk, both crossings
+    of every pair's bisector with the circle and the antipodes -R p/|p|."""
+    m = len(pts)
+    cands = [-radius * p / np.linalg.norm(p) for p in pts if p.any()]
+    for i, j in itertools.combinations(range(m), 2):
+        mid, t = (pts[i] + pts[j]) / 2, pts[j] - pts[i]
+        t = np.array([-t[1], t[0]]) / np.linalg.norm(t)
+        # |mid + s t| = radius
+        s0 = -mid @ t
+        h = math.sqrt(max(s0 * s0 - mid @ mid + radius * radius, 0.0))
+        cands += [mid + (s0 - h) * t, mid + (s0 + h) * t]
+    if m >= 3:
+        i, j, k = np.array(list(itertools.combinations(range(m), 3))).T
+        # z with |z - p_j|^2 - |z - p_i|^2 = 0 = |z - p_k|^2 - |z - p_i|^2
+        a = np.stack([pts[j] - pts[i], pts[k] - pts[i]], axis=1)
+        ok = np.abs(np.linalg.det(a)) > 1e-12
+        rhs = 0.5 * (a[ok] ** 2).sum(axis=2)
+        z = pts[i][ok] + np.linalg.solve(a[ok], rhs[..., None])[..., 0]
+        cands += list(z[np.linalg.norm(z, axis=1) <= radius])
+    c = np.array(cands)
+    return float(np.sqrt(((c[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max())
 
 
 class TestSymmetricGridMaps:
