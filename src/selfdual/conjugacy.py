@@ -26,10 +26,11 @@ On the grid and the dual set each table is a max-plus matrix product
     L**(y_b, p_k)  = ((Y (x) -L*) (x) E)[b, k]        Y[b, k'] = <y_b, p_k'>
 
 with m dual points and n grid points, L* in 3 m n^2 cells through an [n, n]
-table. _conjugate is the pair of products that gives L** from L* and L*^T
-from L, and _maxplus the one loop behind every table. Each piece is one
-IEEE addition (a - b is exactly a + (-b)) and a max is exact, so no table
-depends on the loop order or its row blocks.
+table. _maxplus is the one loop behind every table. It subtracts K, L and L*
+where the formulas add their negations, since a - b is exactly a + (-b), so
+no negated copy is built. Each piece is one IEEE operation and a max is
+exact, so no table depends on the loop order or its row blocks. A chain of
+two products frees its first operand before the second.
 
 grad1/grad2 are the general central-difference evaluators; the residual
 checks use residual_gradients, their bits at the grid pairs (x_{s(i)}, x_i).
@@ -38,7 +39,10 @@ the grid shifted by +-h e_c only at the pieces whose maximum a step of h
 can move: every piece is affine with slope at most R_p = max |p_k|, so a
 piece more than 2 (h R_p + delta) below its maximum stays below it, delta
 being a rounding allowance (_candidate_margin derives it). A float max over
-a superset of the argmax is the same float, so the bits do not change.
+a superset of the argmax is the same float, so the bits do not change. It
+never holds two shifted [n, m] products at once: in d = 1 it computes each
+entry it reads as one rounded product, and in d >= 2 it recomputes a
+product for each group of candidates that reads it.
 """
 
 from __future__ import annotations
@@ -119,10 +123,11 @@ def restricted_dual(
     Fenchel expression: L = E^T (x) -K, then L* through an [n, n] table.
     """
     e = _grid_pairing(dom, pset)  # [j, k] = <x_j, p_k>
-    lh = _maxplus(e.T, -kernel.matrix)  # [k, j] = L(x_j, p_k)
-    # [i, j] = max over k_p of <x_i, p_kp> - L(x_j, p_kp); then add
-    # <x_j, p_kq> and take the max over j
-    return np.ascontiguousarray(_conjugate(e, lh, e)[0].T)
+    # [i, j] = max over k_p of <x_i, p_kp> - L(x_j, p_kp), where
+    # [k, j] = L(x_j, p_k) is freed once read; then add <x_j, p_kq> and
+    # take the max over j
+    a = _maxplus(e, _maxplus(e.T, kernel.matrix, np.subtract), np.subtract)
+    return np.ascontiguousarray(_maxplus(a, e).T)
 
 
 def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
@@ -134,22 +139,16 @@ def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
     return dom.points @ pset.pts.T
 
 
-def _conjugate(yp, table, e):
-    """(g (x) e, g) with g = yp (x) -table: for yp[b, k'] = <y_b, p_k'>, entry
-    [b, k] is max_j <x_j, p_k> + max_k' <y_b, p_k'> - table[k', j], so
-    L**(y_b, p_k) from L* and L*(p_k, x_b) from L with y the grid."""
-    g = _maxplus(yp, -table)
-    return _maxplus(g, e), g
-
-
-def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Max-plus product out[r, c] = max_s a[r, s] + b[s, c], in row blocks
-    of at most _MAXPLUS_BUDGET [row, s, c] cells (one row if b is larger)."""
+def _maxplus(a: np.ndarray, b: np.ndarray, op=np.add) -> np.ndarray:
+    """Max-plus product out[r, c] = max_s op(a[r, s], b[s, c]), op np.add or
+    np.subtract, in row blocks of at most _MAXPLUS_BUDGET [row, s, c] cells
+    (one row if b is larger). a - b is exactly a + (-b), so subtracting
+    gives the bits of adding a negated copy of b without building it."""
     b = np.ascontiguousarray(b)
     out = np.empty((a.shape[0], b.shape[1]))
     step = max(1, _MAXPLUS_BUDGET // max(1, b.size))
     for lo in range(0, a.shape[0], step):
-        out[lo : lo + step] = (a[lo : lo + step, :, None] + b).max(axis=1)
+        op(a[lo : lo + step, :, None], b).max(axis=1, out=out[lo : lo + step])
     return out
 
 
@@ -184,7 +183,9 @@ class RegularHamiltonian:
         <p_k, x_j> + g[b, j] the outer maximum runs over.
         """
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        out, g = _conjugate(ys @ self.pset.pts.T, self.lstar_table, self._xp)
+        # Y is freed before the second product
+        g = _maxplus(ys @ self.pset.pts.T, self.lstar_table, np.subtract)
+        out = _maxplus(g, self._xp)
         return (out, g) if inner else out
 
     def ball_ham(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -206,7 +207,7 @@ class RegularHamiltonian:
         tx, tg = self.bidual_at_slopes(xs), self.bidual_at_slopes(grid)
         # [b, j] = HB(x_j, x_b) and HB(x_b, x_j), as max-plus products over k
         hb_gx = _maxplus(-tx, self._xp.T)
-        hb_xg = _maxplus(xs @ self.pset.pts.T, -tg.T)
+        hb_xg = _maxplus(xs @ self.pset.pts.T, tg.T, np.subtract)
         hg = 0.5 * (hb_gx - hb_xg)  # [b, j] = HR(x_j, x_b)
         return (ps @ grid.T - hg).max(axis=1)
 
@@ -291,51 +292,62 @@ def residual_gradients(
 
     Every matrix product is the n-row call that grad1/grad2 make (the BLAS
     product <y, p_k> rounds the edge tiles of a batch apart, so another
-    batch can move a bit), every piece is the float expression of
-    bidual_at_slopes and __call__, and a float max over a superset of the
-    argmax is the same float, so the result equals grad1/grad2 bit for bit
-    for the identity. For another perm the gathers read the row of
+    batch can move a bit), or in d = 1 an entry of it computed alone with
+    the same bits (_shifted_entries). Every piece is the float expression
+    of bidual_at_slopes and __call__, and a float max over a superset of
+    the argmax is the same float, so the result equals grad1/grad2 bit for
+    bit for the identity. For another perm the gathers read the row of
     x_{perm(i)} +- s at position perm(i) of its product, where grad1/grad2
     compute it at position i, and the last column tile can round the two
     apart: rare inputs (2 of 120 tenths-rounded fields on 7 x 7 to 9 x 9
     symmetric grids) differ from grad1/grad2 in the last bits.
 
-    Candidate tests run in blocks of at most _GATHER_BUDGET pieces and the
-    gathers in groups of about _GROUP_BUDGET candidates, whatever h is.
-    The rest of the scratch is 1 + 2d [n, m] tables, the [n, n] inner
-    table and a few numbers per pair (b, k) that a sparse half reads; when
-    h is of the order of R, that is nearly every pair.
+    Candidate tests and the row gathers of the dense halves run in blocks
+    of at most _GATHER_BUDGET pieces, and the sparse gathers in groups of
+    about _GROUP_BUDGET candidates, whatever h is. The rest of the scratch
+    is at most two [n, m] tables at a time (t0 beside one product), the
+    [n, n] inner table, two [n, m] boolean masks and a few numbers per pair
+    (b, k) that a sparse half reads; when h is of the order of R, that is
+    nearly every pair. In d >= 2 each group of candidates recomputes the 2d
+    shifted products, one at a time: gradskew and matrix up to n = 900 make
+    1 to 8 groups, but rotationJ, whose pieces tie, makes 583 at n = 400,
+    and its pass takes about a fifth longer than with the products held.
+    In d = 1, where groups run to the hundreds, only the entries read are
+    computed.
     """
     if h <= 0:
         raise ValueError("difference step must be positive")
-    grid, lstar, xp = hreg.dom.points, hreg.lstar_table, hreg._xp
+    grid, lstar, xp, pts = hreg.dom.points, hreg.lstar_table, hreg._xp, hreg.pset.pts
     (n, d), m = grid.shape, hreg.pset.m
     perm = check_permutation(perm, n, "perm")
     pinv = np.empty(n, dtype=np.intp)
     pinv[perm] = np.arange(n)
-    pts_t, twoh, sx = hreg.pset.pts.T, 2.0 * h, grid[perm]
-    shifts = [sign * e for e in np.eye(d) * h for sign in (1, -1)]
+    pts_t, twoh, sx = pts.T, 2.0 * h, grid[perm]
+    shifts = np.array([sign * e for e in np.eye(d) * h for sign in (1, -1)])
     tau = _candidate_margin(hreg, h)
 
     t0, g0 = hreg.bidual_at_slopes(grid, inner=True)
-    t0p = t0[perm]
+
+    def hb_rows(ys, t):
+        # [b] = max over k of <y_b, p_k> - t(rows)[b, k], one product at a time
+        a = ys @ pts_t
+        for rows in _row_blocks(n, m):
+            a[rows] -= t(rows)
+        return a.max(axis=1)
+
     # the dense halves, HB(x_{perm(i)} +- s, x_i) and HB(x_i +- s, x_{perm(i)})
-    hb_sx = np.array([((sx + s) @ pts_t - t0).max(axis=1) for s in shifts])
-    hb_grid = np.array([((grid + s) @ pts_t - t0p).max(axis=1) for s in shifts])
+    hb_sx = np.array([hb_rows(sx + s, lambda rows: t0[rows]) for s in shifts])
+    hb_grid = np.array([hb_rows(grid + s, lambda rows: t0[perm[rows]]) for s in shifts])
     # the sparse halves, HB(x_i, x_{perm(i)} +- s) (hb_1) and
     # HB(x_{perm(i)}, x_i +- s) (hb_2), read the shifted tables at the pairs
     # (b, k) in need: at row b = perm(i) for hb_1 and b = i for hb_2
-    keep1 = _near_max(xp - t0p, tau)[pinv]
-    del t0p
+    keep1 = _near_max(lambda rows: xp[pinv[rows]] - t0[rows], n, m, tau)
     xs0 = sx @ pts_t
-    keep2 = _near_max(xs0 - t0, tau)
+    keep2 = _near_max(lambda rows: xs0[rows] - t0[rows], n, m, tau)
     need = np.flatnonzero(keep1 | keep2)  # b * m + k, sorted
     sel1, sel2 = keep1.ravel()[need], keep2.ravel()[need]
     v2, thr2 = xs0.ravel()[need], t0.ravel()[need] - tau
     del t0, xs0, keep1, keep2
-    # the products of hb_grid again: kept only once t0 is gone, so that at
-    # most 1 + 2d [n, m] tables live at a time
-    yps = [(grid + s) @ pts_t for s in shifts]
 
     hb_1, hb_2 = np.full((2 * d, n), -np.inf), np.full((2 * d, n), -np.inf)
     # L**(y_b + s, p_k) = max over j of <p_k, x_j> + g(y_b + s, x_j)
@@ -354,9 +366,9 @@ def residual_gradients(
         ):
             starts1 = np.flatnonzero(np.diff(r1, prepend=-1))
             r1 += lo1
-            at, lv = b1[r1] * m + k1, lstar[k1, j1[r1]]
-            for q, yp in enumerate(yps):
-                g[q, lo1:hi1] = np.maximum.reduceat(yp.ravel()[at] - lv, starts1)
+            yv = _shifted_entries(grid, pts, shifts, b1[r1], k1)
+            yv -= lstar[k1, j1[r1]]
+            g[:, lo1:hi1] = np.maximum.reduceat(yv, starts1, axis=1)
         w1, w2 = sel1[lo:hi], sel2[lo:hi]
         i1 = pinv[b[w1]]
         v1, v2g = xp[i1, k[w1]], v2[lo:hi][w2]
@@ -374,9 +386,36 @@ def residual_gradients(
     return g1, g2
 
 
-def _near_max(a: np.ndarray, tau: float) -> np.ndarray:
-    """The entries of each row of a within tau of the row maximum."""
-    return a >= (a.max(axis=1) - tau)[:, None]
+def _shifted_entries(grid, pts, shifts, b, k) -> np.ndarray:
+    """[q, c] = <x_b[c] + s_q, p_k[c]>, bit for bit entry (b[c], k[c]) of
+    the n-row product (grid + s_q) @ pts.T that grad1/grad2 make.
+
+    In d = 1 each entry is one rounded product, which is what BLAS returns
+    for an inner dimension of 1; BLAS sums it into a zeroed accumulator, so
+    a -0.0 comes back as +0.0. A longer sum BLAS rounds by FMA use and tile
+    position, so in d >= 2 each entry is read off the whole product, one
+    shift at a time.
+    """
+    if grid.shape[1] == 1:
+        return (grid[b, 0] + shifts) * pts[k, 0] + 0.0
+    return np.array([((grid + s) @ pts.T)[b, k] for s in shifts])
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Row slices of an [n, width] table, at most _GATHER_BUDGET entries each
+    (one row if wider)."""
+    step = max(1, _GATHER_BUDGET // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _near_max(pieces, n: int, width: int, tau: float) -> np.ndarray:
+    """The entries of each row of an [n, width] table within tau of the row
+    maximum, where ``pieces(rows)`` evaluates a block of rows."""
+    keep = np.empty((n, width), dtype=bool)
+    for rows in _row_blocks(n, width):
+        a = pieces(rows)
+        np.greater_equal(a, (a.max(axis=1) - tau)[:, None], out=keep[rows])
+    return keep
 
 
 def _candidate_groups(pieces, thr, width):
@@ -388,14 +427,12 @@ def _candidate_groups(pieces, thr, width):
     _GROUP_BUDGET candidates. Yields (lo, hi, r, c) with rows lo..hi-1,
     r counted from lo, in row-major order.
     """
-    step = max(1, _GATHER_BUDGET // width)
     lo, found, size = 0, [], 0
-    for a in range(0, len(thr), step):
-        rows = slice(a, a + step)
+    for rows in _row_blocks(len(thr), width):
         r, c = np.nonzero(pieces(rows) >= thr[rows, None])
-        found.append((r + (a - lo), c))
+        found.append((r + (rows.start - lo), c))
         size += len(r)
-        hi = min(a + step, len(thr))
+        hi = min(rows.stop, len(thr))
         if size >= _GROUP_BUDGET or hi == len(thr):
             yield lo, hi, *map(np.concatenate, zip(*found))
             lo, found, size = hi, [], 0

@@ -51,7 +51,8 @@ __all__ = [
 
 # check_uniqueness takes every triple up to this many, a seeded sample
 # above, and scans its sample points in blocks of about _UNIQUENESS_BLOCK
-# (point, pair) ratios
+# (point, pair) ratios; the sample-only Jacobian fit finds neighbours in
+# blocks of about as many squared distances
 _UNIQUENESS_TRIPLES = 200_000
 _UNIQUENESS_BLOCK = 1 << 12
 
@@ -245,8 +246,13 @@ def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
     if n == 1:
         return MonotoneVerdict("strictly-monotone", np.inf, (0, 0))
     gram = pairing(dom, fld).T  # [i, j] = <x_i, u_j>
-    pair = gram + gram.T - np.diag(gram)[:, None] - np.diag(gram)[None, :]
-    mono = -pair  # <x_i - x_j, u_i - u_j>, zero diagonal
+    diag = np.diag(gram)
+    # -(gram + gram^T - diag_i - diag_j) = <x_i - x_j, u_i - u_j> (zero
+    # diagonal), the same operations in the same order, in place
+    mono = gram + gram.T
+    mono -= diag[:, None]
+    mono -= diag[None, :]
+    np.negative(mono, out=mono)
     np.fill_diagonal(mono, np.inf)
     kmin = int(mono.argmin())
     i, j = divmod(kmin, n)
@@ -287,11 +293,18 @@ def _estimate_jacobians(
                 fm = np.asarray(rule((p - e) if d > 1 else (p - e)[0]), float).reshape(d)
                 out[i, :, k] = (fp - fm) / (2 * h)
         return out
-    # sample-only fallback: least squares over the nearest neighbors
+    # sample-only fallback: least squares over the nearest neighbors, found
+    # in row blocks of about _UNIQUENESS_BLOCK squared distances (the
+    # argpartition runs row by row, so blocks pick the same neighbours)
     k = min(n - 1, max(d + 1, 2 * d))
-    d2 = ((dom.points[:, None, :] - dom.points[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    nbrs_all = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    pts = dom.points
+    nbrs_all = np.empty((n, k), dtype=np.intp)
+    step = max(1, _UNIQUENESS_BLOCK // n)
+    for lo in range(0, n, step):
+        d2 = ((pts[lo : lo + step, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        rows = np.arange(len(d2))
+        d2[rows, rows + lo] = np.inf
+        nbrs_all[lo : lo + step] = np.argpartition(d2, k - 1, axis=1)[:, :k]
     for i, nbrs in enumerate(nbrs_all):
         dx = dom.points[nbrs] - dom.points[i]
         du = fld.values[nbrs] - fld.values[i]

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -44,6 +45,23 @@ def _reference_jacobians(dom, fld):
         j_t, *_ = np.linalg.lstsq(dx, du, rcond=None)
         out[i] = j_t.T
     return out
+
+
+def _traced_peak(f, *args, **kw):
+    """tracemalloc peak, in bytes, of one call of f."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f(*args, **kw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _builtin(name, n):
+    bf = fields.builtin_field(name, n)
+    dom = sd.build_grid(bf.domain_spec)
+    return dom, sd.sample_field(dom, bf.rule), bf
 
 
 def _uniqueness_samples(n, seed=0, max_triples=200_000):
@@ -124,6 +142,14 @@ class TestDecompose:
             rep.gap, rel=1e-9, abs=1e-12
         )
         assert rep.monotone.verdict == "non-monotone"
+
+    def test_peak_memory_gradskew_196(self):
+        # 3.89 MB while the residual pass held its 2d shifted [n, m]
+        # products together; 2.88 MB with one at a time
+        dom, fld, bf = _builtin("gradskew", 196)
+        kw = dict(rule=bf.rule, jacobian=bf.jacobian)
+        decompose(dom, fld, **kw)  # lazy imports and caches first
+        assert _traced_peak(decompose, dom, fld, **kw) <= 3.0e6
 
     def test_monotone_identity_and_krauss(self):
         dom, fld = monotone_problem(16)
@@ -345,6 +371,12 @@ class TestCheckMonotone:
         fld = sd.sample_field(dom, lambda p: 2.0 * p + a @ p)
         assert check_monotone(dom, fld).verdict == "strictly-monotone"
 
+    def test_peak_memory_in_place(self):
+        # the pairing and one [n, n] table, plus rounding: 2.2 tables, where
+        # building each step anew took 3.2 (0.99 MB on gradskew-196)
+        dom, fld, _ = _builtin("gradskew", 196)
+        assert _traced_peak(check_monotone, dom, fld) <= 2.5 * dom.n**2 * 8
+
     def test_rotation_field_monotone_not_strict(self):
         dom = sd.symmetric_square_grid(1.0, 4)
         fld = sd.sample_field(dom, lambda p: np.array([-p[1], p[0]]))
@@ -436,6 +468,12 @@ class TestCheckUniqueness:
             fld = sd.SampledField(rng.normal(size=(dom.n, dom.dim)))
             got = _estimate_jacobians(dom, fld)
             assert np.array_equal(got, _reference_jacobians(dom, fld))
+
+    def test_sample_only_fit_peak_below_distance_table(self):
+        # the fit finds neighbours in row blocks: 0.26 MB at n = 400, where
+        # the [n, n, d] differences and [n, n] distances took 3.85 MB
+        dom, fld = random_problem(np.random.default_rng(400), 400, 2)
+        assert _traced_peak(check_uniqueness, dom, fld) <= 0.5 * dom.n**2 * 8
 
     @pytest.mark.parametrize("name, n", [("sincos", 128), ("gradskew", 196)])
     def test_decompose_peak_not_above_point_loop(self, name, n, monkeypatch):
