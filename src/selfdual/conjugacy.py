@@ -122,7 +122,11 @@ def restricted_dual(
     The (k, i) entry is the exhaustive max over grid x dual-set of the
     Fenchel expression: L = E^T (x) -K, then L* through an [n, n] table.
     """
-    e = _grid_pairing(dom, pset)  # [j, k] = <x_j, p_k>
+    return _restricted_dual(kernel, _grid_pairing(dom, pset))
+
+
+def _restricted_dual(kernel: AntiSymmetricKernel, e: np.ndarray) -> np.ndarray:
+    """restricted_dual from the grid pairing e[j, k] = <x_j, p_k>."""
     # [i, j] = max over k_p of <x_i, p_kp> - L(x_j, p_kp), where
     # [k, j] = L(x_j, p_k) is freed once read; then add <x_j, p_kq> and
     # take the max over j
@@ -162,12 +166,12 @@ class RegularHamiltonian:
     """
 
     def __init__(
-        self, dom: DiscreteDomain, pset: DualPointSet, lstar_table: np.ndarray
+        self, kernel: AntiSymmetricKernel, dom: DiscreteDomain, pset: DualPointSet
     ):
         self.dom = dom
         self.pset = pset
-        self.lstar_table = lstar_table
         self._xp = _grid_pairing(dom, pset)  # [j, k] = <x_j, p_k>
+        self.lstar_table = _restricted_dual(kernel, self._xp)
         # resolution of the finite dual set, reported with every run
         self.covering_radius = pset.covering_radius()
         self.tol_reg = 2.0 * pset.radius * self.covering_radius
@@ -225,8 +229,7 @@ def regularize(
     """
     if kernel.n != dom.n:
         raise ValueError("kernel size does not match domain")
-    lstar = restricted_dual(kernel, dom, pset)
-    return RegularHamiltonian(dom, pset, lstar)
+    return RegularHamiltonian(kernel, dom, pset)
 
 
 def grad1(

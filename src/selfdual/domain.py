@@ -11,6 +11,7 @@ simply a permutation that squares to the identity.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -39,11 +40,6 @@ __all__ = [
     "write_field_csv",
     "write_csv",
 ]
-
-# DualPointSet.covering_radius estimates a covering radius in d >= 3 from
-# this many seeded probes; it is exact in d <= 2
-_COVERING_PROBES = 4096
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
@@ -144,7 +140,8 @@ class DualPointSet:
 
     Contains the origin, every sampled field value and a shell of
     near-uniform sphere samples at radius R, so suprema attained in the
-    data are exact and sphere-attained suprema are approximable.
+    data are exact and sphere-attained suprema are approximable. The
+    points must be finite and R finite and positive.
     """
 
     pts: np.ndarray
@@ -152,6 +149,8 @@ class DualPointSet:
 
     def __post_init__(self):
         pts = _readonly(np.atleast_2d(self.pts))
+        if not (np.isfinite(pts).all() and 0 < self.radius < np.inf):
+            raise ValueError("dual points must be finite and the radius finite and > 0")
         norms = np.linalg.norm(pts, axis=1)
         if norms.max() > self.radius * (1 + 1e-12):
             raise ValueError("dual point outside the ball")
@@ -165,102 +164,100 @@ class DualPointSet:
     def m(self) -> int:
         return self.pts.shape[0]
 
-    @property
-    def covering_kind(self) -> str:
-        """What covering_radius returns: "exact" in d <= 2, "estimate" (a
-        lower bound) in d >= 3."""
-        return "exact" if self.pts.shape[1] <= 2 else "estimate"
-
     def covering_radius(self) -> float:
-        """Covering radius of the point set inside the ball of radius R: the
-        largest distance from a point of the ball to its nearest point of
-        the set.
-
-        Exact in d = 1 from the sorted points. Exact in d = 2 up to
-        rounding, as the largest empty circle centred in the disk (see
-        _disk_candidates). Estimated in d >= 3 from _COVERING_PROBES
-        seeded uniform probes of the ball, an under-estimate. Each
-        candidate's or probe's nearest point is found by a KD-tree.
+        """Largest distance from a point of the ball to its nearest point of
+        the set, exact up to rounding in every d: from the sorted points in
+        d = 1, and in d >= 2 from one Delaunay triangulation of the set (see
+        _covering_candidates) and one KD-tree query.
         """
-        d = self.pts.shape[1]
-        if d == 1:
+        if self.pts.shape[1] == 1:
             xs = np.sort(self.pts[:, 0])
-            gaps = [xs[0] + self.radius, self.radius - xs[-1]]
-            if len(xs) > 1:
-                gaps.append(0.5 * np.diff(xs).max())
-            return float(max(gaps))
-        if d == 2:
-            probes = _disk_candidates(self.pts, self.radius)
-        else:
-            rng = np.random.default_rng(0)
-            g = rng.standard_normal((_COVERING_PROBES, d))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            r = self.radius * rng.random(_COVERING_PROBES) ** (1.0 / d)
-            probes = g * r[:, None]
-        return float(cKDTree(self.pts).query(probes)[0].max())
+            gaps = np.diff(np.concatenate([[-self.radius], xs, [self.radius]]))
+            return float(max(gaps[0], gaps[-1], 0.5 * gaps[1:-1].max()))
+        cands = _covering_candidates(self.pts, self.radius)
+        return float(cKDTree(self.pts).query(cands)[0].max())
 
 
-def _disk_candidates(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Points of the disk |z| <= radius among which the distance to the
-    nearest of the planar sites pts, the origin among them, is largest:
-    the centre of the largest empty circle centred in the disk (Toussaint,
-    Int. J. Comput. Inf. Sci. 12, 1983).
+def _covering_candidates(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Points of the ball |z| <= radius among which one is farthest from the
+    sites pts (d >= 2, the origin among them): the centre of the largest
+    empty sphere centred in the ball (Toussaint, Int. J. Comput. Inf. Sci.
+    12, 1983; Aurenhammer, ACM Comput. Surv. 23, 1991).
 
-    Inside a Voronoi cell the distance to its site is convex, so its
-    maximum over the disk lies at a Voronoi vertex inside the disk or on
-    the circle. Along the circle the distance to a site p grows towards the
-    antipode -R p/|p|, which is nearer the origin than p and so outside
-    p's cell; the maximum along the circle is therefore where a Voronoi
-    edge crosses it. The candidates are the circumcentres of the Delaunay
-    triangles inside the disk and both crossings of the bisector of each
-    Delaunay edge whose Voronoi edge leaves the disk. Every candidate is a
-    point of the disk, so scoring it on the sites never overshoots.
+    If k + 1 sites are nearest to a farthest point z, z lies on their flat F
+    of equidistant points, where the distance to them is strictly convex. So
+    z is a Voronoi vertex (k = d) inside the ball or lies on the sphere,
+    which F meets around c0, its point nearest the origin, at radius r with
+    r^2 = R^2 - |c0|^2 >= 0 up to rounding. There |z - a|^2 = R^2 + |a|^2 -
+    2 <z, a> is extreme at c0 +- r P_V a / |P_V a|, P_V projecting onto F's
+    directions, or constant if P_V a = 0. No cell (k = 0) holds z, as the
+    origin is a site. Only faces whose Voronoi face can reach the sphere are
+    kept: a simplex holding the face has its circumcentre outside the ball,
+    or the face is on the hull.
     """
-    m = len(pts)
-    if m < 4:
-        # too few sites for qhull: every triple and pair
-        simplices = np.array([[0, 1, 2]] if m == 3 else [], dtype=np.intp).reshape(-1, 3)
-    else:
-        # cocircular sites (the shell) make plain qhull merge facets; the
-        # joggle only picks among their triangulations, and collinear sites
-        # still get every consecutive pair as an edge. The candidates are
-        # computed from the unjoggled sites.
+    m, d = pts.shape
+    if m > d + 1:
+        # the joggle only picks among the triangulations of cospherical or
+        # affinely dependent sites; candidates come from the unjoggled sites
         tri = Delaunay(pts, qhull_options="QJ")
-        simplices = tri.simplices
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # circumcentres, NaN or far away for (nearly) collinear triples
-        o = pts[simplices[:, 0]]
-        u, v = pts[simplices[:, 1]] - o, pts[simplices[:, 2]] - o
-        uu, vv = (u * u).sum(axis=1), (v * v).sum(axis=1)
-        det = 2.0 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-        centres = o + np.stack(
-            [(v[:, 1] * uu - u[:, 1] * vv) / det, (u[:, 0] * vv - v[:, 0] * uu) / det],
-            axis=1,
-        )
-        inside = np.linalg.norm(centres, axis=1) <= radius
-        if m < 4:
-            a, b = np.triu_indices(m, k=1)
-        else:
-            # the edge opposite vertex k of triangle t, listed once; its
-            # Voronoi edge joins the circumcentres of t and of the neighbour
-            # across it, or is a ray on the hull, and it can cross the
-            # circle only if an end lies outside the disk
-            nb = tri.neighbors
-            hull = nb < 0
-            leaves = ~inside[:, None] | hull | ~inside[nb]
-            keep = leaves & (hull | (nb > np.arange(len(nb))[:, None]))
-            a, b = simplices[:, [1, 2, 0]][keep], simplices[:, [2, 0, 1]][keep]
-        # z = mid + s t on the bisector with |z| = radius; |mid| <= radius
-        mid = 0.5 * (pts[a] + pts[b])
-        t = (pts[b] - pts[a])[:, ::-1] * [-1.0, 1.0]
-        t /= np.linalg.norm(t, axis=1, keepdims=True)
-        mt = (mid * t).sum(axis=1)
-        root = np.sqrt(np.maximum(mt * mt - (mid * mid).sum(axis=1) + radius * radius, 0.0))
-        crossings = np.vstack([mid + (s * root - mt)[:, None] * t for s in (-1.0, 1.0)])
-    # a circle point: the answer when the origin is the only site
-    cands = np.vstack([centres[inside], crossings, [[radius, 0.0]]])
-    # a repeated site has no bisector
-    return cands[np.isfinite(cands).all(axis=1)]
+        simplices, hull = tri.simplices, tri.neighbors < 0
+    else:  # too few sites for qhull: one simplex, every face on the hull
+        simplices, hull = np.arange(m)[None, :], np.ones((1, m), dtype=bool)
+    s = simplices.shape[1]
+    centres = _flats(pts, simplices)[0]
+    # NaN for a flat simplex; fewer than d + 1 sites have no vertex
+    inside = (_sq(centres) <= radius * radius) & (s == d + 1)
+    cands = [centres[inside]]
+    for k in range(1, min(s, d)):
+        sub = np.array(list(itertools.combinations(range(s), k + 1)))
+        # the hull facet opposite a vertex outside the face holds it
+        out = (np.arange(s)[:, None, None] != sub).all(axis=2)
+        centre, q = _flats(pts, simplices[:, sub][~inside[:, None] | (hull @ out)])
+        c0 = _span_part(q, centre)
+        r2 = radius * radius - _sq(c0)
+        meets = r2 >= -1e-12 * radius * radius
+        centre, q, c0 = centre[meets], q[meets], c0[meets]
+        r, w = np.sqrt(r2[meets].clip(0)), centre - c0  # w = P_V a
+        zero = _sq(w) <= 1e-24 * _sq(centre)
+        w -= _span_part(q, w)  # twice projected, so in F's directions
+        if zero.any():  # F's longest projected coordinate axis
+            axis = np.eye(d)[(q[zero] ** 2).sum(axis=1).argmin(axis=1)]
+            w[zero] = axis - _span_part(q[zero], axis)
+        step = (r / np.sqrt(_sq(w)))[:, None] * w
+        cands += [c0 + step, c0 - step]
+    return np.vstack(cands)
+
+
+def _flats(pts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcentre of each face (a row of k + 1 site indices) in its affine
+    hull, NaN if the face is affinely dependent up to rounding, and an
+    orthonormal basis [face, k, d] of the hull's directions: Gram-Schmidt,
+    each step projected twice, over the edges e_i = a_i - a_0.
+    """
+    a0 = pts[faces[:, 0]]
+    edges = pts[faces[:, 1:]] - a0[:, None, :]
+    q = np.empty_like(edges)
+    u = np.zeros_like(a0)  # c - a_0 in the span of q[:, :i]
+    for i in range(edges.shape[1]):
+        e = v = edges[:, i]
+        for _ in range(2 if i else 0):
+            v = v - _span_part(q[:, :i], v)
+        ee, vv = _sq(e), _sq(v)
+        nv = np.sqrt(np.where(vv > 1e-24 * ee, vv, np.nan))
+        q[:, i] = v / nv[:, None]
+        # <e_i, q_j> = 0 for j > i, and <e_i, q_i> = |v|
+        u += ((0.5 * ee - np.einsum("fi,fi->f", u, e)) / nv)[:, None] * q[:, i]
+    return a0 + u, q
+
+
+def _span_part(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projection of each v onto the span of the orthonormal rows q[f]."""
+    return np.einsum("fk,fki->fi", np.einsum("fki,fi->fk", q, v), q)
+
+
+def _sq(v: np.ndarray) -> np.ndarray:
+    """Squared norm of each row."""
+    return np.einsum("fi,fi->f", v, v)
 
 
 def _sphere_samples(dim: int, m: int, radius: float, seed: int = 0) -> np.ndarray:

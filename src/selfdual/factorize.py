@@ -185,7 +185,6 @@ def decompose(
         "radius_margin": cfg.radius_margin,
         "tol_reg": hreg.tol_reg,
         "pset_covering_radius": hreg.covering_radius,
-        "pset_covering_kind": pset.covering_kind,
         "pset_size": pset.m,
         "residual_scale_factor": res1.median / (h + mesh),
         "dual_method": dual.method,

@@ -721,3 +721,19 @@ class TestMaxPlusProducts:
         dom, fld, bf = builtin_problem("gradskew", 196)
         hreg = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian).hamiltonian
         assert np.array_equal(hreg._xp, dom.points @ hreg.pset.pts.T)
+
+    def test_regularize_computes_the_grid_pairing_once(self, monkeypatch):
+        dom, fld = random_problem(np.random.default_rng(49), 12, d=2)
+        kernel = sd.minimize_primal(dom, fld).kernel
+        pset = sd.build_dual_points(dom, fld)
+        made = []
+
+        def spy(d, p):
+            made.append(dom.points @ pset.pts.T)
+            return made[-1]
+
+        monkeypatch.setattr(conjugacy, "_grid_pairing", spy)
+        hreg = regularize(kernel, dom, pset)
+        assert len(made) == 1 and hreg._xp is made[0]
+        monkeypatch.undo()
+        assert np.array_equal(hreg.lstar_table, restricted_dual(kernel, dom, pset))

@@ -11,6 +11,8 @@ import selfdual as sd
 from selfdual import factorize, fields
 from selfdual.conjugacy import lagrangian_scores
 from selfdual.domain import (
+    _covering_candidates,
+    _flats,
     box_grid,
     build_grid,
     check_permutation,
@@ -301,17 +303,6 @@ class TestBallAndDualPoints:
             assert rho == pytest.approx(2.0 * math.sin(math.pi / 8), rel=1e-12, abs=0)
             assert rho == pytest.approx(_covering_oracle(pset.pts, 1.0), rel=1e-9, abs=0)
 
-    def test_covering_radius_matches_brute_force_probes(self):
-        # the d >= 3 estimate; reference: the same seeded probes against
-        # every point, no tree
-        for pset in _seeded_psets():
-            d = pset.pts.shape[1]
-            if d < 3:
-                continue
-            probes = _seeded_probes(pset)
-            d2 = ((probes[:, None, :] - pset.pts[None, :, :]) ** 2).sum(axis=2)
-            assert pset.covering_radius() == float(np.sqrt(d2.min(axis=1)).max())
-
     def test_covering_radius_2d_matches_oracle(self):
         for pset in _small_planar_psets():
             assert pset.m <= 30
@@ -373,15 +364,85 @@ class TestBallAndDualPoints:
         pset = sd.build_dual_points(dom, sd.sample_field(dom, bf.rule))
         assert pset.covering_radius() == pset.covering_radius()
 
-    def test_covering_kind(self):
-        for d, kind in ((1, "exact"), (2, "exact"), (3, "estimate")):
-            pts = np.vstack([np.zeros(d), np.eye(d)])
-            assert sd.DualPointSet(pts, 1.0).covering_kind == kind
+    def test_covering_radius_3d_closed_form(self):
+        # the origin and +-R e_i: the farthest point is R (1, 1, 1) / sqrt(3),
+        # where the line equidistant from R e_1, R e_2 and R e_3 meets the
+        # sphere
+        for radius in (1.0, 2.5):
+            pts = radius * np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
+            pset = sd.DualPointSet(pts, radius)
+            expect = radius * math.sqrt(2.0 - 2.0 / math.sqrt(3.0))
+            assert pset.covering_radius() == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_covering_radius_3d_and_4d_match_oracle(self):
+        for pset in _small_spatial_psets():
+            assert pset.m <= (20 if pset.pts.shape[1] == 3 else 10)
+            expect = _covering_oracle(pset.pts, pset.radius)
+            assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
+
+    def test_covering_radius_dominates_probes_in_every_dimension(self):
+        # the seeded probes are points of the ball, so none is farther from
+        # the set than the exact covering radius
+        for pset in _seeded_psets():
+            probes = _seeded_probes(pset)
+            d2 = ((probes[:, None, :] - pset.pts[None, :, :]) ** 2).sum(axis=2)
+            assert pset.covering_radius() >= float(np.sqrt(d2.min(axis=1)).max())
+
+    def test_covering_candidates_lie_in_the_ball(self):
+        # a flat that misses the ball adds no candidate. In the last set the
+        # bisector of (0.3, 1e-10) and (0.9, 0) has P_V a of about 1e-10, so
+        # its rounding would tilt the crossings off the circle if it were
+        # projected onto the bisector only once
+        psets = _seeded_psets() + _small_planar_psets() + _small_spatial_psets()
+        psets.append(sd.DualPointSet(np.array([[0.0, 0.0], [0.3, 1e-10], [0.9, 0.0]]), 0.9))
+        for pset in psets:
+            cands = _covering_candidates(pset.pts, pset.radius)
+            assert np.linalg.norm(cands, axis=1).max() <= pset.radius * (1 + 1e-12)
+
+    def test_covering_radius_where_a_bisector_meets_the_circle_at_equal_distance(self):
+        # the bisector of the origin and (0.5, 0) is the line x = 0.25; the
+        # distance to the origin is the same at both of its crossings, so
+        # the projection P_V a that picks one of them is 0
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        cands = _covering_candidates(pts, 1.0)
+        crossing = [0.25, math.sqrt(1.0 - 0.25**2)]
+        for z in (crossing, [0.25, -crossing[1]]):
+            assert np.abs(cands - z).max(axis=1).min() <= 1e-15
+        assert sd.DualPointSet(pts, 1.0).covering_radius() == pytest.approx(1.0, rel=1e-12)
+        assert sd.DualPointSet(pts, 1.0).covering_radius() == pytest.approx(
+            _covering_oracle(pts, 1.0), rel=1e-9, abs=0
+        )
+
+    def test_affinely_dependent_faces_have_no_centre(self):
+        # three sites on a line and four on a plane, up to rounding
+        a, b, x = np.array([[0.1, 0.2, 0.3], [0.7, -0.4, 1.1], [-0.5, 0.9, 0.2]])
+        pts = np.array([a, b, x, a + 0.3 * (b - a), a + 0.2 * (b - a) + 0.5 * (x - a)])
+        assert np.isnan(_flats(pts, np.array([[0, 1, 3], [1, 3, 0], [3, 0, 1]]))[0]).all()
+        assert np.isnan(_flats(pts, np.array([[0, 1, 2, 4], [4, 2, 1, 0]]))[0]).all()
+        centre, q = _flats(pts, np.array([[0, 1, 2]]))
+        dist = np.linalg.norm(pts[:3] - centre, axis=1)
+        assert dist.max() - dist.min() <= 1e-15 * dist.max()
+        np.testing.assert_allclose(q[0] @ q[0].T, np.eye(2), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "pts, radius",
+        [
+            ([[0.0, 0.0], [1.0, 0.0]], math.nan),
+            ([[0.0, 0.0], [1.0, 0.0]], math.inf),
+            ([[0.0, 0.0], [1.0, 0.0]], 0.0),
+            ([[0.0], [math.nan], [1.0]], 1.0),
+            ([[0.0, 0.0], [math.nan, 0.5], [1.0, 0.0]], 1.0),
+            ([[0.0, 0.0], [math.inf, 0.5], [1.0, 0.0]], 1.0),
+        ],
+        ids=["nan-radius", "inf-radius", "zero-radius", "nan-1d", "nan-2d", "inf-2d"],
+    )
+    def test_non_finite_input_rejected(self, pts, radius):
+        with pytest.raises(ValueError, match="dual"):
+            sd.DualPointSet(np.array(pts), radius)
 
 
 def _seeded_probes(pset):
-    """The 4096 seeded uniform probes of the ball that
-    DualPointSet.covering_radius estimates the d >= 3 covering radius from."""
+    """4096 seeded uniform probes of the ball."""
     samples, d = 4096, pset.pts.shape[1]
     rng = np.random.default_rng(0)
     g = rng.standard_normal((samples, d))
@@ -422,28 +483,64 @@ def _small_planar_psets():
     return psets
 
 
+def _small_spatial_psets():
+    """Seeded dual sets of at most 20 points in d = 3 and 10 in d = 4:
+    random field values, integer-rounded ones (sites on common planes and
+    spheres), and coplanar sites plus a pole."""
+    rng = np.random.default_rng(42)
+    psets = []
+    for d, sizes in ((3, ((5, 4), (8, 6), (12, 7))), (4, ((4, 4), (5, 4)))):
+        for n, sphere_points in sizes:
+            for scale in (None, 2.0):
+                dom, fld = random_problem(rng, n, d=d)
+                if scale is not None:
+                    fld = sd.SampledField(np.round(scale * fld.values))
+                psets.append(sd.build_dual_points(dom, fld, sphere_points=sphere_points))
+    for n in (6, 12, 18):
+        for _ in range(3):
+            pts = np.zeros((n + 2, 3))
+            pts[1:-1, :2] = rng.normal(size=(n, 2))
+            radius = float(np.linalg.norm(pts, axis=1).max())
+            pts[-1, 2] = radius
+            psets.append(sd.DualPointSet(pts, radius))
+    return psets
+
+
 def _covering_oracle(pts, radius):
-    """Covering radius of planar sites in the disk |z| <= radius by brute
-    force: the distance to the nearest site, against every site, maximised
-    over the circumcentres of all triples inside the disk, both crossings
-    of every pair's bisector with the circle and the antipodes -R p/|p|."""
-    m = len(pts)
+    """Covering radius of the sites pts (d >= 2) in the ball |z| <= radius
+    by brute force: the distance to the nearest site, against every site,
+    maximised over the antipodes -R p/|p| and, for every k + 1 affinely
+    independent sites (k = 1..d), points of their flat F, the points
+    equidistant from them. F's point c0 nearest the origin if k = d and it
+    is inside the ball; else both points c0 +- r w of F on the sphere,
+    r^2 = R^2 - |c0|^2, with w the unit direction of F that a site's
+    projection onto F's directions points along (any direction of F if
+    that projection is 0). A flat that misses the ball adds nothing."""
+    m, d = pts.shape
     cands = [-radius * p / np.linalg.norm(p) for p in pts if p.any()]
-    for i, j in itertools.combinations(range(m), 2):
-        mid, t = (pts[i] + pts[j]) / 2, pts[j] - pts[i]
-        t = np.array([-t[1], t[0]]) / np.linalg.norm(t)
-        # |mid + s t| = radius
-        s0 = -mid @ t
-        h = math.sqrt(max(s0 * s0 - mid @ mid + radius * radius, 0.0))
-        cands += [mid + (s0 - h) * t, mid + (s0 + h) * t]
-    if m >= 3:
-        i, j, k = np.array(list(itertools.combinations(range(m), 3))).T
-        # z with |z - p_j|^2 - |z - p_i|^2 = 0 = |z - p_k|^2 - |z - p_i|^2
-        a = np.stack([pts[j] - pts[i], pts[k] - pts[i]], axis=1)
-        ok = np.abs(np.linalg.det(a)) > 1e-12
-        rhs = 0.5 * (a[ok] ** 2).sum(axis=2)
-        z = pts[i][ok] + np.linalg.solve(a[ok], rhs[..., None])[..., 0]
-        cands += list(z[np.linalg.norm(z, axis=1) <= radius])
+    for k in range(1, min(m - 1, d) + 1):
+        a = pts[np.array(list(itertools.combinations(range(m), k + 1)))]
+        e = a[:, 1:] - a[:, :1]
+        # F = {z : <z, e_i> = (|a_i|^2 - |a_0|^2) / 2}
+        h = 0.5 * ((a[:, 1:] ** 2).sum(axis=2) - (a[:, :1] ** 2).sum(axis=2))
+        u, sv, vt = np.linalg.svd(e)
+        ok = sv[:, -1] > 1e-12 * sv[:, 0]
+        u, sv, vt, h, a0 = u[ok], sv[ok], vt[ok], h[ok], a[ok, 0]
+        # the least-norm solution, through the pseudo-inverse of e
+        coef = np.einsum("fki,fk->fi", u, h) / sv
+        c0 = np.einsum("fk,fki->fi", coef, vt[:, :k])
+        if k == d:
+            cands += list(c0[np.linalg.norm(c0, axis=1) <= radius])
+            continue
+        flat = vt[:, k:]  # rows: an orthonormal basis of F's directions
+        w = np.einsum("fj,fji->fi", np.einsum("fji,fi->fj", flat, a0), flat)
+        wn = np.linalg.norm(w, axis=1)
+        big = wn > 1e-12 * radius
+        w = np.where(big[:, None], w / np.where(big, wn, 1.0)[:, None], flat[:, 0])
+        r2 = radius * radius - (c0 * c0).sum(axis=1)
+        meets = r2 >= -1e-12 * radius * radius
+        r = np.sqrt(np.maximum(r2[meets], 0.0))[:, None]
+        cands += list(c0[meets] + r * w[meets]) + list(c0[meets] - r * w[meets])
     c = np.array(cands)
     return float(np.sqrt(((c[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max())
 

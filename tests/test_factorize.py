@@ -208,7 +208,6 @@ class TestDecompose:
             "mesh",
             "primal_converged",
             "primal_iterations",
-            "pset_covering_kind",
             "pset_covering_radius",
             "pset_size",
             "radius",
@@ -227,8 +226,6 @@ class TestDecompose:
         for problem in [(dom, fld)] + problems:
             config = decompose(*problem).to_dict()["config"]
             assert (config["dual_method"], config["certificate"]) in paths
-            # every problem here is 1-d or planar
-            assert config["pset_covering_kind"] == "exact"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_settings_rejected(self, value):
