@@ -131,7 +131,9 @@ def _restricted_dual(kernel: AntiSymmetricKernel, e: np.ndarray) -> np.ndarray:
     # [k, j] = L(x_j, p_k) is freed once read; then add <x_j, p_kq> and
     # take the max over j
     a = _maxplus(e, _maxplus(e.T, kernel.matrix, np.subtract), np.subtract)
-    return np.ascontiguousarray(_maxplus(a, e).T)
+    lstar = np.empty((e.shape[1], e.shape[0]))  # written through its transpose
+    _maxplus(a, e, out=lstar.T)
+    return lstar
 
 
 def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
@@ -143,16 +145,24 @@ def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
     return dom.points @ pset.pts.T
 
 
-def _maxplus(a: np.ndarray, b: np.ndarray, op=np.add) -> np.ndarray:
+def _maxplus(a: np.ndarray, b: np.ndarray, op=np.add, out=None) -> np.ndarray:
     """Max-plus product out[r, c] = max_s op(a[r, s], b[s, c]), op np.add or
     np.subtract, in row blocks of at most _MAXPLUS_BUDGET [row, s, c] cells
     (one row if b is larger). a - b is exactly a + (-b), so subtracting
-    gives the bits of adding a negated copy of b without building it."""
+    gives the bits of adding a negated copy of b without building it. out,
+    if given, is any [r, c] array or view the result is written into; a
+    strided one gets each block copied in, since a reduction straight into
+    it runs in its memory order, slowly."""
     b = np.ascontiguousarray(b)
-    out = np.empty((a.shape[0], b.shape[1]))
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
     step = max(1, _MAXPLUS_BUDGET // max(1, b.size))
     for lo in range(0, a.shape[0], step):
-        op(a[lo : lo + step, :, None], b).max(axis=1, out=out[lo : lo + step])
+        block = out[lo : lo + step]
+        if block.flags.c_contiguous:
+            op(a[lo : lo + step, :, None], b).max(axis=1, out=block)
+        else:
+            block[...] = op(a[lo : lo + step, :, None], b).max(axis=1)
     return out
 
 

@@ -17,7 +17,9 @@ constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -51,8 +53,9 @@ __all__ = [
 
 # check_uniqueness takes every triple up to this many, a seeded sample
 # above, and scans its sample points in blocks of about _UNIQUENESS_BLOCK
-# (point, pair) ratios; the sample-only Jacobian fit finds neighbours in
-# blocks of about as many squared distances
+# (point, pair) ratios; the sample-only Jacobian fit finds neighbours, and
+# the tight-graph certificate scans its reduced costs, in row blocks of
+# about as many entries
 _UNIQUENESS_TRIPLES = 200_000
 _UNIQUENESS_BLOCK = 1 << 12
 
@@ -90,19 +93,30 @@ class ResidualStats:
 
 @dataclass
 class MonotoneVerdict:
-    verdict: str  # strictly-monotone | monotone | non-monotone
+    verdict: str  # strictly-monotone | monotone | non-monotone, up to rounding
     min_pairing: float
     worst_pair: tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class UniquenessVerdict:
-    """Heuristic only: finite sampling cannot certify the continuum condition."""
+    """Whether the optimal involution of the discrete problem is unique.
 
-    verdict: str  # uniqueness-plausible | non-unique-plausible
-    min_ratio: float
-    median_ratio: float
-    witness: tuple[int, int, int]
+    "unique" and "non-unique" are certificates of the tight graph of the
+    assignment (see _certify_uniqueness); "non-unique" carries a second
+    optimal involution, ``alternative``, whose value ties sigma's exactly.
+    "uniqueness-plausible" and "non-unique-plausible" come from
+    check_uniqueness, a sampled scan of the paper's continuum condition and a
+    heuristic only, where the certificate cannot decide; min_ratio,
+    median_ratio and the triple witness are the scan's figures (NaN and ()
+    for a certificate).
+    """
+
+    verdict: str  # unique | non-unique | uniqueness-plausible | non-unique-plausible
+    min_ratio: float = np.nan
+    median_ratio: float = np.nan
+    witness: tuple[int, ...] = ()
+    alternative: Involution | None = None
 
 
 @dataclass
@@ -151,15 +165,21 @@ def decompose(
 ) -> DecompositionReport:
     """Run the full pipeline on a sampled field.
 
-    The optional pointwise rule and Jacobian feed the uniqueness heuristic;
-    without them the Jacobian is estimated from neighboring samples.
+    Uniqueness of the optimal involution is decided exactly from the tight
+    graph of the assignment (_certify_uniqueness: "unique" or
+    "non-unique"). Only where that cannot decide does the sampled scan
+    check_uniqueness run ("uniqueness-plausible" or
+    "non-unique-plausible"); the optional pointwise rule and Jacobian feed
+    it, and without them it estimates the Jacobian from neighboring samples.
     """
     cfg = cfg or PipelineConfig()
     check_pairing(dom, fld)
 
     relaxation = dual_solver.assignment_relaxation(dom, fld)
     dual = dual_solver.solve(dom, fld, relaxation)
+    uniq = _certify_uniqueness(dom, fld, relaxation[1], dual.sigma)
     primal = primal_solver.minimize_primal(dom, fld, relaxation, cfg.eps_primal)
+    del relaxation  # read in full; not held through the larger stages below
 
     pset = build_dual_points(
         dom, fld, margin=cfg.radius_margin, sphere_points=cfg.sphere_points, seed=cfg.seed
@@ -174,7 +194,8 @@ def decompose(
 
     cert = primal_solver.weak_duality(dom, fld, primal.kernel, sigma)
     mono = check_monotone(dom, fld)
-    uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
+    if uniq is None:
+        uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
 
     mesh = dom.mesh
     tolerances = {
@@ -239,7 +260,20 @@ def selfdual_test(
 
 
 def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
-    """Scan every pair for the monotonicity pairing <x_i - x_j, u_i - u_j>."""
+    """Scan every pair for the monotonicity pairing <x_i - x_j, u_i - u_j>.
+
+    The verdict allows for rounding. The pairing is computed as
+    d_i + d_j - g_ij - g_ji from the entries g_ij = <x_i, u_j> (d_i = g_ii)
+    of one pairing product. Each entry is a d-term dot product, within
+    gamma_d sum_k |x_ik| |u_jk| <= gamma_d X U of the exact one
+    (gamma_d = d u / (1 - d u), u = eps / 2, X and U the largest norms of
+    the points and field values), and each has size at most X U. The three
+    subtractions round partial results of size at most 2, 3 and 4 X U, so
+    the computed pairing is within (4 gamma_d + 9 u) X U (to first order)
+    of the exact one; delta = (2 d + 5) eps X U bounds that with room for
+    its own rounding. A worst pairing below -delta is non-monotone, one
+    above delta strictly monotone, and one within delta monotone.
+    """
     check_pairing(dom, fld)
     n = dom.n
     if n == 1:
@@ -256,9 +290,11 @@ def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
     kmin = int(mono.argmin())
     i, j = divmod(kmin, n)
     worst = float(mono[i, j])
-    if worst > 0:
+    norms = [np.linalg.norm(a, axis=1).max() for a in (dom.points, fld.values)]
+    delta = (2 * dom.dim + 5) * np.finfo(float).eps * norms[0] * norms[1]
+    if worst > delta:
         verdict = "strictly-monotone"
-    elif worst == 0:
+    elif worst >= -delta:
         verdict = "monotone"
     else:
         verdict = "non-monotone"
@@ -382,6 +418,284 @@ def check_uniqueness(
         "non-unique-plausible" if min_ratio <= 0.1 * med else "uniqueness-plausible"
     )
     return UniquenessVerdict(verdict, min_ratio, med, witness)
+
+
+def _certify_uniqueness(
+    dom: DiscreteDomain, fld: SampledField, pot: np.ndarray, sigma: Involution
+) -> UniquenessVerdict | None:
+    """Exact verdict on whether sigma is the only optimal involution, or None.
+
+    With c = pairing(dom, fld) and the assignment potentials pot (from
+    dual_solver.assignment_relaxation), the reduced costs
+    r_ij = pot_i + pot_j - c_ij - c_ji (i != j) and r_ii = pot_i - c_ii
+    give every involution s the value
+    sum_i c[i, s(i)] = sum(pot) - (sum of r over its pairs and fixed
+    points), an identity of real numbers. Let gap = sum(pot) - value(sigma)
+    and viol = max(0, -min r). An optimal s has value(s) >= value(sigma), so
+    its at most n terms of r sum to at most gap, and each is >= -viol: each
+    is at most max(gap, 0) + n viol. So every optimal involution uses only
+    the pairs and fixed points with r <= tol, the kept graph (reduced-cost
+    fixing; Nemhauser and Wolsey, Integer and Combinatorial Optimization,
+    1988).
+
+    Rounding allowance. c is the data: a value is the exact sum of its
+    entries. With u = eps / 2 and M = max|pot| + max|c|, the computed
+    r_ij = ((pot_i + pot_j) - c_ij) - c_ji rounds three partial results of
+    size at most 2M, so it is within rho = 4 eps M of the exact r_ij (6 u M
+    and products of u); r_ii rounds once. The exact viol is thus at most
+    the computed one plus rho. gap is the math.fsum of pot and
+    -c[i, sigma(i)], correctly rounded, so the exact max(gap, 0) is at most
+    (1 + eps) times the computed one. A term of an optimal involution then
+    has a computed r of at most max(gap, 0) (1 + eps) + n (viol + rho) + rho,
+    and tol = (max(gap, 0) + n viol + (n + 2) rho) (1 + 4 eps) bounds it,
+    with a rho and the factor to spare for the rounding of tol itself.
+
+    - "unique": the kept graph is a forest (_cyclic_components) that admits
+      sigma alone (_admits_another).
+    - "non-unique": sigma is optimal on every component and an involution
+      sigma' != sigma ties it, checked in Fraction arithmetic. On a tree,
+      _tree_dp gives the component's exact optimum and how many
+      involutions reach it, and _tied_alternative backtracks a second one.
+      A component with a cycle never enters the dynamic program. It shows
+      sigma optimal only when at each vertex sigma's term is the best of
+      the vertex's kept options, each taken as twice the vertex's share
+      (2 c_ii, or c_ij + c_ji): the shares are then a dual that sigma
+      meets. It ties only through two fixed points paired or a pair undone.
+    - None, for the sampled scan to decide, in every other case.
+    """
+    n = dom.n
+    s = sigma.sigma
+    idx = np.arange(n)
+    c = pairing(dom, fld)
+    eps = np.finfo(float).eps
+    step = max(1, _UNIQUENESS_BLOCK // n)
+
+    def reduced(lo):
+        """Rows lo:lo + step of r, as the docstring rounds them; the
+        diagonal, which is not r_ii, at +inf."""
+        r = pot[lo : lo + step, None] + pot
+        r -= c[lo : lo + step]
+        r -= c[:, lo : lo + step].T
+        rows = np.arange(len(r))
+        r[rows, rows + lo] = np.inf
+        return r
+
+    rfix = pot - np.diagonal(c)
+    low = min([rfix.min()] + [reduced(lo).min() for lo in range(0, n, step)])
+    gap = math.fsum(np.concatenate([pot, -c[idx, s]]))
+    rho = 4 * eps * (np.abs(pot).max() + np.abs(c).max())
+    tol = (max(gap, 0.0) + n * max(0.0, -low) + (n + 2) * rho) * (1 + 4 * eps)
+    fixed_ok = rfix <= tol
+    a, b = np.minimum(idx, s), np.maximum(idx, s)
+    rsig = np.where(a == b, rfix, pot[a] + pot[b] - c[a, b] - c[b, a])
+    if not (rsig <= tol).all():  # NaN too
+        return None
+    ei, ej = [], []
+    for lo in range(0, n, step):
+        i, j = np.nonzero(reduced(lo) <= tol)
+        i += lo
+        ei.append(i[j > i])
+        ej.append(j[j > i])
+    ei, ej = np.concatenate(ei), np.concatenate(ej)
+    cyclic = _cyclic_components(n, ei, ej)  # per vertex
+
+    if not cyclic.any() and not _admits_another(s, fixed_ok, ei, ej):
+        return UniquenessVerdict("unique")
+
+    # a tie shows non-uniqueness only where sigma is optimal on every component
+    alt = s.copy()  # a tied second optimum, once found
+    if cyclic.any():
+        # doubled terms as exact sums hi + lo of two floats, which order as
+        # (hi, lo) pairs: sigma's at every vertex, fixing a vertex, and
+        # pairing the two ends of each kept edge on a cycle
+        shi, slo = _two_sum(c[idx, s], c[s, idx])
+        fhi, flo = _two_sum(np.diagonal(c), np.diagonal(c))
+        on = cyclic[ei]
+        u, v = ei[on], ej[on]
+        whi, wlo = _two_sum(c[u, v], c[v, u])
+
+        def above(h, l, at):
+            return (h > shi[at]) | ((h == shi[at]) & (l > slo[at]))
+
+        def tie(h, l, at):
+            return (h == shi[at]) & (l == slo[at])
+
+        fix = cyclic & fixed_ok
+        if (
+            above(whi, wlo, u).any()
+            or above(whi, wlo, v).any()
+            or above(fhi[fix], flo[fix], idx[fix]).any()
+        ):
+            return None  # sigma is not shown optimal on a cyclic component
+        pair = (s[u] == u) & (s[v] == v) & tie(whi, wlo, u) & tie(whi, wlo, v)
+        undo = (s[u] == v) & fixed_ok[u] & fixed_ok[v]
+        undo &= tie(fhi[u], flo[u], u) & tie(fhi[v], flo[v], v)
+        k = np.flatnonzero(pair | undo)
+        if len(k):
+            i, j = u[k[0]], v[k[0]]
+            alt[i], alt[j] = (j, i) if pair[k[0]] else (i, j)
+
+    adj = {}  # the tree components' edges, by vertex
+    tree = ~cyclic[ei]
+    for i, j in zip(ei[tree].tolist(), ej[tree].tolist()):
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    seen = np.zeros(n, dtype=bool)
+    for root in sorted(adj):
+        if seen[root]:
+            continue
+        order, parent, opts, down = _tree_dp(root, adj, fixed_ok, c)
+        seen[order] = True
+        if down[root][0] != sum(Fraction(c[k, s[k]]) for k in order):
+            return None  # sigma is not optimal on this tree
+        if down[root][1] > 1 and np.array_equal(alt, s):
+            _tied_alternative(order, parent, opts, down, s, alt)
+
+    diff = np.flatnonzero(alt != s)
+    if len(diff) and sum(map(Fraction, c[diff, alt[diff]])) == sum(
+        map(Fraction, c[diff, s[diff]])
+    ):
+        return UniquenessVerdict("non-unique", alternative=Involution(alt))
+    return None
+
+
+def _cyclic_components(n: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+    """Whether the component of each vertex has a cycle, for the graph of
+    the edges (ei, ej): union-find, where an edge inside one set closes a
+    cycle."""
+    root = list(range(n))
+    cyc = [False] * n
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for i, j in zip(ei.tolist(), ej.tolist()):
+        a, b = find(i), find(j)
+        if a == b:
+            cyc[a] = True
+        else:
+            root[b] = a
+            cyc[a] = cyc[a] or cyc[b]
+    return np.array([cyc[find(v)] for v in range(n)], dtype=bool)
+
+
+def _admits_another(
+    s: np.ndarray, fixed_ok: np.ndarray, ei: np.ndarray, ej: np.ndarray
+) -> bool:
+    """Whether a forest of kept edges (ei, ej), sigma's pairs among them,
+    admits an involution other than sigma.
+
+    Another involution differs from sigma along paths whose edges alternate
+    between sigma's pairs and other kept edges. An end is a fixed point of
+    sigma reached by another edge (it gets paired), or a vertex reached by
+    its pair of sigma that may stay fixed. In a forest a walk that never
+    turns back is a path, and an alternating walk never does; so the search
+    runs breadth first, all starts at once, over the vertices about to take
+    an edge outside sigma, marked so that each is entered once.
+    """
+    paired = s != np.arange(len(s))
+    if (paired & fixed_ok & fixed_ok[s]).any():
+        return True  # a pair undone
+    other = s[ei] != ej  # kept edges that are not pairs of sigma, both ways
+    src = np.concatenate([ei[other], ej[other]])
+    dst = np.concatenate([ej[other], ei[other]])
+    front = ~paired | (paired & fixed_ok)[s]
+    seen = front.copy()
+    while front.any():
+        reached = np.zeros(len(s), dtype=bool)
+        reached[dst[front[src]]] = True
+        if (reached & ~paired).any():
+            return True  # ends at a fixed point of sigma, which gets paired
+        front = reached[s]  # across sigma's pairs
+        if (front & fixed_ok).any():
+            return True  # ends at a vertex that stays fixed
+        front &= ~seen
+        seen |= front
+    return False
+
+
+def _tree_dp(root: int, adj: dict, fixed_ok: np.ndarray, c: np.ndarray):
+    """Best value, and how many involutions reach it, over the involutions
+    one tree of the kept graph admits: a two-state dynamic program from the
+    leaves up, in Fraction arithmetic.
+
+    Fixing i is worth c_ii and pairing i and j c_ij + c_ji. For a vertex
+    v, up[v] = (value, count) is the best of v's subtree with v paired with
+    its parent, and down[v] with v fixed (if fixed_ok[v]) or paired with a
+    child; None if no involution admits the state. opts[v] lists down's
+    (value, count, choice), choice v for fixed and k for the child k.
+    Returns (order, parent, opts, down), order from the root down.
+    """
+    order, parent = [root], {root: -1}
+    for v in order:  # breadth first; the list grows as it is read
+        for k in adj[v]:
+            if k != parent[v]:
+                parent[k] = v
+                order.append(k)
+
+    def term(i, j):
+        return Fraction(c[i, j]) + Fraction(c[j, i]) * (i != j)
+
+    up, down, opts = {}, {}, {}
+    for v in reversed(order):
+        kids = [k for k in adj[v] if k != parent[v]]
+        total, count, stuck = 0, 1, []  # children left in their own subtrees
+        for k in kids:
+            if down[k] is None:
+                stuck.append(k)
+            else:
+                total += down[k][0]
+                count *= down[k][1]
+        up[v] = None if stuck else (total, count)
+        opts[v] = []
+        if fixed_ok[v] and not stuck:
+            opts[v].append((term(v, v) + total, count, v))
+        for k in kids:
+            if up[k] is None or stuck not in ([], [k]):
+                continue
+            kv, kn = down[k] or (0, 1)
+            value = term(v, k) + up[k][0] + total - kv
+            opts[v].append((value, count // kn * up[k][1], k))
+        best = max((o[0] for o in opts[v]), default=None)
+        ways = sum(o[1] for o in opts[v] if o[0] == best)
+        down[v] = None if best is None else (best, ways)
+    return order, parent, opts, down
+
+
+def _tied_alternative(order, parent, opts, down, s, alt) -> None:
+    """Write into alt, a copy of sigma, an optimum of one tree other than
+    sigma's: sigma must be optimal there and down count two or more optima.
+
+    From the root down each vertex that is not paired with its parent takes
+    one of its best choices: sigma's, except at the first vertex that has
+    another. sigma's choices are best wherever sigma is optimal, and if no
+    vertex on sigma's way had another, sigma would be the only optimum.
+    """
+    taken, moved = set(), False  # vertices paired with their parent
+    for v in order:
+        if v in taken:
+            continue
+        best = [o[2] for o in opts[v] if o[0] == down[v][0]]
+        mine = s[v] if s[v] == v or parent[s[v]] == v else None
+        others = [k for k in best if k != mine]
+        if others and not moved:
+            pick, moved = others[0], True
+        else:
+            pick = mine if mine in best else best[0]
+        alt[v], alt[pick] = pick, v
+        taken.add(pick)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi = a + b rounded and hi + lo == a + b exactly
+    (Knuth's TwoSum). Rounding is monotone, so the exact sums order as the
+    (hi, lo) pairs do, hi first."""
+    hi = a + b
+    bv = hi - a
+    return hi, (a - (hi - bv)) + (b - bv)
 
 
 def krauss_check(

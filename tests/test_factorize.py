@@ -1,12 +1,13 @@
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import selfdual as sd
-from selfdual import factorize, fields
+from selfdual import dual_solver, factorize, fields
 from selfdual.domain import rotation_permutation, swap_permutation
 from selfdual.factorize import (
     PipelineConfig,
@@ -156,7 +157,7 @@ class TestDecompose:
         rep = decompose(dom, fld)
         assert np.array_equal(rep.sigma.sigma, np.arange(16))
         assert rep.monotone.verdict == "strictly-monotone"
-        assert rep.uniqueness.verdict == "uniqueness-plausible"
+        assert rep.uniqueness.verdict == "unique"
         stats = krauss_check(dom, fld, rep.hamiltonian)
         h = rep.tolerances["fd_step"]
         assert stats.median <= 10 * (h + dom.mesh)
@@ -167,7 +168,7 @@ class TestDecompose:
         swap = swap_permutation(dom)
         assert (rep.sigma.sigma == swap.sigma).mean() >= 0.90
         assert rep.residual1.median <= 0.15
-        assert rep.uniqueness.verdict == "uniqueness-plausible"
+        assert rep.uniqueness.verdict == "unique"
 
     def test_matrix_analytic_kernel_residuals(self):
         # the closed-form planar Hamiltonian reproduces u along the swap
@@ -374,6 +375,49 @@ class TestCheckMonotone:
         dom, fld, _ = _builtin("gradskew", 196)
         assert _traced_peak(check_monotone, dom, fld) <= 2.5 * dom.n**2 * 8
 
+    @pytest.mark.parametrize("n", [36, 121, 196])
+    def test_rotation_monotone_within_rounding(self, n):
+        # <J(x - y), x - y> = 0 exactly; the computed worst pairing reads
+        # -1.4e-16 to -2.9e-16 at these sizes
+        dom, fld, _ = _builtin("rotationJ", n)
+        v = check_monotone(dom, fld)
+        assert v.min_pairing < 0
+        assert v.verdict == "monotone"
+
+    @pytest.mark.parametrize(
+        "t, verdict", [(1e-10, "strictly-monotone"), (-1e-10, "non-monotone")]
+    )
+    def test_beyond_allowance_decides(self, t, verdict):
+        # the rotation plus t times the identity pairs to t |x - y|^2
+        dom = sd.symmetric_square_grid(1.0, 6)
+        fld = sd.sample_field(dom, lambda p: np.array([-p[1], p[0]]) + t * p)
+        assert check_monotone(dom, fld).verdict == verdict
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_allowance_bounds_rounding(self, d):
+        # every pairing, computed as check_monotone computes it, lies within
+        # delta of its exact value in Fraction arithmetic, at mixed scales
+        rng = np.random.default_rng(40 + d)
+        dom, _ = random_problem(rng, 14, d)
+        dom = sd.DiscreteDomain(dom.points * 1e3, dom.cell_measure, d, 0.0)
+        fld = sd.SampledField(rng.normal(size=(14, d)) * np.logspace(-3, 2, d))
+        gram = sd.pairing(dom, fld).T
+        diag = np.diag(gram)
+        mono = -((gram + gram.T) - diag[:, None] - diag[None, :])
+        x = np.linalg.norm(dom.points, axis=1).max()
+        u = np.linalg.norm(fld.values, axis=1).max()
+        delta = Fraction((2 * d + 5) * np.finfo(float).eps * x * u)
+        worst = Fraction(0)
+        for i in range(14):
+            for j in range(i + 1, 14):
+                exact = sum(
+                    (Fraction(dom.points[i, k]) - Fraction(dom.points[j, k]))
+                    * (Fraction(fld.values[i, k]) - Fraction(fld.values[j, k]))
+                    for k in range(d)
+                )
+                worst = max(worst, abs(Fraction(mono[i, j]) - exact))
+        assert 0 < worst <= delta
+
     def test_rotation_field_monotone_not_strict(self):
         dom = sd.symmetric_square_grid(1.0, 4)
         fld = sd.sample_field(dom, lambda p: np.array([-p[1], p[0]]))
@@ -495,6 +539,8 @@ class TestCheckUniqueness:
             return out
 
         monkeypatch.setattr(factorize, "check_uniqueness", both)
+        # the tight graph certifies both fields; force the scan to run
+        monkeypatch.setattr(factorize, "_certify_uniqueness", lambda *a: None)
         tracemalloc.start()
         try:
             decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
@@ -502,6 +548,159 @@ class TestCheckUniqueness:
             tracemalloc.stop()
         before = peaks["before"]
         assert max(before, peaks["blocks"]) <= max(before, peaks["loop"])
+
+
+def _optima(dom, fld):
+    """Every optimal involution by enumeration, in exact values: the pairing
+    entries scaled to integers by one power of two."""
+    c = sd.pairing(dom, fld)
+    n = dom.n
+    scale = max(Fraction(x).denominator for x in c.flat)
+    ci = np.array([[int(Fraction(x) * scale) for x in row] for row in c], dtype=object)
+    sigs = dual_solver.all_involutions(n)
+    vals = ci[np.arange(n)[None, :], sigs].sum(axis=1)
+    best = max(vals)
+    return {tuple(map(int, sig)) for sig, v in zip(sigs, vals) if v == best}
+
+
+def _exact_value(dom, fld, sigma):
+    c = sd.pairing(dom, fld)
+    return sum(Fraction(c[i, k]) for i, k in enumerate(sigma))
+
+
+def _certificate_cases():
+    """Every builtin at n <= 12, seeded random instances, and planted ties:
+    points on a grid of quarters and field values in halves, so that the
+    pairing entries are exact and many involutions tie; last, two blocks
+    that each tie a swap with two fixed points (four optima)."""
+    cases = []
+    for name in fields.builtin_names():
+        for n in range(1, 13):
+            bf = fields.builtin_field(name, n)
+            dom = sd.build_grid(bf.domain_spec)
+            if dom.n == n:
+                cases.append((f"{name}-{n}", dom, sd.sample_field(dom, bf.rule)))
+    rng = np.random.default_rng(7)
+    for k in range(40):
+        n, d = int(rng.integers(2, 11)), int(rng.integers(1, 3))
+        dom, fld = random_problem(rng, n, d)
+        cases.append((f"random-{k}", dom, fld))
+    for k in range(60):
+        n, d = int(rng.integers(2, 11)), int(rng.integers(1, 3))
+        pts = np.unique(rng.integers(-4, 5, size=(3 * n, d)) / 4, axis=0)[:n]
+        vals = rng.integers(-2, 3, size=pts.shape) / 2
+        dom = sd.DiscreteDomain(pts, 1.0 / len(pts), d, 0.0)
+        cases.append((f"planted-{k}", dom, sd.SampledField(vals)))
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0], [0.0, 6.0]])
+    vals = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    dom = sd.DiscreteDomain(pts, 0.25, 2, 0.0)
+    cases.append(("two-blocks", dom, sd.SampledField(vals)))
+    return cases
+
+
+def _certify(dom, fld):
+    relaxation = dual_solver.assignment_relaxation(dom, fld)
+    sigma = dual_solver.solve(dom, fld, relaxation).sigma
+    return sigma, factorize._certify_uniqueness(dom, fld, relaxation[1], sigma)
+
+
+class TestUniquenessCertificate:
+    def test_agrees_with_enumeration(self):
+        seen = {"unique": 0, "ties of 2": 0, "ties of 3 or more": 0, "undecided": 0}
+        for label, dom, fld in _certificate_cases():
+            sigma, v = _certify(dom, fld)
+            optima = _optima(dom, fld)
+            mine = tuple(map(int, sigma.sigma))
+            if v is None:
+                assert not label.startswith(tuple(fields.builtin_names())), label
+                seen["undecided"] += 1
+            elif v.verdict == "unique":
+                assert optima == {mine}, label
+                seen["unique"] += 1
+            else:
+                assert v.verdict == "non-unique", label
+                alt = tuple(map(int, v.alternative.sigma))
+                assert alt != mine and {alt, mine} <= optima, label
+                seen["ties of 2" if len(optima) == 2 else "ties of 3 or more"] += 1
+            if label == "two-blocks":
+                assert len(optima) == 4 and v.verdict == "non-unique"
+        assert min(seen.values()) >= 1, seen
+
+    def test_rounding_allowance_keeps_a_tie(self):
+        # two optima tie exactly, but rounding lifts the computed reduced
+        # costs of the second one's pairs above the gap: without rho in tol
+        # the kept graph loses it, and the verdict would read "unique"
+        dom = sd.DiscreteDomain(np.arange(-3, 1)[:, None] * 0.3, 0.25, 1, 0.0)
+        fld = sd.SampledField(np.array([[0.0], [-0.7], [-0.7], [-0.7]]))
+        assert len(_optima(dom, fld)) == 2
+        assert _certify(dom, fld)[1].verdict == "non-unique"
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 64])
+    def test_rotation_non_unique_with_exact_tie(self, n):
+        dom, fld, _ = _builtin("rotationJ", n)
+        rep = decompose(dom, fld)
+        v = rep.uniqueness
+        assert v.verdict == "non-unique"
+        assert v.alternative != rep.sigma
+        assert _exact_value(dom, fld, v.alternative.sigma) == _exact_value(
+            dom, fld, rep.sigma.sigma
+        )
+
+    def test_undecided_instance_gets_scan_verdict(self):
+        # three points at 120 degrees with u = -x: the kept graph is a
+        # triangle on which sigma is not shown optimal, so the scan decides
+        dom, fld = odd_cycle_problem()
+        assert _certify(dom, fld)[1] is None
+        rep = decompose(dom, fld)
+        verdicts = {"uniqueness-plausible", "non-unique-plausible"}
+        assert rep.uniqueness.verdict in verdicts
+        assert np.isfinite(rep.uniqueness.min_ratio)
+
+    def test_certified_instance_skips_scan(self, monkeypatch):
+        def scan(*args, **kw):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(factorize, "check_uniqueness", scan)
+        for dom, fld in (sincos_problem(32), tent_problem(32), monotone_problem(8)):
+            assert decompose(dom, fld).uniqueness.verdict == "unique"
+
+    def test_admits_another_equals_enumeration(self):
+        # random forests, sigma a matching of some tree edges, random
+        # vertices that may stay fixed (all of sigma's fixed points)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            edges = [
+                (int(rng.integers(0, k)), k) for k in range(1, n) if rng.random() < 0.8
+            ]
+            s = np.arange(n)
+            for i, j in rng.permutation(np.array(edges, dtype=int).reshape(-1, 2)):
+                if s[i] == i and s[j] == j and rng.random() < 0.6:
+                    s[i], s[j] = j, i
+            fixed_ok = (rng.random(n) < 0.5) | (s == np.arange(n))
+            ei = np.array([e[0] for e in edges], dtype=np.intp)
+            ej = np.array([e[1] for e in edges], dtype=np.intp)
+            kept = set(edges)
+            admitted = [
+                sig
+                for sig in dual_solver.all_involutions(n)
+                if all(
+                    fixed_ok[i] if k == i else (min(i, k), max(i, k)) in kept
+                    for i, k in enumerate(sig)
+                )
+            ]
+            assert any(np.array_equal(sig, s) for sig in admitted)
+            assert factorize._admits_another(s, fixed_ok, ei, ej) == (len(admitted) > 1)
+
+    @pytest.mark.parametrize(
+        "name, n, parent_mb", [("sincos", 128, 0.918), ("gradskew", 196, 2.887)]
+    )
+    def test_decompose_peak_not_above_scan_pipeline(self, name, n, parent_mb):
+        # decompose's tracemalloc peak when every report ran the scan
+        dom, fld, bf = _builtin(name, n)
+        kw = dict(rule=bf.rule, jacobian=bf.jacobian)
+        decompose(dom, fld, **kw)  # lazy imports and caches first
+        assert _traced_peak(decompose, dom, fld, **kw) <= parent_mb * 1e6
 
 
 class TestKraussCheck:
