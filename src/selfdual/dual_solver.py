@@ -146,10 +146,20 @@ def solve_matching(dom: DiscreteDomain, fld: SampledField) -> DualSolution:
         g.add_nodes_from(range(n))
         for i, j, w in zip(iu[pos], ju[pos], surplus[pos]):
             g.add_edge(int(i), int(j), weight=float(w))
-        for a, b in nx.max_weight_matching(g, maxcardinality=False):
-            sigma[a], sigma[b] = b, a
+        sigma = _blossom(g, sigma)
     s = Involution(sigma)
     return DualSolution(s, dual_objective(dom, fld, s), "matching", "blossom")
+
+
+def _blossom(g: nx.Graph, base: np.ndarray) -> np.ndarray:
+    """A copy of the involution base with the pairs of a maximum weight
+    matching of g made 2-cycles. With Python int weights networkx matches in
+    exact integer arithmetic and checks the optimum itself; any other number
+    type makes it compute in floats."""
+    sigma = base.copy()
+    for a, b in nx.max_weight_matching(g, maxcardinality=False):
+        sigma[a], sigma[b] = b, a
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+import networkx as nx
 import numpy as np
 
 from . import conjugacy, dual_solver, primal_solver
@@ -55,9 +56,10 @@ __all__ = [
 # above, and scans its sample points in blocks of about _UNIQUENESS_BLOCK
 # (point, pair) ratios; the sample-only Jacobian fit finds neighbours, and
 # the tight-graph certificate scans its reduced costs, in row blocks of
-# about as many entries
+# about as many entries; its blossom takes up to _BLOSSOM_EDGES kept edges
 _UNIQUENESS_TRIPLES = 200_000
 _UNIQUENESS_BLOCK = 1 << 12
+_BLOSSOM_EDGES = 1 << 12
 
 
 @dataclass
@@ -102,14 +104,14 @@ class MonotoneVerdict:
 class UniquenessVerdict:
     """Whether the optimal involution of the discrete problem is unique.
 
-    "unique" and "non-unique" are certificates of the tight graph of the
-    assignment (see _certify_uniqueness); "non-unique" carries a second
-    optimal involution, ``alternative``, whose value ties sigma's exactly.
-    "uniqueness-plausible" and "non-unique-plausible" come from
-    check_uniqueness, a sampled scan of the paper's continuum condition and a
-    heuristic only, where the certificate cannot decide; min_ratio,
-    median_ratio and the triple witness are the scan's figures (NaN and ()
-    for a certificate).
+    "unique" and "non-unique" are certificates: the forest test or the exact
+    blossom on the tight graph of the assignment (see _certify_uniqueness).
+    "non-unique" carries a second optimal involution, ``alternative``, whose
+    value ties sigma's exactly. "uniqueness-plausible" and
+    "non-unique-plausible" come from check_uniqueness, a sampled scan of the
+    paper's continuum condition and a heuristic only, run where the tight
+    graph is past the blossom's edge cap; min_ratio, median_ratio and the
+    triple witness are the scan's figures (NaN and () for a certificate).
     """
 
     verdict: str  # unique | non-unique | uniqueness-plausible | non-unique-plausible
@@ -166,20 +168,21 @@ def decompose(
     """Run the full pipeline on a sampled field.
 
     Uniqueness of the optimal involution is decided exactly from the tight
-    graph of the assignment (_certify_uniqueness: "unique" or
-    "non-unique"). Only where that cannot decide does the sampled scan
-    check_uniqueness run ("uniqueness-plausible" or
-    "non-unique-plausible"); the optional pointwise rule and Jacobian feed
-    it, and without them it estimates the Jacobian from neighboring samples.
+    graph of the assignment, by a forest test or one integer blossom
+    (_certify_uniqueness: "unique" or "non-unique"). Only past the
+    blossom's edge cap does the sampled scan check_uniqueness run
+    ("uniqueness-plausible" or "non-unique-plausible"); the optional
+    pointwise rule and Jacobian feed it, and without them it estimates the
+    Jacobian from neighboring samples.
     """
     cfg = cfg or PipelineConfig()
     check_pairing(dom, fld)
 
     relaxation = dual_solver.assignment_relaxation(dom, fld)
     dual = dual_solver.solve(dom, fld, relaxation)
-    uniq = _certify_uniqueness(dom, fld, relaxation[1], dual.sigma)
     primal = primal_solver.minimize_primal(dom, fld, relaxation, cfg.eps_primal)
-    del relaxation  # read in full; not held through the larger stages below
+    pot = relaxation[1]  # the rest is not held through the larger stages below
+    del relaxation
 
     pset = build_dual_points(
         dom, fld, margin=cfg.radius_margin, sphere_points=cfg.sphere_points, seed=cfg.seed
@@ -194,6 +197,8 @@ def decompose(
 
     cert = primal_solver.weak_duality(dom, fld, primal.kernel, sigma)
     mono = check_monotone(dom, fld)
+    # last: networkx's blossom leaves reference cycles, held until collected
+    uniq = _certify_uniqueness(dom, fld, pot, sigma)
     if uniq is None:
         uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
 
@@ -450,18 +455,30 @@ def _certify_uniqueness(
     and tol = (max(gap, 0) + n viol + (n + 2) rho) (1 + 4 eps) bounds it,
     with a rho and the factor to spare for the rounding of tol itself.
 
-    - "unique": the kept graph is a forest (_cyclic_components) that admits
-      sigma alone (_admits_another).
-    - "non-unique": sigma is optimal on every component and an involution
-      sigma' != sigma ties it, checked in Fraction arithmetic. On a tree,
-      _tree_dp gives the component's exact optimum and how many
-      involutions reach it, and _tied_alternative backtracks a second one.
-      A component with a cycle never enters the dynamic program. It shows
-      sigma optimal only when at each vertex sigma's term is the best of
-      the vertex's kept options, each taken as twice the vertex's share
-      (2 c_ii, or c_ij + c_ji): the shares are then a dual that sigma
-      meets. It ties only through two fixed points paired or a pair undone.
-    - None, for the sampled scan to decide, in every other case.
+    Unless the kept graph is a forest (_cyclic_components) that admits
+    sigma alone (_admits_another), one blossom (dual_solver._blossom)
+    decides. A rival component of the kept graph holds a kept edge outside
+    sigma, or a pair of sigma whose two ends are both fixed_ok; on the
+    others sigma is the only involution the kept graph admits. On the rival
+    components' kept edges the blossom maximizes the Python int weights
+
+        w_ij = (n + 1) (q(c_ij) + q(c_ji) - q(c_ii) - q(c_jj))
+               + 2 [sigma(i) != j] - [sigma(i) != i] - [sigma(j) != j],
+
+    q(x) = x scale, with scale the largest denominator (a power of two) of
+    the entries read. Unmatched vertices stay fixed and the other components
+    keep sigma, so a matching weighs (n + 1) value + (the number of vertices
+    where it leaves sigma) plus a constant, value in units of 1 / scale: an
+    involution that ties sigma outweighs it, and a worse one never does.
+    Fixing a vertex that is not fixed_ok only adds involutions worse than
+    sigma, as they leave the kept graph.
+
+    - "unique": the forest test passes, or the blossom returns sigma.
+    - "non-unique": it returns an involution whose value ties sigma's,
+      checked in Fraction arithmetic; that is the alternative.
+    - None, for the sampled scan to decide, if it returns a better
+      involution, or if the rival components hold more than _BLOSSOM_EDGES
+      kept edges.
     """
     n = dom.n
     s = sigma.sigma
@@ -497,72 +514,44 @@ def _certify_uniqueness(
         ei.append(i[j > i])
         ej.append(j[j > i])
     ei, ej = np.concatenate(ei), np.concatenate(ej)
-    cyclic = _cyclic_components(n, ei, ej)  # per vertex
+    label, cyclic = _cyclic_components(n, ei, ej)  # per vertex
 
     if not cyclic.any() and not _admits_another(s, fixed_ok, ei, ej):
         return UniquenessVerdict("unique")
 
-    # a tie shows non-uniqueness only where sigma is optimal on every component
-    alt = s.copy()  # a tied second optimum, once found
-    if cyclic.any():
-        # doubled terms as exact sums hi + lo of two floats, which order as
-        # (hi, lo) pairs: sigma's at every vertex, fixing a vertex, and
-        # pairing the two ends of each kept edge on a cycle
-        shi, slo = _two_sum(c[idx, s], c[s, idx])
-        fhi, flo = _two_sum(np.diagonal(c), np.diagonal(c))
-        on = cyclic[ei]
-        u, v = ei[on], ej[on]
-        whi, wlo = _two_sum(c[u, v], c[v, u])
-
-        def above(h, l, at):
-            return (h > shi[at]) | ((h == shi[at]) & (l > slo[at]))
-
-        def tie(h, l, at):
-            return (h == shi[at]) & (l == slo[at])
-
-        fix = cyclic & fixed_ok
-        if (
-            above(whi, wlo, u).any()
-            or above(whi, wlo, v).any()
-            or above(fhi[fix], flo[fix], idx[fix]).any()
-        ):
-            return None  # sigma is not shown optimal on a cyclic component
-        pair = (s[u] == u) & (s[v] == v) & tie(whi, wlo, u) & tie(whi, wlo, v)
-        undo = (s[u] == v) & fixed_ok[u] & fixed_ok[v]
-        undo &= tie(fhi[u], flo[u], u) & tie(fhi[v], flo[v], v)
-        k = np.flatnonzero(pair | undo)
-        if len(k):
-            i, j = u[k[0]], v[k[0]]
-            alt[i], alt[j] = (j, i) if pair[k[0]] else (i, j)
-
-    adj = {}  # the tree components' edges, by vertex
-    tree = ~cyclic[ei]
-    for i, j in zip(ei[tree].tolist(), ej[tree].tolist()):
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    seen = np.zeros(n, dtype=bool)
-    for root in sorted(adj):
-        if seen[root]:
-            continue
-        order, parent, opts, down = _tree_dp(root, adj, fixed_ok, c)
-        seen[order] = True
-        if down[root][0] != sum(Fraction(c[k, s[k]]) for k in order):
-            return None  # sigma is not optimal on this tree
-        if down[root][1] > 1 and np.array_equal(alt, s):
-            _tied_alternative(order, parent, opts, down, s, alt)
+    # a kept edge outside sigma, or a pair of sigma that may be undone
+    rivals = np.concatenate([ei[s[ei] != ej], idx[(s != idx) & fixed_ok & fixed_ok[s]]])
+    rival = np.isin(label, label[rivals])
+    u, v = ei[rival[ei]], ej[rival[ei]]
+    k = len(u)
+    if k > _BLOSSOM_EDGES:
+        return None
+    read = np.concatenate([c[u, v], c[v, u], np.diagonal(c)[rival]])
+    ratios = [x.as_integer_ratio() for x in read.tolist()]
+    scale = max(den for _, den in ratios)
+    q = [num * (scale // den) for num, den in ratios]
+    qfix = dict(zip(np.flatnonzero(rival).tolist(), q[2 * k :]))
+    moves = 2 * (s[u] != v) - (s[u] != u) - (s[v] != v)
+    g = nx.Graph()
+    edges = zip(u.tolist(), v.tolist(), q[:k], q[k : 2 * k], moves.tolist())
+    for i, j, qij, qji, m in edges:
+        w = (n + 1) * (qij + qji - qfix[i] - qfix[j]) + m
+        if w > 0:  # a matching never gains by the others
+            g.add_edge(i, j, weight=w)
+    alt = dual_solver._blossom(g, np.where(rival, idx, s))
 
     diff = np.flatnonzero(alt != s)
-    if len(diff) and sum(map(Fraction, c[diff, alt[diff]])) == sum(
-        map(Fraction, c[diff, s[diff]])
-    ):
+    if not len(diff):
+        return UniquenessVerdict("unique")
+    if sum(map(Fraction, c[diff, alt[diff]])) == sum(map(Fraction, c[diff, s[diff]])):
         return UniquenessVerdict("non-unique", alternative=Involution(alt))
-    return None
+    return None  # sigma is not optimal
 
 
-def _cyclic_components(n: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
-    """Whether the component of each vertex has a cycle, for the graph of
-    the edges (ei, ej): union-find, where an edge inside one set closes a
-    cycle."""
+def _cyclic_components(n: int, ei: np.ndarray, ej: np.ndarray):
+    """A component label per vertex, and whether the vertex's component has
+    a cycle, for the graph of the edges (ei, ej): union-find, where an edge
+    inside one set closes a cycle."""
     root = list(range(n))
     cyc = [False] * n
 
@@ -579,7 +568,8 @@ def _cyclic_components(n: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
         else:
             root[b] = a
             cyc[a] = cyc[a] or cyc[b]
-    return np.array([cyc[find(v)] for v in range(n)], dtype=bool)
+    label = np.array([find(v) for v in range(n)], dtype=np.intp)
+    return label, np.array(cyc, dtype=bool)[label]
 
 
 def _admits_another(
@@ -615,87 +605,6 @@ def _admits_another(
         front &= ~seen
         seen |= front
     return False
-
-
-def _tree_dp(root: int, adj: dict, fixed_ok: np.ndarray, c: np.ndarray):
-    """Best value, and how many involutions reach it, over the involutions
-    one tree of the kept graph admits: a two-state dynamic program from the
-    leaves up, in Fraction arithmetic.
-
-    Fixing i is worth c_ii and pairing i and j c_ij + c_ji. For a vertex
-    v, up[v] = (value, count) is the best of v's subtree with v paired with
-    its parent, and down[v] with v fixed (if fixed_ok[v]) or paired with a
-    child; None if no involution admits the state. opts[v] lists down's
-    (value, count, choice), choice v for fixed and k for the child k.
-    Returns (order, parent, opts, down), order from the root down.
-    """
-    order, parent = [root], {root: -1}
-    for v in order:  # breadth first; the list grows as it is read
-        for k in adj[v]:
-            if k != parent[v]:
-                parent[k] = v
-                order.append(k)
-
-    def term(i, j):
-        return Fraction(c[i, j]) + Fraction(c[j, i]) * (i != j)
-
-    up, down, opts = {}, {}, {}
-    for v in reversed(order):
-        kids = [k for k in adj[v] if k != parent[v]]
-        total, count, stuck = 0, 1, []  # children left in their own subtrees
-        for k in kids:
-            if down[k] is None:
-                stuck.append(k)
-            else:
-                total += down[k][0]
-                count *= down[k][1]
-        up[v] = None if stuck else (total, count)
-        opts[v] = []
-        if fixed_ok[v] and not stuck:
-            opts[v].append((term(v, v) + total, count, v))
-        for k in kids:
-            if up[k] is None or stuck not in ([], [k]):
-                continue
-            kv, kn = down[k] or (0, 1)
-            value = term(v, k) + up[k][0] + total - kv
-            opts[v].append((value, count // kn * up[k][1], k))
-        best = max((o[0] for o in opts[v]), default=None)
-        ways = sum(o[1] for o in opts[v] if o[0] == best)
-        down[v] = None if best is None else (best, ways)
-    return order, parent, opts, down
-
-
-def _tied_alternative(order, parent, opts, down, s, alt) -> None:
-    """Write into alt, a copy of sigma, an optimum of one tree other than
-    sigma's: sigma must be optimal there and down count two or more optima.
-
-    From the root down each vertex that is not paired with its parent takes
-    one of its best choices: sigma's, except at the first vertex that has
-    another. sigma's choices are best wherever sigma is optimal, and if no
-    vertex on sigma's way had another, sigma would be the only optimum.
-    """
-    taken, moved = set(), False  # vertices paired with their parent
-    for v in order:
-        if v in taken:
-            continue
-        best = [o[2] for o in opts[v] if o[0] == down[v][0]]
-        mine = s[v] if s[v] == v or parent[s[v]] == v else None
-        others = [k for k in best if k != mine]
-        if others and not moved:
-            pick, moved = others[0], True
-        else:
-            pick = mine if mine in best else best[0]
-        alt[v], alt[pick] = pick, v
-        taken.add(pick)
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) with hi = a + b rounded and hi + lo == a + b exactly
-    (Knuth's TwoSum). Rounding is monotone, so the exact sums order as the
-    (hi, lo) pairs do, hi first."""
-    hi = a + b
-    bv = hi - a
-    return hi, (a - (hi - bv)) + (b - bv)
 
 
 def krauss_check(

@@ -605,26 +605,31 @@ def _certify(dom, fld):
 
 
 class TestUniquenessCertificate:
-    def test_agrees_with_enumeration(self):
-        seen = {"unique": 0, "ties of 2": 0, "ties of 3 or more": 0, "undecided": 0}
-        for label, dom, fld in _certificate_cases():
-            sigma, v = _certify(dom, fld)
-            optima = _optima(dom, fld)
-            mine = tuple(map(int, sigma.sigma))
-            if v is None:
-                assert not label.startswith(tuple(fields.builtin_names())), label
-                seen["undecided"] += 1
-            elif v.verdict == "unique":
-                assert optima == {mine}, label
-                seen["unique"] += 1
-            else:
-                assert v.verdict == "non-unique", label
-                alt = tuple(map(int, v.alternative.sigma))
-                assert alt != mine and {alt, mine} <= optima, label
-                seen["ties of 2" if len(optima) == 2 else "ties of 3 or more"] += 1
-            if label == "two-blocks":
-                assert len(optima) == 4 and v.verdict == "non-unique"
-        assert min(seen.values()) >= 1, seen
+    def test_agrees_with_enumeration(self, monkeypatch):
+        # at the default cap the certificate decides every case; with a cap
+        # of a few edges the larger rival components fall back to the scan
+        cases = [(*case, _optima(*case[1:])) for case in _certificate_cases()]
+        for cap in (factorize._BLOSSOM_EDGES, 3):
+            monkeypatch.setattr(factorize, "_BLOSSOM_EDGES", cap)
+            seen = dict.fromkeys(["unique", "ties of 2", "ties of 3+", "undecided"], 0)
+            for label, dom, fld, optima in cases:
+                sigma, v = _certify(dom, fld)
+                mine = tuple(map(int, sigma.sigma))
+                if v is None:
+                    seen["undecided"] += 1
+                elif v.verdict == "unique":
+                    assert optima == {mine}, label
+                    seen["unique"] += 1
+                else:
+                    assert v.verdict == "non-unique", label
+                    alt = tuple(map(int, v.alternative.sigma))
+                    assert alt != mine and {alt, mine} <= optima, label
+                    seen["ties of 2" if len(optima) == 2 else "ties of 3+"] += 1
+                if label == "two-blocks":
+                    assert len(optima) == 4 and (v is None or v.verdict == "non-unique")
+            decided = [seen[k] for k in ("unique", "ties of 2", "ties of 3+")]
+            assert min(decided) >= 1, seen
+            assert (seen["undecided"] >= 1) == (cap == 3), seen
 
     def test_rounding_allowance_keeps_a_tie(self):
         # two optima tie exactly, but rounding lifts the computed reduced
@@ -647,14 +652,49 @@ class TestUniquenessCertificate:
         )
 
     def test_undecided_instance_gets_scan_verdict(self):
-        # three points at 120 degrees with u = -x: the kept graph is a
-        # triangle on which sigma is not shown optimal, so the scan decides
-        dom, fld = odd_cycle_problem()
+        # rotationJ on 121 cells: the kept graph is complete, 7260 edges in
+        # one rival component, above the blossom's cap, so the scan decides
+        dom, fld, bf = _builtin("rotationJ", 121)
+        assert dom.n * (dom.n - 1) // 2 > factorize._BLOSSOM_EDGES
         assert _certify(dom, fld)[1] is None
-        rep = decompose(dom, fld)
+        rep = decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         verdicts = {"uniqueness-plausible", "non-unique-plausible"}
         assert rep.uniqueness.verdict in verdicts
         assert np.isfinite(rep.uniqueness.min_ratio)
+
+    def test_odd_cycle_unique(self):
+        # three points at 120 degrees with u = -x: in exact values of the
+        # float data one involution is optimal, and the blossom finds it
+        dom, fld = odd_cycle_problem()
+        assert _optima(dom, fld) == {(2, 1, 0)}
+        sigma, v = _certify(dom, fld)
+        assert v.verdict == "unique"
+        assert tuple(map(int, sigma.sigma)) == (2, 1, 0)
+        assert decompose(dom, fld).uniqueness.verdict == "unique"
+
+    def test_blossom_cap_boundary(self, monkeypatch):
+        # rotationJ on 16 cells: the kept graph is complete, 120 edges in
+        # one rival component; at the cap it is decided, one edge above not
+        dom, fld, _ = _builtin("rotationJ", 16)
+        monkeypatch.setattr(factorize, "_BLOSSOM_EDGES", 120)
+        assert _certify(dom, fld)[1].verdict == "non-unique"
+        monkeypatch.setattr(factorize, "_BLOSSOM_EDGES", 119)
+        assert _certify(dom, fld)[1] is None
+
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_verdicts_hold_at_extreme_scale(self, power):
+        # a power of two keeps every tie exact; the integers of the blossom
+        # then carry about 1000 bits
+        cases = [c for c in _certificate_cases() if c[0].startswith(("planted", "two"))]
+        for label, dom, fld in cases:
+            sigma, v = _certify(dom, fld)
+            with np.errstate(over="ignore"):  # field_radius, which is not read
+                big = sd.SampledField(np.ldexp(fld.values, power))
+            got_sigma, got = _certify(dom, big)
+            assert np.array_equal(got_sigma.sigma, sigma.sigma), label
+            assert got.verdict == v.verdict, label
+            if v.alternative is not None:
+                assert np.array_equal(got.alternative.sigma, v.alternative.sigma), label
 
     def test_certified_instance_skips_scan(self, monkeypatch):
         def scan(*args, **kw):
