@@ -32,8 +32,10 @@ no negated copy is built. Each piece is one IEEE operation and a max is
 exact, so no table depends on the loop order or its row blocks. A chain of
 two products frees its first operand before the second.
 
-grad1/grad2 are the general central-difference evaluators; the residual
-checks use residual_gradients, their bits at the grid pairs (x_{s(i)}, x_i).
+grad1 is the general central-difference evaluator, and grad2 is grad1 at
+the swapped pair, negated (HR(x, y) == -HR(y, x) to the last bit). The
+residual checks use residual_gradients, grad1's bits at the grid pairs
+(x_{s(i)}, x_i).
 It builds one dense bidual table, at the grid, and reads the 2d tables at
 the grid shifted by +-h e_c only at the pieces whose maximum a step of h
 can move: every piece is affine with slope at most R_p = max |p_k|, so a
@@ -74,8 +76,10 @@ __all__ = [
 # pieces and gathers them in groups of about this many candidates
 _GATHER_BUDGET = 1 << 12
 _GROUP_BUDGET = 1 << 10
-# _maxplus takes its rows in blocks of at most this many [row, s, c] cells
-_MAXPLUS_BUDGET = 1 << 14
+# _maxplus takes its rows in blocks of at most this many [row, s, c] cells;
+# numpy adds up to 2^14 cells of iteration buffers, and a block must stay
+# below decompose's peak, the residual pass
+_MAXPLUS_BUDGET = 1 << 13
 
 
 def lagrangian(
@@ -249,17 +253,6 @@ def grad1(
 
     Accepts single points or batches of matching length.
     """
-    return _fd_gradient(hreg, x, y, h, slot=0)
-
-
-def grad2(
-    hreg: RegularHamiltonian, x: np.ndarray, y: np.ndarray, h: float
-) -> np.ndarray:
-    """Central difference gradient in the second slot."""
-    return _fd_gradient(hreg, x, y, h, slot=1)
-
-
-def _fd_gradient(hreg, x, y, h, slot):
     if h <= 0:
         raise ValueError("difference step must be positive")
     xs = np.atleast_2d(np.asarray(x, dtype=float))
@@ -270,63 +263,66 @@ def _fd_gradient(hreg, x, y, h, slot):
         ys = np.repeat(ys, len(xs), axis=0)
     b, d = xs.shape
     out = np.empty((b, d))
-    moving = xs if slot == 0 else ys
     for k in range(d):
         e = np.zeros(d)
         e[k] = h
-        plus = moving + e
-        minus = moving - e
-        if slot == 0:
-            out[:, k] = (hreg(plus, ys) - hreg(minus, ys)) / (2.0 * h)
-        else:
-            out[:, k] = (hreg(xs, plus) - hreg(xs, minus)) / (2.0 * h)
+        out[:, k] = (hreg(xs + e, ys) - hreg(xs - e, ys)) / (2.0 * h)
     return out if out.shape[0] > 1 else out[0]
+
+
+def grad2(
+    hreg: RegularHamiltonian, x: np.ndarray, y: np.ndarray, h: float
+) -> np.ndarray:
+    """Central difference gradient in the second slot: HR(x, y) == -HR(y, x)
+    to the last bit, so it is grad1 at the swapped pair, negated."""
+    return -grad1(hreg, y, x, h)
 
 
 def residual_gradients(
     hreg: RegularHamiltonian, perm: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """grad1 and grad2 of HR at (x_{perm(i)}, x_i), [n, d] each, bit for bit.
+) -> np.ndarray:
+    """grad1 of HR at (x_{perm(i)}, x_i), [n, d], bit for bit. For an
+    involution, grad2 HR(x_{perm(i)}, x_i) is row perm(i), negated.
 
     Every point at which the central differences need L**(., p_k) is the
     grid, the grid shifted by +-h e_c, or a row permutation of one of them,
-    so row gathers serve both slots of both gradients. The table
-    t0 = L**(grid, .) and its inner table g0 are computed densely, once.
-    The shifted tables enter only the maxima over k of
-    HB(x_i, x_{perm(i)} +- h e_c) and HB(x_{perm(i)}, x_i +- h e_c), and
-    there each of the three nested maxima (HB over k, L** over j, g over
-    k') runs only over its candidates, the pieces whose unshifted value
-    lies within tau = 2 (h R_p + delta) of the unshifted maximum. Each
-    piece is affine in the shifted slot with slope at most R_p = max |p_k|,
-    so a step of h moves every piece, and so the maximum, by at most h R_p:
-    a piece that attains the shifted maximum was within 2 h R_p of the
-    unshifted one, and delta bounds what rounding adds (_candidate_margin
-    derives it). One set of candidates serves every c and both signs.
+    so row gathers serve the whole pass. The table t0 = L**(grid, .) and
+    its inner table g0 are computed densely, once. HR(x_{perm(i)} +- s, x_i)
+    has a dense half HB(x_{perm(i)} +- s, x_i), which reads t0, and a
+    sparse half HB(x_i, x_{perm(i)} +- s), which reads the shifted tables
+    only in the maxima over k, and there each of the three nested maxima
+    (HB over k, L** over j, g over k') runs only over its candidates, the
+    pieces whose unshifted value lies within tau = 2 (h R_p + delta) of the
+    unshifted maximum. Each piece is affine in the shifted slot with slope
+    at most R_p = max |p_k|, so a step of h moves every piece, and so the
+    maximum, by at most h R_p: a piece that attains the shifted maximum was
+    within 2 h R_p of the unshifted one, and delta bounds what rounding adds
+    (_candidate_margin derives it). One set of candidates serves every c
+    and both signs.
 
-    Every matrix product is the n-row call that grad1/grad2 make (the BLAS
+    Every matrix product is the n-row call that grad1 makes (the BLAS
     product <y, p_k> rounds the edge tiles of a batch apart, so another
     batch can move a bit), or in d = 1 an entry of it computed alone with
     the same bits (_shifted_entries). Every piece is the float expression
     of bidual_at_slopes and __call__, and a float max over a superset of
-    the argmax is the same float, so the result equals grad1/grad2 bit for
-    bit for the identity. For another perm the gathers read the row of
-    x_{perm(i)} +- s at position perm(i) of its product, where grad1/grad2
-    compute it at position i, and the last column tile can round the two
+    the argmax is the same float, so the result equals grad1 bit for bit
+    for the identity. For another perm the gathers read the row of
+    x_{perm(i)} +- s at position perm(i) of its product, where grad1
+    computes it at position i, and the last column tile can round the two
     apart: rare inputs (2 of 120 tenths-rounded fields on 7 x 7 to 9 x 9
-    symmetric grids) differ from grad1/grad2 in the last bits.
+    symmetric grids) differ from grad1 in the last bits.
 
-    Candidate tests and the row gathers of the dense halves run in blocks
-    of at most _GATHER_BUDGET pieces, and the sparse gathers in groups of
+    Candidate tests and the row gathers of the dense half run in blocks of
+    at most _GATHER_BUDGET pieces, and the sparse gathers in groups of
     about _GROUP_BUDGET candidates, whatever h is. The rest of the scratch
     is at most two [n, m] tables at a time (t0 beside one product), the
-    [n, n] inner table, two [n, m] boolean masks and a few numbers per pair
-    (b, k) that a sparse half reads; when h is of the order of R, that is
-    nearly every pair. In d >= 2 each group of candidates recomputes the 2d
-    shifted products, one at a time: gradskew and matrix up to n = 900 make
-    1 to 8 groups, but rotationJ, whose pieces tie, makes 583 at n = 400,
-    and its pass takes about a fifth longer than with the products held.
-    In d = 1, where groups run to the hundreds, only the entries read are
-    computed.
+    [n, n] inner table, an [n, m] boolean mask and a few numbers per pair
+    (b, k) the sparse half reads: nearly every pair when h is of the order
+    of R. In d >= 2 each group of candidates recomputes the 2d shifted
+    products, one at a time: gradskew and matrix up to n = 900 make 1 to 8
+    groups, but rotationJ, whose pieces tie, makes 583 at n = 400, and its
+    pass takes about a fifth longer than with the products held. In d = 1,
+    where groups run to the hundreds, only the entries read are computed.
     """
     if h <= 0:
         raise ValueError("difference step must be positive")
@@ -335,37 +331,31 @@ def residual_gradients(
     perm = check_permutation(perm, n, "perm")
     pinv = np.empty(n, dtype=np.intp)
     pinv[perm] = np.arange(n)
-    pts_t, twoh, sx = pts.T, 2.0 * h, grid[perm]
+    pts_t, sx = pts.T, grid[perm]
     shifts = np.array([sign * e for e in np.eye(d) * h for sign in (1, -1)])
     tau = _candidate_margin(hreg, h)
 
     t0, g0 = hreg.bidual_at_slopes(grid, inner=True)
 
-    def hb_rows(ys, t):
-        # [b] = max over k of <y_b, p_k> - t(rows)[b, k], one product at a time
+    def hb_rows(ys):
+        # [b] = max over k of <y_b, p_k> - t0[b, k], one product at a time
         a = ys @ pts_t
         for rows in _row_blocks(n, m):
-            a[rows] -= t(rows)
+            a[rows] -= t0[rows]
         return a.max(axis=1)
 
-    # the dense halves, HB(x_{perm(i)} +- s, x_i) and HB(x_i +- s, x_{perm(i)})
-    hb_sx = np.array([hb_rows(sx + s, lambda rows: t0[rows]) for s in shifts])
-    hb_grid = np.array([hb_rows(grid + s, lambda rows: t0[perm[rows]]) for s in shifts])
-    # the sparse halves, HB(x_i, x_{perm(i)} +- s) (hb_1) and
-    # HB(x_{perm(i)}, x_i +- s) (hb_2), read the shifted tables at the pairs
-    # (b, k) in need: at row b = perm(i) for hb_1 and b = i for hb_2
-    keep1 = _near_max(lambda rows: xp[pinv[rows]] - t0[rows], n, m, tau)
-    xs0 = sx @ pts_t
-    keep2 = _near_max(lambda rows: xs0[rows] - t0[rows], n, m, tau)
-    need = np.flatnonzero(keep1 | keep2)  # b * m + k, sorted
-    sel1, sel2 = keep1.ravel()[need], keep2.ravel()[need]
-    v2, thr2 = xs0.ravel()[need], t0.ravel()[need] - tau
-    del t0, xs0, keep1, keep2
+    # the dense half, HB(x_{perm(i)} +- s, x_i)
+    hb_sx = np.array([hb_rows(sx + s) for s in shifts])
+    # the sparse half, HB(x_i, x_{perm(i)} +- s), reads the shifted tables
+    # at the pairs (b, k) in need, at row b = perm(i)
+    need = np.flatnonzero(_near_max(lambda rows: xp[pinv[rows]] - t0[rows], n, m, tau))
+    thr = t0.ravel()[need] - tau  # need holds b * m + k, sorted
+    del t0
 
-    hb_1, hb_2 = np.full((2 * d, n), -np.inf), np.full((2 * d, n), -np.inf)
+    hb_1 = np.full((2 * d, n), -np.inf)
     # L**(y_b + s, p_k) = max over j of <p_k, x_j> + g(y_b + s, x_j)
     for lo, hi, r, j in _candidate_groups(
-        lambda rows: xp.T[need[rows] % m] + g0[need[rows] // m], thr2, n
+        lambda rows: xp.T[need[rows] % m] + g0[need[rows] // m], thr, n
     ):
         b, k = np.divmod(need[lo:hi], m)
         starts2 = np.flatnonzero(np.diff(r, prepend=-1))
@@ -382,26 +372,21 @@ def residual_gradients(
             yv = _shifted_entries(grid, pts, shifts, b1[r1], k1)
             yv -= lstar[k1, j1[r1]]
             g[:, lo1:hi1] = np.maximum.reduceat(yv, starts1, axis=1)
-        w1, w2 = sel1[lo:hi], sel2[lo:hi]
-        i1 = pinv[b[w1]]
-        v1, v2g = xp[i1, k[w1]], v2[lo:hi][w2]
+        i1 = pinv[b]
+        v1 = xp[i1, k]
         for q in range(2 * d):
             t = np.maximum.reduceat(xp2 + g[q][where], starts2)
-            np.maximum.at(hb_1[q], i1, v1 - t[w1])
-            np.maximum.at(hb_2[q], b[w2], v2g - t[w2])
+            np.maximum.at(hb_1[q], i1, v1 - t)
 
     # HR(a, b) = (HB(a, b) - HB(b, a)) / 2 as in __call__; rows 2c and
     # 2c + 1 hold the shifts +h e_c and -h e_c
-    hr1 = 0.5 * (hb_sx - hb_1)  # HR(x_{perm(i)} +- s, x_i)
-    hr2 = 0.5 * (hb_2 - hb_grid)  # HR(x_{perm(i)}, x_i +- s)
-    g1 = np.ascontiguousarray(((hr1[0::2] - hr1[1::2]) / twoh).T)
-    g2 = np.ascontiguousarray(((hr2[0::2] - hr2[1::2]) / twoh).T)
-    return g1, g2
+    hr = 0.5 * (hb_sx - hb_1)  # HR(x_{perm(i)} +- s, x_i)
+    return np.ascontiguousarray(((hr[0::2] - hr[1::2]) / (2.0 * h)).T)
 
 
 def _shifted_entries(grid, pts, shifts, b, k) -> np.ndarray:
     """[q, c] = <x_b[c] + s_q, p_k[c]>, bit for bit entry (b[c], k[c]) of
-    the n-row product (grid + s_q) @ pts.T that grad1/grad2 make.
+    the n-row product (grid + s_q) @ pts.T that grad1 makes.
 
     In d = 1 each entry is one rounded product, which is what BLAS returns
     for an inner dimension of 1; BLAS sums it into a zeroed accumulator, so

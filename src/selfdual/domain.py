@@ -47,6 +47,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, taken at the exact power-of-two scale that
+    puts the largest entry in [0.5, 1), so no square overflows; where none
+    over- or underflows unscaled, the bits are np.linalg.norm's."""
+    e = np.frexp(np.abs(a).max())[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(a, -e), axis=1), e)
+
+
 @dataclass(frozen=True)
 class DiscreteDomain:
     """N equal-measure cells with midpoint representatives.
@@ -77,7 +85,7 @@ class DiscreteDomain:
             raise ValueError("grid points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dim", int(pts.shape[1]))
-        object.__setattr__(self, "radius", float(np.linalg.norm(pts, axis=1).max()))
+        object.__setattr__(self, "radius", float(_row_norms(pts).max()))
 
     @property
     def n(self) -> int:
@@ -101,9 +109,7 @@ class SampledField:
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite field value")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(
-            self, "field_radius", float(np.linalg.norm(vals, axis=1).max())
-        )
+        object.__setattr__(self, "field_radius", float(_row_norms(vals).max()))
 
     @property
     def n(self) -> int:
@@ -151,7 +157,7 @@ class DualPointSet:
         pts = _readonly(np.atleast_2d(self.pts))
         if not (np.isfinite(pts).all() and 0 < self.radius < np.inf):
             raise ValueError("dual points must be finite and the radius finite and > 0")
-        norms = np.linalg.norm(pts, axis=1)
+        norms = _row_norms(pts)
         if norms.max() > self.radius * (1 + 1e-12):
             raise ValueError("dual point outside the ball")
         if not (norms == 0).any():
@@ -292,8 +298,12 @@ def build_dual_points(
         raise ValueError("margin must be non-negative and finite")
     check_pairing(dom, fld)
     radius = float((1.0 + margin) * max(dom.radius, fld.field_radius))
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    # tol_reg (2 R times a covering radius up to R) and the covering radius need R^2
+    if not np.finfo(float).tiny <= radius * radius < np.inf:
+        raise ValueError(
+            f"field radius {fld.field_radius:.3e} and domain radius {dom.radius:.3e} "
+            f"are out of scale: R = {radius:.3e}, and R^2 is not a normal float"
+        )
     m = 64 * dom.dim if sphere_points is None else int(sphere_points)
     if m < 1:
         raise ValueError("need at least one sphere sample")

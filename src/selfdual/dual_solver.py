@@ -155,10 +155,12 @@ def _blossom(g: nx.Graph, base: np.ndarray) -> np.ndarray:
     """A copy of the involution base with the pairs of a maximum weight
     matching of g made 2-cycles. With Python int weights networkx matches in
     exact integer arithmetic and checks the optimum itself; any other number
-    type makes it compute in floats."""
+    type makes it compute in floats. Empties g, which the matching's
+    reference cycles would hold until the collector runs."""
     sigma = base.copy()
     for a, b in nx.max_weight_matching(g, maxcardinality=False):
         sigma[a], sigma[b] = b, a
+    g.clear()
     return sigma
 
 

@@ -341,6 +341,19 @@ class TestRunDecompose:
         assert rows[1] == "0.03125,0.0625,0.03125,1.0484374999999968"
         assert len(rows) == 17
 
+    def test_field_out_of_scale_exits_2(self, tmp_path, capsys):
+        # sincos scaled by 2^600: its pairing is finite, but R^2 is not
+        bf = fields.builtin_field("sincos", 16)
+        dom = sd.build_grid(bf.domain_spec)
+        fcsv = tmp_path / "f.csv"
+        huge = np.ldexp(sd.sample_field(dom, bf.rule).values, 600)
+        write_field_csv(fcsv, dom, sd.SampledField(huge))
+        out = tmp_path / "r.json"
+        argv = ["decompose", "--field", str(fcsv), "--domain", json.dumps(bf.domain_spec)]
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert "field radius 1.216e+181" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_backed_run(self, tmp_path):
         dom = sd.interval_grid(0.0, 1.0, 12)
         fld = sd.sample_field(dom, lambda x: x)

@@ -254,6 +254,36 @@ class TestBallAndDualPoints:
             pset = sd.build_dual_points(dom, fld, margin=margin)
             assert pset.radius == (1 + margin) * max(dom.radius, fld.field_radius)
 
+    def test_radii_are_the_plain_row_norms_on_builtins(self):
+        for name in fields.builtin_names():
+            for n in (16, 64, 196):
+                bf = fields.builtin_field(name, n)
+                dom = build_grid(bf.domain_spec)
+                fld = sd.sample_field(dom, bf.rule)
+                assert dom.radius == np.linalg.norm(dom.points, axis=1).max()
+                assert fld.field_radius == np.linalg.norm(fld.values, axis=1).max()
+
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_radii_scale_exactly_by_powers_of_two(self, power):
+        dom, fld = random_problem(np.random.default_rng(5), 9, d=2)
+        pts, vals = np.ldexp(dom.points, power), np.ldexp(fld.values, power)
+        big = sd.DiscreteDomain(pts, 1.0, 2, 0.0)
+        assert big.radius == np.ldexp(dom.radius, power)
+        assert sd.SampledField(vals).field_radius == np.ldexp(fld.field_radius, power)
+        # the norm checks of a dual set see its points at that scale
+        pset = sd.build_dual_points(dom, fld)
+        pts, radius = np.ldexp(pset.pts, power), np.ldexp(pset.radius, power)
+        sd.DualPointSet(pts, radius)
+        with pytest.raises(ValueError, match="outside the ball"):
+            sd.DualPointSet(pts, 0.9 * radius)
+
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_radius_whose_square_leaves_the_floats_rejected(self, power):
+        dom, fld = random_problem(np.random.default_rng(5), 9, d=2)
+        small = sd.DiscreteDomain(np.ldexp(dom.points, power), 1.0, 2, 0.0)
+        with pytest.raises(ValueError, match="out of scale"):
+            sd.build_dual_points(small, sd.SampledField(np.ldexp(fld.values, power)))
+
     @pytest.mark.parametrize("margin", [math.nan, math.inf, -0.01])
     def test_bad_margin_rejected(self, margin):
         dom, fld = sincos_problem(8)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +203,23 @@ class TestSolveAuto:
         assert sol.value == pytest.approx(solve_brute(dom, fld).value, abs=1e-15)
         assert sol.bound == bound
         assert sol.bound > sol.value + 0.4
+
+    def test_blossom_leaves_little_behind(self):
+        # networkx's matching keeps its working state in reference cycles
+        # that hold the graph; with the graph emptied after the matching,
+        # about 43 KB stay traced here, against about 206 KB with it kept.
+        # The collector is off, so the figure does not depend on when it runs
+        dom, fld = random_problem(np.random.default_rng(1), 48, 2)
+        assert solve(dom, fld).certificate == "blossom-fallback"
+        gc.disable()
+        tracemalloc.start()
+        try:
+            solve_matching(dom, fld)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left <= 100_000
 
     def test_oracles_agree_under_the_bound(self):
         dom, fld = tent_problem(10)

@@ -128,6 +128,16 @@ def _smooth_field(rng, d):
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("name", ["sincos", "tent", "gradskew", "matrix"])
+    def test_field_scaled_by_two_to_the_600(self, name):
+        # a power of two scales the pairing exactly, so sigma stays at
+        # 2^-600; at 2^600 R^2 overflows, and the field is refused by scale
+        dom, fld, _ = _builtin(name, 16)
+        sigma = decompose(dom, fld).sigma
+        assert decompose(dom, sd.SampledField(np.ldexp(fld.values, -600))).sigma == sigma
+        with pytest.raises(ValueError, match=r"field radius \S+e\+18[01]"):
+            decompose(dom, sd.SampledField(np.ldexp(fld.values, 600)))
+
     def test_sincos(self):
         dom, fld = sincos_problem(64)
         rep = decompose(dom, fld)
@@ -688,8 +698,7 @@ class TestUniquenessCertificate:
         cases = [c for c in _certificate_cases() if c[0].startswith(("planted", "two"))]
         for label, dom, fld in cases:
             sigma, v = _certify(dom, fld)
-            with np.errstate(over="ignore"):  # field_radius, which is not read
-                big = sd.SampledField(np.ldexp(fld.values, power))
+            big = sd.SampledField(np.ldexp(fld.values, power))
             got_sigma, got = _certify(dom, big)
             assert np.array_equal(got_sigma.sigma, sigma.sigma), label
             assert got.verdict == v.verdict, label
