@@ -214,7 +214,6 @@ def _cmd_dual(cfg: RunConfig) -> int:
         {
             "D": sol.value,
             "sigma": [int(k) for k in sol.sigma.sigma],
-            "method": sol.method,
             "certificate": sol.certificate,
             "bound": sol.bound,
         },

@@ -20,12 +20,9 @@ constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from . import conjugacy, dual_solver, primal_solver
@@ -57,12 +54,10 @@ __all__ = [
 
 # check_uniqueness takes every triple up to this many, a seeded sample
 # above, and scans its sample points in blocks of about _UNIQUENESS_BLOCK
-# (point, pair) ratios; the sample-only Jacobian fit finds neighbours, and
-# the tight-graph certificate scans its reduced costs, in row blocks of
-# about as many entries; its blossom takes up to _BLOSSOM_EDGES kept edges
+# (point, pair) ratios; the sample-only Jacobian fit finds neighbours in
+# row blocks of about as many entries
 _UNIQUENESS_TRIPLES = 200_000
 _UNIQUENESS_BLOCK = 1 << 12
-_BLOSSOM_EDGES = 1 << 12
 
 
 @dataclass
@@ -108,11 +103,11 @@ class UniquenessVerdict:
     """Whether the optimal involution of the discrete problem is unique.
 
     "unique" and "non-unique" are certificates: the forest test or the exact
-    blossom on the tight graph of the assignment (see _certify_uniqueness).
+    blossom on the kept graph of the assignment (dual_solver._settle).
     "non-unique" carries a second optimal involution, ``alternative``, whose
     value ties sigma's exactly. "uniqueness-plausible" and
     "non-unique-plausible" come from check_uniqueness, a sampled scan of the
-    paper's continuum condition and a heuristic only, run where the tight
+    paper's continuum condition and a heuristic only, run where the kept
     graph is past the blossom's edge cap; min_ratio, median_ratio and the
     triple witness are the scan's figures (NaN and () for a certificate).
     """
@@ -170,10 +165,9 @@ def decompose(
 ) -> DecompositionReport:
     """Run the full pipeline on a sampled field.
 
-    Uniqueness of the optimal involution is decided exactly from the tight
-    graph of the assignment, by a forest test or one integer blossom
-    (_certify_uniqueness: "unique" or "non-unique"). Only past the
-    blossom's edge cap does the sampled scan check_uniqueness run
+    The dual solve decides uniqueness exactly, from the kept graph of the
+    assignment ("unique" or "non-unique"). Only past the blossom's edge cap
+    (never on an odd cycle) does the sampled scan check_uniqueness run
     ("uniqueness-plausible" or "non-unique-plausible"); the optional
     pointwise rule and Jacobian feed it, and without them it estimates the
     Jacobian from neighboring samples.
@@ -184,8 +178,7 @@ def decompose(
     relaxation = dual_solver.assignment_relaxation(dom, fld)
     dual = dual_solver.solve(dom, fld, relaxation)
     primal = primal_solver.minimize_primal(dom, fld, relaxation, cfg.eps_primal)
-    pot = relaxation[1]  # the rest is not held through the larger stages below
-    del relaxation
+    del relaxation  # perm is not held through the larger stages below
 
     pset = build_dual_points(
         dom, fld, margin=cfg.radius_margin, sphere_points=cfg.sphere_points, seed=cfg.seed
@@ -200,10 +193,10 @@ def decompose(
 
     cert = primal_solver.weak_duality(dom, fld, primal.kernel, sigma)
     mono = check_monotone(dom, fld)
-    # last: networkx's blossom leaves reference cycles, held until collected
-    uniq = _certify_uniqueness(dom, fld, pot, sigma)
-    if uniq is None:
+    if dual.uniqueness is None:
         uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
+    else:
+        uniq = UniquenessVerdict(dual.uniqueness, alternative=dual.alternative)
 
     mesh = dom.mesh
     tolerances = {
@@ -216,7 +209,6 @@ def decompose(
         "pset_covering_radius": hreg.covering_radius,
         "pset_size": pset.m,
         "residual_scale_factor": res1.median / (h + mesh),
-        "dual_method": dual.method,
         "dual_bound": dual.bound,
         "certificate": dual.certificate,
         "primal_iterations": primal.iterations,
@@ -426,188 +418,6 @@ def check_uniqueness(
         "non-unique-plausible" if min_ratio <= 0.1 * med else "uniqueness-plausible"
     )
     return UniquenessVerdict(verdict, min_ratio, med, witness)
-
-
-def _certify_uniqueness(
-    dom: DiscreteDomain, fld: SampledField, pot: np.ndarray, sigma: Involution
-) -> UniquenessVerdict | None:
-    """Exact verdict on whether sigma is the only optimal involution, or None.
-
-    With c = pairing(dom, fld) and the assignment potentials pot (from
-    dual_solver.assignment_relaxation), the reduced costs
-    r_ij = pot_i + pot_j - c_ij - c_ji (i != j) and r_ii = pot_i - c_ii
-    give every involution s the value
-    sum_i c[i, s(i)] = sum(pot) - (sum of r over its pairs and fixed
-    points), an identity of real numbers. Let gap = sum(pot) - value(sigma)
-    and viol = max(0, -min r). An optimal s has value(s) >= value(sigma), so
-    its at most n terms of r sum to at most gap, and each is >= -viol: each
-    is at most max(gap, 0) + n viol. So every optimal involution uses only
-    the pairs and fixed points with r <= tol, the kept graph (reduced-cost
-    fixing; Nemhauser and Wolsey, Integer and Combinatorial Optimization,
-    1988).
-
-    Rounding allowance. c is the data: a value is the exact sum of its
-    entries. With u = eps / 2 and M = max|pot| + max|c|, the computed
-    r_ij = ((pot_i + pot_j) - c_ij) - c_ji rounds three partial results of
-    size at most 2M, so it is within rho = 4 eps M of the exact r_ij (6 u M
-    and products of u); r_ii rounds once. The exact viol is thus at most
-    the computed one plus rho. gap is the math.fsum of pot and
-    -c[i, sigma(i)], correctly rounded, so the exact max(gap, 0) is at most
-    (1 + eps) times the computed one. A term of an optimal involution then
-    has a computed r of at most max(gap, 0) (1 + eps) + n (viol + rho) + rho,
-    and tol = (max(gap, 0) + n viol + (n + 2) rho) (1 + 4 eps) bounds it,
-    with a rho and the factor to spare for the rounding of tol itself.
-
-    Unless the kept graph is a forest (_cyclic_components) that admits
-    sigma alone (_admits_another), one blossom (dual_solver._blossom)
-    decides. A rival component of the kept graph holds a kept edge outside
-    sigma, or a pair of sigma whose two ends are both fixed_ok; on the
-    others sigma is the only involution the kept graph admits. On the rival
-    components' kept edges the blossom maximizes the Python int weights
-
-        w_ij = (n + 1) (q(c_ij) + q(c_ji) - q(c_ii) - q(c_jj))
-               + 2 [sigma(i) != j] - [sigma(i) != i] - [sigma(j) != j],
-
-    q(x) = x scale, with scale the largest denominator (a power of two) of
-    the entries read. Unmatched vertices stay fixed and the other components
-    keep sigma, so a matching weighs (n + 1) value + (the number of vertices
-    where it leaves sigma) plus a constant, value in units of 1 / scale: an
-    involution that ties sigma outweighs it, and a worse one never does.
-    Fixing a vertex that is not fixed_ok only adds involutions worse than
-    sigma, as they leave the kept graph.
-
-    - "unique": the forest test passes, or the blossom returns sigma.
-    - "non-unique": it returns an involution whose value ties sigma's,
-      checked in Fraction arithmetic; that is the alternative.
-    - None, for the sampled scan to decide, if it returns a better
-      involution, or if the rival components hold more than _BLOSSOM_EDGES
-      kept edges.
-    """
-    n = dom.n
-    s = sigma.sigma
-    idx = np.arange(n)
-    c = pairing(dom, fld)
-    eps = np.finfo(float).eps
-    step = max(1, _UNIQUENESS_BLOCK // n)
-
-    def reduced(lo):
-        """Rows lo:lo + step of r, as the docstring rounds them; the
-        diagonal, which is not r_ii, at +inf."""
-        r = pot[lo : lo + step, None] + pot
-        r -= c[lo : lo + step]
-        r -= c[:, lo : lo + step].T
-        rows = np.arange(len(r))
-        r[rows, rows + lo] = np.inf
-        return r
-
-    rfix = pot - np.diagonal(c)
-    low = min([rfix.min()] + [reduced(lo).min() for lo in range(0, n, step)])
-    gap = math.fsum(np.concatenate([pot, -c[idx, s]]))
-    rho = 4 * eps * (np.abs(pot).max() + np.abs(c).max())
-    tol = (max(gap, 0.0) + n * max(0.0, -low) + (n + 2) * rho) * (1 + 4 * eps)
-    fixed_ok = rfix <= tol
-    a, b = np.minimum(idx, s), np.maximum(idx, s)
-    rsig = np.where(a == b, rfix, pot[a] + pot[b] - c[a, b] - c[b, a])
-    if not (rsig <= tol).all():  # NaN too
-        return None
-    ei, ej = [], []
-    for lo in range(0, n, step):
-        i, j = np.nonzero(reduced(lo) <= tol)
-        i += lo
-        ei.append(i[j > i])
-        ej.append(j[j > i])
-    ei, ej = np.concatenate(ei), np.concatenate(ej)
-    label, cyclic = _cyclic_components(n, ei, ej)  # per vertex
-
-    if not cyclic.any() and not _admits_another(s, fixed_ok, ei, ej):
-        return UniquenessVerdict("unique")
-
-    # a kept edge outside sigma, or a pair of sigma that may be undone
-    rivals = np.concatenate([ei[s[ei] != ej], idx[(s != idx) & fixed_ok & fixed_ok[s]]])
-    rival = np.isin(label, label[rivals])
-    u, v = ei[rival[ei]], ej[rival[ei]]
-    k = len(u)
-    if k > _BLOSSOM_EDGES:
-        return None
-    read = np.concatenate([c[u, v], c[v, u], np.diagonal(c)[rival]])
-    ratios = [x.as_integer_ratio() for x in read.tolist()]
-    scale = max(den for _, den in ratios)
-    q = [num * (scale // den) for num, den in ratios]
-    qfix = dict(zip(np.flatnonzero(rival).tolist(), q[2 * k :]))
-    moves = 2 * (s[u] != v) - (s[u] != u) - (s[v] != v)
-    g = nx.Graph()
-    edges = zip(u.tolist(), v.tolist(), q[:k], q[k : 2 * k], moves.tolist())
-    for i, j, qij, qji, m in edges:
-        w = (n + 1) * (qij + qji - qfix[i] - qfix[j]) + m
-        if w > 0:  # a matching never gains by the others
-            g.add_edge(i, j, weight=w)
-    alt = dual_solver._blossom(g, np.where(rival, idx, s))
-
-    diff = np.flatnonzero(alt != s)
-    if not len(diff):
-        return UniquenessVerdict("unique")
-    if sum(map(Fraction, c[diff, alt[diff]])) == sum(map(Fraction, c[diff, s[diff]])):
-        return UniquenessVerdict("non-unique", alternative=Involution(alt))
-    return None  # sigma is not optimal
-
-
-def _cyclic_components(n: int, ei: np.ndarray, ej: np.ndarray):
-    """A component label per vertex, and whether the vertex's component has
-    a cycle, for the graph of the edges (ei, ej): union-find, where an edge
-    inside one set closes a cycle."""
-    root = list(range(n))
-    cyc = [False] * n
-
-    def find(a):
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for i, j in zip(ei.tolist(), ej.tolist()):
-        a, b = find(i), find(j)
-        if a == b:
-            cyc[a] = True
-        else:
-            root[b] = a
-            cyc[a] = cyc[a] or cyc[b]
-    label = np.array([find(v) for v in range(n)], dtype=np.intp)
-    return label, np.array(cyc, dtype=bool)[label]
-
-
-def _admits_another(
-    s: np.ndarray, fixed_ok: np.ndarray, ei: np.ndarray, ej: np.ndarray
-) -> bool:
-    """Whether a forest of kept edges (ei, ej), sigma's pairs among them,
-    admits an involution other than sigma.
-
-    Another involution differs from sigma along paths whose edges alternate
-    between sigma's pairs and other kept edges. An end is a fixed point of
-    sigma reached by another edge (it gets paired), or a vertex reached by
-    its pair of sigma that may stay fixed. In a forest a walk that never
-    turns back is a path, and an alternating walk never does; so the search
-    runs breadth first, all starts at once, over the vertices about to take
-    an edge outside sigma, marked so that each is entered once.
-    """
-    paired = s != np.arange(len(s))
-    if (paired & fixed_ok & fixed_ok[s]).any():
-        return True  # a pair undone
-    other = s[ei] != ej  # kept edges that are not pairs of sigma, both ways
-    src = np.concatenate([ei[other], ej[other]])
-    dst = np.concatenate([ej[other], ei[other]])
-    front = ~paired | (paired & fixed_ok)[s]
-    seen = front.copy()
-    while front.any():
-        reached = np.zeros(len(s), dtype=bool)
-        reached[dst[front[src]]] = True
-        if (reached & ~paired).any():
-            return True  # ends at a fixed point of sigma, which gets paired
-        front = reached[s]  # across sigma's pairs
-        if (front & fixed_ok).any():
-            return True  # ends at a vertex that stays fixed
-        front &= ~seen
-        seen |= front
-    return False
 
 
 def krauss_check(

@@ -24,7 +24,7 @@ class TestParseConfig:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["sigma"] == list(range(8))
-        assert payload["method"] == "assignment"
+        assert "method" not in payload  # the one path needs no name
         assert payload["certificate"] == "assignment-bound-tight"
         assert payload["bound"] == pytest.approx(payload["D"], rel=1e-12)
 

@@ -406,7 +406,7 @@ class TestResidualGradients:
         assert_second_is_first_permuted(rep, fld)
         h = rep.tolerances["fd_step"]
         if (d, n, seed) == (3, 16, 4):
-            assert rep.dual.certificate == "blossom-fallback"
+            assert rep.dual.certificate == "kept-graph-exact"
         perms = (np.arange(n), pair_swap(n), rep.sigma.sigma, three_cycle(n))
         for perm in perms:
             assert_shared_pass_matches(rep.hamiltonian, perm, h)
@@ -414,7 +414,7 @@ class TestResidualGradients:
     def test_odd_cycle_bit_identical(self):
         dom, fld = odd_cycle_problem()
         rep = sd.decompose(dom, fld)
-        assert rep.dual.certificate == "blossom-fallback"
+        assert rep.dual.certificate == "kept-graph-exact"
         h = rep.tolerances["fd_step"]
         for perm in (np.arange(3), pair_swap(3), rep.sigma.sigma):
             assert_shared_pass_matches(rep.hamiltonian, perm, h)

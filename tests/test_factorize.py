@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from selfdual import dual_solver, factorize, fields
 from selfdual.domain import rotation_permutation, swap_permutation
 from selfdual.factorize import (
     PipelineConfig,
+    UniquenessVerdict,
     _estimate_jacobians,
     check_monotone,
     check_uniqueness,
@@ -213,7 +215,6 @@ class TestDecompose:
         assert set(d["config"]) == {
             "certificate",
             "dual_bound",
-            "dual_method",
             "eps_primal",
             "fd_step",
             "mesh",
@@ -227,16 +228,14 @@ class TestDecompose:
             "seed",
             "tol_reg",
         }
-        # the one dual path: the rounded assignment or its blossom fallback
-        paths = {
-            ("assignment", "assignment-bound-tight"),
-            ("matching", "blossom-fallback"),
-        }
+        # the one dual path: the rounded assignment, or on an odd cycle the
+        # kept-graph blossom
+        certificates = {"assignment-bound-tight", "kept-graph-exact"}
         rng = np.random.default_rng(21)
         problems = [odd_cycle_problem()] + [random_problem(rng, 9, d=2) for _ in range(6)]
         for problem in [(dom, fld)] + problems:
             config = decompose(*problem).to_dict()["config"]
-            assert (config["dual_method"], config["certificate"]) in paths
+            assert config["certificate"] in certificates
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_settings_rejected(self, value):
@@ -282,17 +281,16 @@ class TestDecompose:
 
     def test_certificate_names_the_path(self):
         cases = [
-            (sincos_problem(16), "assignment", "assignment-bound-tight"),
-            (monotone_problem(8), "assignment", "assignment-bound-tight"),
-            (odd_cycle_problem(), "matching", "blossom-fallback"),
+            (sincos_problem(16), "assignment-bound-tight"),
+            (monotone_problem(8), "assignment-bound-tight"),
+            (odd_cycle_problem(), "kept-graph-exact"),
         ]
-        for (dom, fld), label, cert in cases:
+        for (dom, fld), cert in cases:
             rep = decompose(dom, fld)
             config = rep.to_dict()["config"]
-            assert config["dual_method"] == label
             assert config["certificate"] == cert
             assert config["dual_bound"] == pytest.approx(rep.p_value, rel=1e-12)
-            if cert == "blossom-fallback":
+            if cert == "kept-graph-exact":
                 assert rep.p_value > rep.d_value + 0.4
             else:
                 assert rep.d_value == pytest.approx(rep.p_value, rel=1e-12)
@@ -549,8 +547,11 @@ class TestCheckUniqueness:
             return out
 
         monkeypatch.setattr(factorize, "check_uniqueness", both)
-        # the tight graph certifies both fields; force the scan to run
-        monkeypatch.setattr(factorize, "_certify_uniqueness", lambda *a: None)
+        # the kept graph certifies both fields; force the scan to run
+        solve = dual_solver.solve
+        monkeypatch.setattr(
+            dual_solver, "solve", lambda *a: replace(solve(*a), uniqueness=None)
+        )
         tracemalloc.start()
         try:
             decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
@@ -609,9 +610,12 @@ def _certificate_cases():
 
 
 def _certify(dom, fld):
-    relaxation = dual_solver.assignment_relaxation(dom, fld)
-    sigma = dual_solver.solve(dom, fld, relaxation).sigma
-    return sigma, factorize._certify_uniqueness(dom, fld, relaxation[1], sigma)
+    """sigma and its exact uniqueness verdict from solve, as decompose
+    reports it, or None past the blossom's edge cap."""
+    sol = dual_solver.solve(dom, fld)
+    if sol.uniqueness is None:
+        return sol.sigma, None
+    return sol.sigma, UniquenessVerdict(sol.uniqueness, alternative=sol.alternative)
 
 
 class TestUniquenessCertificate:
@@ -619,8 +623,8 @@ class TestUniquenessCertificate:
         # at the default cap the certificate decides every case; with a cap
         # of a few edges the larger rival components fall back to the scan
         cases = [(*case, _optima(*case[1:])) for case in _certificate_cases()]
-        for cap in (factorize._BLOSSOM_EDGES, 3):
-            monkeypatch.setattr(factorize, "_BLOSSOM_EDGES", cap)
+        for cap in (dual_solver._BLOSSOM_EDGES, 3):
+            monkeypatch.setattr(dual_solver, "_BLOSSOM_EDGES", cap)
             seen = dict.fromkeys(["unique", "ties of 2", "ties of 3+", "undecided"], 0)
             for label, dom, fld, optima in cases:
                 sigma, v = _certify(dom, fld)
@@ -662,10 +666,12 @@ class TestUniquenessCertificate:
         )
 
     def test_undecided_instance_gets_scan_verdict(self):
-        # rotationJ on 121 cells: the kept graph is complete, 7260 edges in
-        # one rival component, above the blossom's cap, so the scan decides
-        dom, fld, bf = _builtin("rotationJ", 121)
-        assert dom.n * (dom.n - 1) // 2 > factorize._BLOSSOM_EDGES
+        # rotationJ on 196 cells: the assignment has no odd cycle, and the
+        # kept graph is complete, 19110 edges in one rival component, above
+        # the blossom's cap, so the scan decides
+        dom, fld, bf = _builtin("rotationJ", 196)
+        assert dom.n * (dom.n - 1) // 2 > dual_solver._BLOSSOM_EDGES
+        assert dual_solver.solve(dom, fld).certificate == "assignment-bound-tight"
         assert _certify(dom, fld)[1] is None
         rep = decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         verdicts = {"uniqueness-plausible", "non-unique-plausible"}
@@ -686,9 +692,9 @@ class TestUniquenessCertificate:
         # rotationJ on 16 cells: the kept graph is complete, 120 edges in
         # one rival component; at the cap it is decided, one edge above not
         dom, fld, _ = _builtin("rotationJ", 16)
-        monkeypatch.setattr(factorize, "_BLOSSOM_EDGES", 120)
+        monkeypatch.setattr(dual_solver, "_BLOSSOM_EDGES", 120)
         assert _certify(dom, fld)[1].verdict == "non-unique"
-        monkeypatch.setattr(factorize, "_BLOSSOM_EDGES", 119)
+        monkeypatch.setattr(dual_solver, "_BLOSSOM_EDGES", 119)
         assert _certify(dom, fld)[1] is None
 
     @pytest.mark.parametrize("power", [-600, 600])
@@ -739,7 +745,7 @@ class TestUniquenessCertificate:
                 )
             ]
             assert any(np.array_equal(sig, s) for sig in admitted)
-            assert factorize._admits_another(s, fixed_ok, ei, ej) == (len(admitted) > 1)
+            assert dual_solver._admits_another(s, fixed_ok, ei, ej) == (len(admitted) > 1)
 
     @pytest.mark.parametrize(
         "name, n, parent_mb", [("sincos", 128, 0.918), ("gradskew", 196, 2.887)]

@@ -3,14 +3,18 @@ assignment core, blossom and brute, each paired with the closed-form
 primal kernel."""
 
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import selfdual as sd
 from selfdual.dual_solver import (
+    BRUTE_LIMIT,
+    _kept_graph,
+    _round_cycles,
     assignment_relaxation,
     solve,
     solve_brute,
@@ -100,7 +104,7 @@ def test_odd_cycle_instance(scale):
     dom = sd.DiscreteDomain(scale * dom.points, dom.cell_measure, dom.dim, 0.0)
     fld = sd.SampledField(scale * fld.values)
     values, bound = check_paths(dom, fld)
-    assert solve(dom, fld).method == "matching"
+    assert solve(dom, fld).certificate == "kept-graph-exact"
     # no involution reaches the fractional optimum of a 3-cycle
     assert values["brute"] < bound - 0.4 * scale * scale
 
@@ -110,3 +114,68 @@ def test_constant_zero_field():
     fld = sd.SampledField(np.zeros((6, 1)))
     values, bound = check_paths(dom, fld)
     assert bound == 0.0 and values["auto"] == 0.0
+
+
+def planted_odd_cycle(n, k, seed, bonus, scale):
+    """The unit vectors of R^n as points, so that C is the field matrix:
+    normal noise, with bonus on the links of an odd cycle of 2k + 1 (at
+    most n) indices, which the optimal assignment then tends to keep."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(n, n))
+    cyc = rng.permutation(n)[: min(2 * k + 1, n - 1 + n % 2)]
+    c[cyc, np.roll(cyc, -1)] += bonus
+    dom = sd.DiscreteDomain(scale * np.eye(n), 1.0 / n, n, 0.0)
+    return dom, sd.SampledField(scale * c)
+
+
+odd_cycles = given(
+    n=st.integers(3, 24),
+    k=st.integers(1, 11),
+    seed=st.integers(0, 2**31 - 1),
+    bonus=st.sampled_from([4.0, 16.0, 32.0]),
+    scale=st.sampled_from([1.0, 1e-8, 1e8]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@odd_cycles
+def test_odd_cycles_solved_exactly(n, k, seed, bonus, scale):
+    # exact against enumeration up to BRUTE_LIMIT, and above it at least as
+    # good as the float blossom, in Fraction values, and within its rounding
+    dom, fld = planted_odd_cycle(n, k, seed, bonus, scale)
+    c = sd.pairing(dom, fld)
+    perm, _, bound = assignment_relaxation(dom, fld)
+    assume(not _round_cycles(0.5 * (c + c.T), perm)[1])
+    sol = solve(dom, fld)
+    assert sol.certificate == "kept-graph-exact" and sol.bound == bound
+    assert sol.uniqueness in ("unique", "non-unique")
+
+    def exact(s):
+        return sum(map(Fraction, c[np.arange(n), s.sigma]))
+
+    if n <= BRUTE_LIMIT:
+        assert exact(sol.sigma) == exact(solve_brute(dom, fld).sigma)
+    else:
+        match = solve_matching(dom, fld)
+        assert exact(sol.sigma) >= exact(match.sigma)
+        rounding = 64 * (n + 2) * np.finfo(float).eps * np.abs(c).max()
+        assert sol.value <= match.value + rounding
+    if sol.uniqueness == "non-unique":
+        assert sol.alternative != sol.sigma
+        assert exact(sol.alternative) == exact(sol.sigma)
+
+
+@settings(max_examples=100, deadline=None)
+@odd_cycles
+def test_kept_graph_holds_the_full_blossoms_optimum(n, k, seed, bonus, scale):
+    # pruned to the kept graph of the rounded start, odd cycle or not, the
+    # blossom's graph still holds every pair and fixed point of the float
+    # blossom's optimum on the full graph
+    dom, fld = planted_odd_cycle(n, k, seed, bonus, scale)
+    c = sd.pairing(dom, fld)
+    perm, pot, _ = assignment_relaxation(dom, fld)
+    start, _ = _round_cycles(0.5 * (c + c.T), perm)
+    fixed_ok, ei, ej = _kept_graph(c, pot, start)
+    kept = set(zip(ei.tolist(), ej.tolist()))
+    for i, j in enumerate(solve_matching(dom, fld).sigma.sigma.tolist()):
+        assert fixed_ok[i] if i == j else (min(i, j), max(i, j)) in kept
