@@ -201,8 +201,9 @@ class RegularHamiltonian:
         <p_k, x_j> + g[b, j] the outer maximum runs over.
         """
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        # Y is freed before the second product
-        g = _maxplus(ys @ self.pset.pts.T, self.lstar_table, np.subtract)
+        y = self._xp if ys is self.dom.points else ys @ self.pset.pts.T  # E at the grid
+        g = _maxplus(y, self.lstar_table, np.subtract)
+        del y  # a computed Y is freed before the second product
         out = _maxplus(g, self._xp)
         return (out, g) if inner else out
 
@@ -329,8 +330,7 @@ def residual_gradients(
     grid, lstar, xp, pts = hreg.dom.points, hreg.lstar_table, hreg._xp, hreg.pset.pts
     (n, d), m = grid.shape, hreg.pset.m
     perm = check_permutation(perm, n, "perm")
-    pinv = np.empty(n, dtype=np.intp)
-    pinv[perm] = np.arange(n)
+    pinv = np.argsort(perm)
     pts_t, sx = pts.T, grid[perm]
     shifts = np.array([sign * e for e in np.eye(d) * h for sign in (1, -1)])
     tau = _candidate_margin(hreg, h)

@@ -330,13 +330,16 @@ class AntiSymmetricKernel:
     __slots__ = ("matrix",)
 
     def __init__(self, upper: np.ndarray):
-        upper = np.asarray(upper, dtype=float)
-        if upper.ndim != 2 or upper.shape[0] != upper.shape[1]:
+        mat = np.array(upper, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("kernel table must be square")
-        if not np.all(np.isfinite(upper)):
+        if not np.all(np.isfinite(mat)):
             raise ValueError("non-finite kernel entry")
-        tri = np.triu(upper, k=1)
-        mat = tri - tri.T
+        # triu(upper, 1) - triu(upper, 1).T in place, 64 rows at a time (x - 0.0 is x)
+        for blk in (slice(lo, lo + 64) for lo in range(0, len(mat), 64)):
+            np.subtract(0.0, mat[: blk.start, blk].T, out=mat[blk, : blk.start])
+            tri = np.triu(mat[blk, blk], k=1)
+            mat[blk, blk] = tri - tri.T
         mat.flags.writeable = False
         self.matrix = mat
 

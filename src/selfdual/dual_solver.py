@@ -184,25 +184,26 @@ def assignment_relaxation(
     stochastic relaxation. The assignment duals a_i + b_j >= S[i, j], tight
     on perm, come from Bellman-Ford on the reduced costs, and pot = a + b
     satisfies pot_i >= C[i, i], pot_i + pot_j >= C[i, j] + C[j, i] and
-    sum(pot) * mu == bound up to rounding.
+    sum(pot) * mu == bound up to rounding. An optimal perm rules out a
+    negative cycle only in exact arithmetic: a tied cycle of length 0 can
+    round below 0, and the sweeps then end at their cap, n + 1, without a fixpoint.
     """
-    c = pairing(dom, fld)
-    s = 0.5 * (c + c.T)  # symmetric bit for bit, S[i, i] == C[i, i]
+    s = pairing(dom, fld)
+    s += s.T  # C + C^T: numpy reads the overlapping s.T from a copy
+    s *= 0.5  # symmetric bit for bit, S[i, i] == C[i, i]
     n = dom.n
     _, perm = linear_sum_assignment(s, maximize=True)
     # b_perm(i) <= b_j + S[i, perm(i)] - S[i, j]: shortest paths in the
     # graph whose edge j -> k has length[k, j], from a source at distance 0
-    owner = np.empty(n, dtype=np.intp)
-    owner[perm] = np.arange(n)
-    rows = s[owner]
-    length = np.diag(rows)[:, None] - rows  # zero diagonal keeps b_k itself
-    b = np.zeros(n)
-    for _ in range(n + 1):  # an optimal perm leaves no negative cycle
-        nb = (b[None, :] + length).min(axis=1)
+    s = s[np.argsort(perm)]  # row k is S[i] for perm(i) = k
+    tight = s.diagonal()[perm]  # S[i, perm(i)], read before s turns into length
+    length = np.subtract(s.diagonal()[:, None], s, out=s)  # zero diagonal keeps b_k
+    b, scratch = np.zeros(n), np.empty((n, n))
+    for _ in range(n + 1):
+        nb = np.add(b[None, :], length, out=scratch).min(axis=1)
         if np.array_equal(nb, b):
             break
         b = nb
-    tight = s[np.arange(n), perm]
     pot = tight - b[perm] + b
     return perm, pot, float(tight.sum() * dom.cell_measure)
 

@@ -178,37 +178,38 @@ def decompose(
     relaxation = dual_solver.assignment_relaxation(dom, fld)
     dual = dual_solver.solve(dom, fld, relaxation)
     primal = primal_solver.minimize_primal(dom, fld, relaxation, cfg.eps_primal)
+    pot = relaxation[1]
     del relaxation  # perm is not held through the larger stages below
 
     pset = build_dual_points(
         dom, fld, margin=cfg.radius_margin, sphere_points=cfg.sphere_points, seed=cfg.seed
     )
     hreg = conjugacy.regularize(primal.kernel, dom, pset)
+    sigma = dual.sigma
+    cert = primal_solver.weak_duality(dom, fld, primal.kernel, sigma)
+    primal.kernel = None  # the residual pass, the peak, runs without it
 
     h = cfg.fd_step_rel * pset.radius
-    sigma = dual.sigma
     g1 = residual_gradients(hreg, sigma.sigma, h)
     res1 = ResidualStats(np.linalg.norm(fld.values - g1, axis=1))
     res2 = ResidualStats(res1.values[sigma.sigma])
 
-    cert = primal_solver.weak_duality(dom, fld, primal.kernel, sigma)
     mono = check_monotone(dom, fld)
     if dual.uniqueness is None:
         uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
     else:
         uniq = UniquenessVerdict(dual.uniqueness, alternative=dual.alternative)
 
-    mesh = dom.mesh
     tolerances = {
         "eps_primal": cfg.eps_primal,
         "fd_step": h,
-        "mesh": mesh,
+        "mesh": dom.mesh,
         "radius": pset.radius,
         "radius_margin": cfg.radius_margin,
         "tol_reg": hreg.tol_reg,
         "pset_covering_radius": hreg.covering_radius,
         "pset_size": pset.m,
-        "residual_scale_factor": res1.median / (h + mesh),
+        "residual_scale_factor": res1.median / (h + dom.mesh),
         "dual_bound": dual.bound,
         "certificate": dual.certificate,
         "primal_iterations": primal.iterations,
@@ -225,7 +226,7 @@ def decompose(
         cert.slack,
         mono,
         uniq,
-        primal.kernel,
+        primal_solver.optimal_kernel(dom, fld, pot),  # the same bits, rebuilt last
         hreg,
         dual,
         tolerances,

@@ -35,6 +35,7 @@ __all__ = [
     "primal_objective",
     "weak_duality",
     "minimize_primal",
+    "optimal_kernel",
     "kernel_cancellation",
 ]
 
@@ -42,8 +43,7 @@ __all__ = [
 def primal_objective(
     dom: DiscreteDomain, fld: SampledField, kernel: AntiSymmetricKernel
 ) -> float:
-    z = lagrangian_scores(kernel, dom, fld)
-    return float(z.max(axis=0).sum() * dom.cell_measure)
+    return float(lagrangian_scores(kernel, dom, fld).max(axis=0).sum() * dom.cell_measure)
 
 
 def kernel_cancellation(kernel: AntiSymmetricKernel, s: Involution, mu: float) -> float:
@@ -79,19 +79,15 @@ def weak_duality(
     slack_i = L(x_i, u_i) + K[s(i), i] - <u_i, x_{s(i)}> is computed as a
     max minus one of its own entries, hence exactly nonnegative.
     """
-    if s.n != dom.n:
-        raise ValueError("involution length does not match domain")
+    d = dual_solver.dual_objective(dom, fld, s)  # raises on a length mismatch
     z = lagrangian_scores(kernel, dom, fld)
     lvals = z.max(axis=0)
-    idx = np.arange(dom.n)
-    slack = lvals - z[s.sigma, idx]
+    slack = lvals - z[s.sigma, np.arange(dom.n)]
     mu = dom.cell_measure
     cancel = kernel_cancellation(kernel, s, mu)
     if cancel != 0.0:
         raise AssertionError("involution kernel sum failed to cancel exactly")
-    p = float(lvals.sum() * mu)
-    d = dual_solver.dual_objective(dom, fld, s)
-    return DualityCertificate(p, d, float(slack.sum() * mu), slack, cancel)
+    return DualityCertificate(float(lvals.sum() * mu), d, float(slack.sum() * mu), slack, cancel)
 
 
 @dataclass
@@ -100,6 +96,17 @@ class PrimalSolution:
     value: float
     iterations: int
     converged: bool
+
+
+def optimal_kernel(dom: DiscreteDomain, fld: SampledField, pot: np.ndarray):
+    """minimize_primal's kernel, built in place in two [n, n] tables."""
+    k = pairing(dom, fld)  # k.T[j, i] = c_ji
+    np.subtract(k.T, k, out=k)  # numpy reads the overlapping k.T from a copy
+    k *= 0.5
+    dpot = np.subtract(pot[None, :], pot[:, None])  # [j, i] = pot_i - pot_j
+    k -= np.multiply(0.5, dpot, out=dpot)
+    del dpot
+    return AntiSymmetricKernel(k)
 
 
 def minimize_primal(
@@ -123,11 +130,9 @@ def minimize_primal(
     """
     if not (np.isfinite(eps_rel) and eps_rel > 0):
         raise ValueError("eps_rel must be positive and finite")
-    c = pairing(dom, fld)  # c.T[j, i] = c_ji
     _, pot, bound = relaxation or dual_solver.assignment_relaxation(dom, fld)
-    kernel = AntiSymmetricKernel(0.5 * (c.T - c) - 0.5 * (pot[None, :] - pot[:, None]))
-    mu = dom.cell_measure
+    kernel = optimal_kernel(dom, fld, pot)
     value = primal_objective(dom, fld, kernel)
-    scale = np.abs(c).max(axis=1).sum() + np.abs(kernel.matrix).max(axis=0).sum()
-    floor = float(4 * (dom.n + dom.dim + 2) * np.finfo(float).eps * mu * scale)
+    scale = np.abs(pairing(dom, fld)).max(axis=1).sum() + np.abs(kernel.matrix).max(axis=0).sum()
+    floor = float(4 * (dom.n + dom.dim + 2) * np.finfo(float).eps * dom.cell_measure * scale)
     return PrimalSolution(kernel, value, 0, value - bound <= eps_rel * abs(value) + floor)

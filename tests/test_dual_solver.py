@@ -203,6 +203,18 @@ class TestSolveAuto:
         assert sol.bound == bound
         assert sol.bound > sol.value + 0.4
 
+    def test_potentials_without_a_fixpoint(self):
+        # the tied 2-cycle 1 <-> 3 has exact length 0 but rounds below it:
+        # b[3] falls by 5.55e-17 every two sweeps, and the Bellman-Ford
+        # loop ends at its cap of n + 1 sweeps without a fixpoint
+        dom = sd.DiscreteDomain(np.array([[1.0], [0.4], [-0.6], [0.7]]), 0.25, 1, 0.0)
+        fld = sd.SampledField(np.array([[-1.5], [0.6], [-0.6], [0.6]]))
+        rep = sd.decompose(dom, fld)
+        assert rep.d_value == pytest.approx(solve_brute(dom, fld).value, abs=1e-15)
+        assert (rep.complementarity >= 0).all()
+        assert rep.tolerances["certificate"] == "assignment-bound-tight"
+        assert rep.uniqueness.verdict == "non-unique"
+
     def test_odd_cycle_rounds_at_its_best_fixed_vertex(self):
         # a 5-cycle and a 2-cycle: of the five ways to fix one vertex of the
         # 5-cycle and pair the rest along it, the rounding takes the best

@@ -80,14 +80,17 @@ def check_paths(dom, fld):
     return values, bound
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+problems = given(
     n=st.integers(1, 10),
     d=st.integers(1, 2),
     seed=st.integers(0, 2**31 - 1),
     scale=st.sampled_from([1.0, 1e-8, 1e8]),
     kind=st.sampled_from(["normal", "constant", "ties"]),
 )
+
+
+@settings(max_examples=150, deadline=None)
+@problems
 @example(n=1, d=1, seed=0, scale=1.0, kind="normal")
 @example(n=2, d=1, seed=0, scale=1.0, kind="normal")
 @example(n=2, d=2, seed=1, scale=1e8, kind="ties")
@@ -96,6 +99,18 @@ def check_paths(dom, fld):
 @example(n=4, d=1, seed=1582, scale=1e-8, kind="ties")
 def test_paths_agree(n, d, seed, scale, kind):
     check_paths(*make_problem(n, d, seed, scale, kind))
+
+
+@settings(max_examples=150, deadline=None)
+@problems
+def test_report_kernel_is_the_primal_kernel(n, d, seed, scale, kind):
+    # decompose drops the kernel before the residual pass and rebuilds it
+    # from the potentials afterwards: the same bits as the primal's kernel
+    dom, fld = make_problem(n, d, seed, scale, kind)
+    # decompose refuses a ball radius R whose square is not a normal float
+    assume(max(dom.radius, fld.field_radius) > 0)
+    kernel = sd.decompose(dom, fld).kernel.matrix
+    assert kernel.tobytes() == minimize_primal(dom, fld).kernel.matrix.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
