@@ -58,6 +58,8 @@ from .domain import (
     SampledField,
     check_permutation,
     pairing,
+    row_blocks,
+    row_norms,
 )
 
 __all__ = [
@@ -72,9 +74,8 @@ __all__ = [
     "residual_gradients",
 ]
 
-# residual_gradients tests candidates in blocks of at most this many
-# pieces and gathers them in groups of about this many candidates
-_GATHER_BUDGET = 1 << 12
+# residual_gradients tests candidates in row blocks (domain.row_blocks)
+# and gathers them in groups of about this many candidates
 _GROUP_BUDGET = 1 << 10
 # _maxplus takes its rows in blocks of at most this many [row, s, c] cells;
 # numpy adds up to 2^14 cells of iteration buffers, and a block must stay
@@ -100,10 +101,11 @@ def lagrangian_scores(
     kernel: AntiSymmetricKernel, dom: DiscreteDomain, fld: SampledField
 ) -> np.ndarray:
     """[j, i] = <x_j, u_i> - K[j, i]; column i's max is L(x_i, u_i)."""
-    c = pairing(dom, fld)
+    scores = pairing(dom, fld).T
     if kernel.n != dom.n:
         raise ValueError("kernel size does not match domain")
-    return c.T - kernel.matrix
+    scores -= kernel.matrix  # over the pairing, not beside it
+    return scores
 
 
 def lagrangian_at_field(
@@ -160,13 +162,11 @@ def _maxplus(a: np.ndarray, b: np.ndarray, op=np.add, out=None) -> np.ndarray:
     b = np.ascontiguousarray(b)
     if out is None:
         out = np.empty((a.shape[0], b.shape[1]))
-    step = max(1, _MAXPLUS_BUDGET // max(1, b.size))
-    for lo in range(0, a.shape[0], step):
-        block = out[lo : lo + step]
-        if block.flags.c_contiguous:
-            op(a[lo : lo + step, :, None], b).max(axis=1, out=block)
+    for rows in row_blocks(a.shape[0], b.size, _MAXPLUS_BUDGET):
+        if out[rows].flags.c_contiguous:
+            op(a[rows, :, None], b).max(axis=1, out=out[rows])
         else:
-            block[...] = op(a[lo : lo + step, :, None], b).max(axis=1)
+            out[rows] = op(a[rows, :, None], b).max(axis=1)
     return out
 
 
@@ -314,7 +314,7 @@ def residual_gradients(
     symmetric grids) differ from grad1 in the last bits.
 
     Candidate tests and the row gathers of the dense half run in blocks of
-    at most _GATHER_BUDGET pieces, and the sparse gathers in groups of
+    at most domain.ROW_BLOCK pieces, and the sparse gathers in groups of
     about _GROUP_BUDGET candidates, whatever h is. The rest of the scratch
     is at most two [n, m] tables at a time (t0 beside one product), the
     [n, n] inner table, an [n, m] boolean mask and a few numbers per pair
@@ -340,7 +340,7 @@ def residual_gradients(
     def hb_rows(ys):
         # [b] = max over k of <y_b, p_k> - t0[b, k], one product at a time
         a = ys @ pts_t
-        for rows in _row_blocks(n, m):
+        for rows in row_blocks(n, m):
             a[rows] -= t0[rows]
         return a.max(axis=1)
 
@@ -399,18 +399,11 @@ def _shifted_entries(grid, pts, shifts, b, k) -> np.ndarray:
     return np.array([((grid + s) @ pts.T)[b, k] for s in shifts])
 
 
-def _row_blocks(n: int, width: int) -> list[slice]:
-    """Row slices of an [n, width] table, at most _GATHER_BUDGET entries each
-    (one row if wider)."""
-    step = max(1, _GATHER_BUDGET // max(1, width))
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
 def _near_max(pieces, n: int, width: int, tau: float) -> np.ndarray:
     """The entries of each row of an [n, width] table within tau of the row
     maximum, where ``pieces(rows)`` evaluates a block of rows."""
     keep = np.empty((n, width), dtype=bool)
-    for rows in _row_blocks(n, width):
+    for rows in row_blocks(n, width):
         a = pieces(rows)
         np.greater_equal(a, (a.max(axis=1) - tau)[:, None], out=keep[rows])
     return keep
@@ -420,20 +413,19 @@ def _candidate_groups(pieces, thr, width):
     """Candidate entries of a [len(thr), width] table, in row groups.
 
     ``pieces(rows)`` evaluates a block of rows; an entry (r, c) is a
-    candidate when it is >= thr[r]. The table is evaluated in blocks of at
-    most _GATHER_BUDGET entries, and a group closes once it holds
+    candidate when it is >= thr[r]. The table is evaluated in row blocks
+    (domain.row_blocks), and a group closes once it holds
     _GROUP_BUDGET candidates. Yields (lo, hi, r, c) with rows lo..hi-1,
     r counted from lo, in row-major order.
     """
     lo, found, size = 0, [], 0
-    for rows in _row_blocks(len(thr), width):
+    for rows in row_blocks(len(thr), width):
         r, c = np.nonzero(pieces(rows) >= thr[rows, None])
         found.append((r + (rows.start - lo), c))
         size += len(r)
-        hi = min(rows.stop, len(thr))
-        if size >= _GROUP_BUDGET or hi == len(thr):
-            yield lo, hi, *map(np.concatenate, zip(*found))
-            lo, found, size = hi, [], 0
+        if size >= _GROUP_BUDGET or rows.stop == len(thr):
+            yield lo, rows.stop, *map(np.concatenate, zip(*found))
+            lo, found, size = rows.stop, [], 0
 
 
 def _candidate_margin(hreg: RegularHamiltonian, h: float) -> float:
@@ -458,7 +450,7 @@ def _candidate_margin(hreg: RegularHamiltonian, h: float) -> float:
     covers u A + 2 e + 1.5 u S <= (6.06 d + 8.5) u S with room to spare.
     """
     eps = np.finfo(float).eps
-    r_p = float(np.sqrt((hreg.pset.pts**2).sum(axis=1)).max())
-    a = (float(np.sqrt((hreg.dom.points**2).sum(axis=1)).max()) + h) * r_p
+    r_p = float(row_norms(hreg.pset.pts).max())
+    a = (hreg.dom.radius + h) * r_p
     scale = 3.0 * a + float(np.abs(hreg.lstar_table).max())
     return 2.0 * (h * r_p + (4 * hreg.dom.dim + 8) * eps * scale)

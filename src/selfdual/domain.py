@@ -41,18 +41,32 @@ __all__ = [
     "write_csv",
 ]
 
+# every bounded-memory walk over an [n, width] table takes its rows in
+# blocks of at most this many entries (row_blocks reads it as a walk starts)
+ROW_BLOCK = 1 << 12
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.flags.writeable = False
     return a
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
+def row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, taken at the exact power-of-two scale that
     puts the largest entry in [0.5, 1), so no square overflows; where none
     over- or underflows unscaled, the bits are np.linalg.norm's."""
     e = np.frexp(np.abs(a).max())[1]
     return np.ldexp(np.linalg.norm(np.ldexp(a, -e), axis=1), e)
+
+
+def row_blocks(n: int, width: int, budget: int | None = None):
+    """Row slices of an [n, width] table, each of at most budget entries
+    (ROW_BLOCK by default), one row if wider. A generator: a list would
+    hold a slice per row through a walk of one-row blocks."""
+    step = max(1, (ROW_BLOCK if budget is None else budget) // max(1, width))
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
 
 
 @dataclass(frozen=True)
@@ -85,7 +99,7 @@ class DiscreteDomain:
             raise ValueError("grid points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dim", int(pts.shape[1]))
-        object.__setattr__(self, "radius", float(_row_norms(pts).max()))
+        object.__setattr__(self, "radius", float(row_norms(pts).max()))
 
     @property
     def n(self) -> int:
@@ -109,7 +123,7 @@ class SampledField:
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite field value")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "field_radius", float(_row_norms(vals).max()))
+        object.__setattr__(self, "field_radius", float(row_norms(vals).max()))
 
     @property
     def n(self) -> int:
@@ -157,7 +171,7 @@ class DualPointSet:
         pts = _readonly(np.atleast_2d(self.pts))
         if not (np.isfinite(pts).all() and 0 < self.radius < np.inf):
             raise ValueError("dual points must be finite and the radius finite and > 0")
-        norms = _row_norms(pts)
+        norms = row_norms(pts)
         if norms.max() > self.radius * (1 + 1e-12):
             raise ValueError("dual point outside the ball")
         if not (norms == 0).any():
@@ -335,8 +349,8 @@ class AntiSymmetricKernel:
             raise ValueError("kernel table must be square")
         if not np.all(np.isfinite(mat)):
             raise ValueError("non-finite kernel entry")
-        # triu(upper, 1) - triu(upper, 1).T in place, 64 rows at a time (x - 0.0 is x)
-        for blk in (slice(lo, lo + 64) for lo in range(0, len(mat), 64)):
+        # triu(upper, 1) - triu(upper, 1).T in place, in row blocks (x - 0.0 is x)
+        for blk in row_blocks(len(mat), len(mat)):
             np.subtract(0.0, mat[: blk.start, blk].T, out=mat[blk, : blk.start])
             tri = np.triu(mat[blk, blk], k=1)
             mat[blk, blk] = tri - tri.T

@@ -26,7 +26,7 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .domain import DiscreteDomain, Involution, SampledField, pairing
+from .domain import DiscreteDomain, Involution, SampledField, pairing, row_blocks
 
 __all__ = [
     "DualSolution",
@@ -41,9 +41,7 @@ __all__ = [
 ]
 
 BRUTE_LIMIT = 12
-# _kept_graph scans the reduced costs in row blocks of about _ROW_BLOCK
-# entries; without an odd cycle _settle's blossom takes <= _BLOSSOM_EDGES
-_ROW_BLOCK = 1 << 12
+# without an odd cycle _settle's blossom takes <= _BLOSSOM_EDGES kept edges
 _BLOSSOM_EDGES = 1 << 12
 
 
@@ -208,9 +206,10 @@ def assignment_relaxation(
     return perm, pot, float(tight.sum() * dom.cell_measure)
 
 
-def _round_cycles(s: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, bool]:
+def _round_cycles(c: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, bool]:
     """An involution rounded from an optimal permutation, and whether the
     permutation is free of odd cycles, so that the rounding meets its value.
+    S = (C + C^T) / 2 is formed from the pairing C only where it is read.
 
     Fixed points and 2-cycles are kept. An even cycle becomes the better of
     its two alternating halves (the first, from its smallest index, on a
@@ -236,13 +235,13 @@ def _round_cycles(s: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, bool]:
         tight &= not odd
         cyc = np.array(cyc)
         nxt = np.roll(cyc, -1)
-        links = s[cyc, nxt]  # link t joins cyc[t] and cyc[t + 1]
+        links = 0.5 * (c[cyc, nxt] + c[nxt, cyc])  # S at cyc[t], cyc[t + 1]
         # the pairs are every other link from a first one, t0
         t0 = np.arange(len(cyc) if odd else 2)
         take = (t0[:, None] + 2 * np.arange(len(cyc) // 2)) % len(cyc)
         worth = 2 * links[take].sum(axis=1)
         if odd:  # cyc[t0 - 1] stays fixed
-            worth += s[cyc, cyc][t0 - 1]
+            worth += c[cyc, cyc][t0 - 1]
         t = take[worth.argmax()]
         sigma[cyc] = cyc
         sigma[cyc[t]], sigma[nxt[t]] = nxt[t], cyc[t]
@@ -278,18 +277,16 @@ def _kept_graph(c: np.ndarray, pot: np.ndarray, s: np.ndarray):
     """
     n = len(s)
     eps = np.finfo(float).eps
-    step = max(1, _ROW_BLOCK // n)
 
-    def reduced(lo):  # rows lo:lo + step of r, the diagonal (not r_ii) at +inf
-        r = pot[lo : lo + step, None] + pot
-        r -= c[lo : lo + step]
-        r -= c[:, lo : lo + step].T
-        rows = np.arange(len(r))
-        r[rows, rows + lo] = np.inf
+    def reduced(rows):  # a row block of r, the diagonal (not r_ii) at +inf
+        r = pot[rows, None] + pot
+        r -= c[rows]
+        r -= c[:, rows].T
+        np.fill_diagonal(r[:, rows], np.inf)
         return r
 
     rfix = pot - np.diagonal(c)
-    low = min([rfix.min()] + [reduced(lo).min() for lo in range(0, n, step)])
+    low = min([rfix.min()] + [reduced(rows).min() for rows in row_blocks(n, n)])
     gap = math.fsum(np.concatenate([pot, -c[np.arange(n), s]]))
     rho = 4 * eps * (np.abs(pot).max() + np.abs(c).max())
     tol = (max(gap, 0.0) + n * max(0.0, -low) + (n + 2) * rho) * (1 + 4 * eps)
@@ -298,9 +295,9 @@ def _kept_graph(c: np.ndarray, pot: np.ndarray, s: np.ndarray):
     if not (rsig <= tol).all():  # s is kept, as shown above, unless NaN
         raise ValueError("the reduced costs are not finite")
     ei, ej = [], []
-    for lo in range(0, n, step):
-        i, j = np.nonzero(reduced(lo) <= tol)
-        i += lo
+    for rows in row_blocks(n, n):
+        i, j = np.nonzero(reduced(rows) <= tol)
+        i += rows.start
         ei.append(i[j > i])
         ej.append(j[j > i])
     return rfix <= tol, np.concatenate(ei), np.concatenate(ej)
@@ -443,7 +440,7 @@ def solve(
     """
     perm, pot, bound = relaxation or assignment_relaxation(dom, fld)
     c = pairing(dom, fld)
-    start, tight = _round_cycles(0.5 * (c + c.T), perm)
+    start, tight = _round_cycles(c, perm)
     cap = _BLOSSOM_EDGES if tight else None
     sigma, verdict, alt = _settle(c, pot, start, cap)
     if not np.array_equal(sigma, start):  # an optimum that beats the start

@@ -36,6 +36,7 @@ from .domain import (
     check_pairing,
     check_permutation,
     pairing,
+    row_blocks,
 )
 
 __all__ = [
@@ -53,11 +54,9 @@ __all__ = [
 ]
 
 # check_uniqueness takes every triple up to this many, a seeded sample
-# above, and scans its sample points in blocks of about _UNIQUENESS_BLOCK
-# (point, pair) ratios; the sample-only Jacobian fit finds neighbours in
-# row blocks of about as many entries
+# above; it scans its (point, pair) ratios, and the sample-only Jacobian
+# fit its squared distances, in row blocks (domain.row_blocks)
 _UNIQUENESS_TRIPLES = 200_000
-_UNIQUENESS_BLOCK = 1 << 12
 
 
 @dataclass
@@ -267,13 +266,14 @@ def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
     d_i + d_j - g_ij - g_ji from the entries g_ij = <x_i, u_j> (d_i = g_ii)
     of one pairing product. Each entry is a d-term dot product, within
     gamma_d sum_k |x_ik| |u_jk| <= gamma_d X U of the exact one
-    (gamma_d = d u / (1 - d u), u = eps / 2, X and U the largest norms of
-    the points and field values), and each has size at most X U. The three
-    subtractions round partial results of size at most 2, 3 and 4 X U, so
-    the computed pairing is within (4 gamma_d + 9 u) X U (to first order)
-    of the exact one; delta = (2 d + 5) eps X U bounds that with room for
-    its own rounding. A worst pairing below -delta is non-monotone, one
-    above delta strictly monotone, and one within delta monotone.
+    (gamma_d = d u / (1 - d u), u = eps / 2, X = dom.radius and
+    U = fld.field_radius, whose squares never overflow), and each has size
+    at most X U. The three subtractions round partial results of size at
+    most 2, 3 and 4 X U, so the computed pairing is within
+    (4 gamma_d + 9 u) X U (to first order) of the exact one;
+    delta = (2 d + 5) eps X U bounds that with room for its own rounding. A
+    worst pairing below -delta is non-monotone, one above delta strictly
+    monotone, and one within delta monotone.
     """
     check_pairing(dom, fld)
     n = dom.n
@@ -291,8 +291,7 @@ def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
     kmin = int(mono.argmin())
     i, j = divmod(kmin, n)
     worst = float(mono[i, j])
-    norms = [np.linalg.norm(a, axis=1).max() for a in (dom.points, fld.values)]
-    delta = (2 * dom.dim + 5) * np.finfo(float).eps * norms[0] * norms[1]
+    delta = (2 * dom.dim + 5) * np.finfo(float).eps * dom.radius * fld.field_radius
     if worst > delta:
         verdict = "strictly-monotone"
     elif worst >= -delta:
@@ -330,17 +329,15 @@ def _estimate_jacobians(
                 out[i, :, k] = (fp - fm) / (2 * h)
         return out
     # sample-only fallback: least squares over the nearest neighbors, found
-    # in row blocks of about _UNIQUENESS_BLOCK squared distances (the
-    # argpartition runs row by row, so blocks pick the same neighbours)
+    # in row blocks of squared distances (the argpartition runs row by row,
+    # so blocks pick the same neighbours)
     k = min(n - 1, max(d + 1, 2 * d))
     pts = dom.points
     nbrs_all = np.empty((n, k), dtype=np.intp)
-    step = max(1, _UNIQUENESS_BLOCK // n)
-    for lo in range(0, n, step):
-        d2 = ((pts[lo : lo + step, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        rows = np.arange(len(d2))
-        d2[rows, rows + lo] = np.inf
-        nbrs_all[lo : lo + step] = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    for rows in row_blocks(n, n):
+        d2 = ((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2[:, rows], np.inf)
+        nbrs_all[rows] = np.argpartition(d2, k - 1, axis=1)[:, :k]
     for i, nbrs in enumerate(nbrs_all):
         dx = dom.points[nbrs] - dom.points[i]
         du = fld.values[nbrs] - fld.values[i]
@@ -393,10 +390,9 @@ def check_uniqueness(
     min_ratio = np.inf
     witness = (0, 0, 0)
     medians = np.empty(len(xs))
-    step = max(1, _UNIQUENESS_BLOCK // len(pairs))
-    for lo in range(0, len(xs), step):
-        blk = xs[lo : lo + step]
-        # rows: Du(x)^T (y1 - y2) + u(y1) - u(y2)
+    for rows in row_blocks(len(xs), len(pairs)):
+        blk = xs[rows]
+        # Du(x)^T (y1 - y2) + u(y1) - u(y2) for every point and pair
         resid = np.matmul(diff_y, jac[blk])
         resid += diff_u
         # |resid| / |y1 - y2| as np.linalg.norm computes it, in place
@@ -413,7 +409,7 @@ def check_uniqueness(
             min_ratio = float(mins[b])
             k = ks[b]
             witness = (int(blk[b]), int(pairs[k, 0]), int(pairs[k, 1]))
-        medians[lo : lo + step] = np.median(ratio, axis=1, overwrite_input=True)
+        medians[rows] = np.median(ratio, axis=1, overwrite_input=True)
     med = float(np.median(medians))
     verdict = (
         "non-unique-plausible" if min_ratio <= 0.1 * med else "uniqueness-plausible"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import selfdual as sd
-from selfdual import conjugacy, fields
+from selfdual import conjugacy, domain, fields
 from selfdual.conjugacy import (
     grad1,
     grad2,
@@ -503,7 +503,7 @@ class TestResidualGradients:
         hreg, perm = rep.hamiltonian, rep.sigma.sigma
         for h in (rep.tolerances["fd_step"], 0.1 * hreg.pset.radius):
             want = residual_gradients(hreg, perm, h)
-            monkeypatch.setattr(conjugacy, "_GATHER_BUDGET", 1)
+            monkeypatch.setattr(domain, "ROW_BLOCK", 1)
             monkeypatch.setattr(conjugacy, "_GROUP_BUDGET", 1)
             got = residual_gradients(hreg, perm, h)
             monkeypatch.undo()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfdual as sd
-from selfdual import factorize, fields
+from selfdual import domain, factorize, fields
 from selfdual.conjugacy import lagrangian_scores
 from selfdual.domain import (
     _covering_candidates,
@@ -142,6 +142,36 @@ class TestMakeKernel:
         rng = np.random.default_rng(3)
         k = sd.AntiSymmetricKernel(np.triu(rng.normal(size=(20, 20)), 1))
         assert np.array_equal(k.matrix, -k.matrix.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 65, 130])
+    def test_row_blocks_mirror_bit_for_bit(self, n, monkeypatch):
+        # the in-place mirror is triu(upper, 1) - triu(upper, 1).T in blocks
+        # of one row, of several with a short last one, and of all rows
+        upper = np.random.default_rng(n).normal(size=(n, n))
+        upper[0, -1] = -0.0
+        tri = np.triu(upper, 1)
+        want = (tri - tri.T).tobytes()
+        for budget in (domain.ROW_BLOCK, 1, n, 3 * n, n * n):
+            monkeypatch.setattr(domain, "ROW_BLOCK", budget)
+            assert sd.AntiSymmetricKernel(upper).matrix.tobytes() == want
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "n, width, budget",
+        [(0, 3, 8), (1, 9, 8), (10, 3, 8), (9, 3, 9), (5, 0, 2), (7, 2, None)],
+    )
+    def test_slices_cover_the_rows_within_budget(self, n, width, budget):
+        blocks = list(domain.row_blocks(n, width, budget))
+        step = max(1, (budget or domain.ROW_BLOCK) // max(1, width))
+        assert [b.start for b in blocks] == list(range(0, n, step))
+        assert [b.stop for b in blocks] == [min(b.start + step, n) for b in blocks]
+
+    def test_budget_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(domain, "ROW_BLOCK", 6)
+        assert list(domain.row_blocks(5, 2)) == [slice(0, 3), slice(3, 5)]
+        monkeypatch.setattr(domain, "ROW_BLOCK", 1)
+        assert len(list(domain.row_blocks(5, 2))) == 5
 
 
 class TestInvolution:

@@ -217,13 +217,14 @@ class TestSolveAuto:
 
     def test_odd_cycle_rounds_at_its_best_fixed_vertex(self):
         # a 5-cycle and a 2-cycle: of the five ways to fix one vertex of the
-        # 5-cycle and pair the rest along it, the rounding takes the best
+        # 5-cycle and pair the rest along it, the rounding of the pairing c
+        # takes the best for S = (c + c^T) / 2
         rng = np.random.default_rng(23)
         perm = np.array([1, 2, 3, 4, 0, 6, 5])
         for _ in range(20):
-            s = rng.normal(size=(7, 7))
-            s += s.T
-            sigma, tight = _round_cycles(s, perm)
+            c = rng.normal(size=(7, 7))
+            s = 0.5 * (c + c.T)
+            sigma, tight = _round_cycles(c, perm)
             assert not tight
             ways = []
             for k in range(5):

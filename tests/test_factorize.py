@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import selfdual as sd
-from selfdual import dual_solver, factorize, fields
-from selfdual.domain import rotation_permutation, swap_permutation
+from selfdual import domain, dual_solver, factorize, fields
+from selfdual.domain import box_grid, rotation_permutation, swap_permutation
 from selfdual.factorize import (
     PipelineConfig,
     UniquenessVerdict,
@@ -412,6 +412,24 @@ class TestCheckMonotone:
         fld = sd.sample_field(dom, lambda p: np.array([-p[1], p[0]]) + t * p)
         assert check_monotone(dom, fld).verdict == verdict
 
+    @pytest.mark.parametrize("s", [1.0, 1e150, 1e155, 1e300])
+    def test_large_non_monotone_field_stays_non_monotone(self, s):
+        # <x_i - x_j, u_i - u_j> = -s (dx_1 + dx_2)^2: the allowance reads
+        # the overflow-safe radii, where squaring past |u| ~ 1.3e154 made it
+        # infinite and the verdict monotone
+        dom = box_grid([(0, 1), (0, 1)], [2, 2])
+        fld = sd.SampledField(-(dom.points[:, ::-1] + dom.points) * s)
+        v = check_monotone(dom, fld)
+        assert v.verdict == "non-monotone"
+        assert v.min_pairing == pytest.approx(-s, rel=1e-14)
+
+    def test_krauss_refuses_a_large_non_monotone_field(self):
+        dom = box_grid([(0, 1), (0, 1)], [2, 2])
+        u = -(dom.points[:, ::-1] + dom.points)
+        hreg = sd.decompose(dom, sd.SampledField(u)).hamiltonian
+        with pytest.raises(ValueError, match="not monotone"):
+            krauss_check(dom, sd.SampledField(u * 1e155), hreg)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_allowance_bounds_rounding(self, d):
         # every pairing, computed as check_monotone computes it, lies within
@@ -487,8 +505,8 @@ class TestCheckUniqueness:
         xs, pairs = _uniqueness_samples(n, seed=3)
         # blocks of one point, and blocks of four that leave a short last one
         assert len(xs) % 4
-        for cap in (factorize._UNIQUENESS_BLOCK, 1, 4 * len(pairs) + 1):
-            monkeypatch.setattr(factorize, "_UNIQUENESS_BLOCK", cap)
+        for cap in (domain.ROW_BLOCK, 1, 4 * len(pairs) + 1):
+            monkeypatch.setattr(domain, "ROW_BLOCK", cap)
             got = check_uniqueness(dom, fld, seed=3, **kw)
             assert _same_verdict(got, ref), (cap, got, ref)
 
@@ -507,8 +525,8 @@ class TestCheckUniqueness:
                 jac = _estimate_jacobians(dom, fld, jacobian=jacobian)
             refs.append(_reference_uniqueness(dom, fld, jac))
             # 2480 ratios: blocks of five points, the last one short
-            for cap in (factorize._UNIQUENESS_BLOCK, 1, 2480):
-                monkeypatch.setattr(factorize, "_UNIQUENESS_BLOCK", cap)
+            for cap in (domain.ROW_BLOCK, 1, 2480):
+                monkeypatch.setattr(domain, "ROW_BLOCK", cap)
                 got = check_uniqueness(dom, fld, jacobian=jacobian)
                 assert _same_verdict(got, refs[-1]), (jacobian, cap, got, refs[-1])
         assert refs[0].min_ratio == 0.0

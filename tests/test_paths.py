@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import selfdual as sd
+from selfdual import domain
 from selfdual.dual_solver import (
     BRUTE_LIMIT,
     _kept_graph,
@@ -160,7 +161,7 @@ def test_odd_cycles_solved_exactly(n, k, seed, bonus, scale):
     dom, fld = planted_odd_cycle(n, k, seed, bonus, scale)
     c = sd.pairing(dom, fld)
     perm, _, bound = assignment_relaxation(dom, fld)
-    assume(not _round_cycles(0.5 * (c + c.T), perm)[1])
+    assume(not _round_cycles(c, perm)[1])
     sol = solve(dom, fld)
     assert sol.certificate == "kept-graph-exact" and sol.bound == bound
     assert sol.uniqueness in ("unique", "non-unique")
@@ -189,8 +190,39 @@ def test_kept_graph_holds_the_full_blossoms_optimum(n, k, seed, bonus, scale):
     dom, fld = planted_odd_cycle(n, k, seed, bonus, scale)
     c = sd.pairing(dom, fld)
     perm, pot, _ = assignment_relaxation(dom, fld)
-    start, _ = _round_cycles(0.5 * (c + c.T), perm)
+    start, _ = _round_cycles(c, perm)
     fixed_ok, ei, ej = _kept_graph(c, pot, start)
     kept = set(zip(ei.tolist(), ej.tolist()))
     for i, j in enumerate(solve_matching(dom, fld).sigma.sigma.tolist()):
         assert fixed_ok[i] if i == j else (min(i, j), max(i, j)) in kept
+
+
+def assert_kept_graph_row_block_invariant(dom, fld):
+    # fixed_ok, ei and ej do not depend on the row blocks of the two scans:
+    # one row, a few with a short last one, and the default
+    c = sd.pairing(dom, fld)
+    perm, pot, _ = assignment_relaxation(dom, fld)
+    start, _ = _round_cycles(c, perm)
+    want = _kept_graph(c, pot, start)
+    for budget in (1, 3 * dom.n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domain, "ROW_BLOCK", budget)
+            got = _kept_graph(c, pot, start)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_kept_graph_row_blocks_on_the_odd_cycle_instance():
+    assert_kept_graph_row_block_invariant(*odd_cycle_problem())
+
+
+@settings(max_examples=100, deadline=None)
+@problems
+def test_kept_graph_row_blocks(n, d, seed, scale, kind):
+    assert_kept_graph_row_block_invariant(*make_problem(n, d, seed, scale, kind))
+
+
+@settings(max_examples=100, deadline=None)
+@odd_cycles
+def test_kept_graph_row_blocks_on_odd_cycles(n, k, seed, bonus, scale):
+    assert_kept_graph_row_block_invariant(*planted_odd_cycle(n, k, seed, bonus, scale))
