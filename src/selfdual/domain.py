@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -349,9 +350,10 @@ class AntiSymmetricKernel:
             raise ValueError("kernel table must be square")
         if not np.all(np.isfinite(mat)):
             raise ValueError("non-finite kernel entry")
-        # triu(upper, 1) - triu(upper, 1).T in place, in row blocks (x - 0.0 is x)
-        for blk in row_blocks(len(mat), len(mat)):
-            np.subtract(0.0, mat[: blk.start, blk].T, out=mat[blk, : blk.start])
+        # triu(upper, 1) - triu(upper, 1).T in place, in square tiles (x - 0.0 is x)
+        for blk in row_blocks(len(mat), 1, math.isqrt(ROW_BLOCK)):
+            for col in row_blocks(blk.start, 1, math.isqrt(ROW_BLOCK)):
+                np.subtract(0.0, mat[col, blk].T, out=mat[blk, col])
             tri = np.triu(mat[blk, blk], k=1)
             mat[blk, blk] = tri - tri.T
         mat.flags.writeable = False

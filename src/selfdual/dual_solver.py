@@ -37,6 +37,7 @@ __all__ = [
     "solve_brute",
     "solve_matching",
     "assignment_relaxation",
+    "reduced",
     "solve",
 ]
 
@@ -248,6 +249,18 @@ def _round_cycles(c: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, bool]:
     return sigma, tight
 
 
+def reduced(c: np.ndarray, pot: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows of the reduced costs r_ij = ((pot_i + pot_j) - c_ij) - c_ji, in
+    that order, the diagonal (not r_ii) at +inf: the one place r is formed.
+    At pot = diag(c), r_ij is the monotonicity pairing <x_i - x_j, u_i - u_j>
+    (factorize.check_monotone); at the assignment's pot, _kept_graph's."""
+    r = pot[rows, None] + pot
+    r -= c[rows]
+    r -= c[:, rows].T
+    np.fill_diagonal(r[:, rows], np.inf)
+    return r
+
+
 def _kept_graph(c: np.ndarray, pot: np.ndarray, s: np.ndarray):
     """The fixed points fixed_ok (a mask) and pairs (ei, ej), ei < ej, that
     every involution at least as good as the involution s uses.
@@ -264,43 +277,34 @@ def _kept_graph(c: np.ndarray, pot: np.ndarray, s: np.ndarray):
     1988).
 
     Rounding allowance. c is the data: a value is the exact sum of its
-    entries. With u = eps / 2 and M = max|pot| + max|c|, the computed
-    r_ij = ((pot_i + pot_j) - c_ij) - c_ji rounds three partial results of
-    size at most 2M, so it is within rho = 4 eps M of the exact r_ij (6 u M
-    and products of u); r_ii rounds once. The exact viol is thus at most
-    the computed one plus rho. gap is the math.fsum of pot and -c[i, s(i)],
-    correctly rounded, so the exact max(gap, 0) is at most (1 + eps) times
-    the computed one. A term of t then has a computed r of at most
-    max(gap, 0) (1 + eps) + n (viol + rho) + rho, and
-    tol = (max(gap, 0) + n viol + (n + 2) rho) (1 + 4 eps) bounds it, with a
-    rho and the factor to spare for the rounding of tol itself.
+    entries. With u = eps / 2 and M = max|pot| + max|c|, the computed r_ij
+    (reduced) rounds three partial results of size at most 2M, so it is
+    within rho = 4 eps M of the exact r_ij (6 u M and products of u); r_ii
+    rounds once. The exact viol is thus at most the computed one plus rho.
+    gap is the math.fsum of pot and -c[i, s(i)], correctly rounded, so the
+    exact max(gap, 0) is at most (1 + eps) times the computed one. A term of
+    t then has a computed r of at most max(gap, 0) (1 + eps) + n (viol + rho)
+    + rho, and tol = (max(gap, 0) + n viol + (n + 2) rho) (1 + 4 eps) bounds
+    it, with a rho and the factor to spare for the rounding of tol itself.
     """
     n = len(s)
     eps = np.finfo(float).eps
-
-    def reduced(rows):  # a row block of r, the diagonal (not r_ii) at +inf
-        r = pot[rows, None] + pot
-        r -= c[rows]
-        r -= c[:, rows].T
-        np.fill_diagonal(r[:, rows], np.inf)
-        return r
-
     rfix = pot - np.diagonal(c)
-    low = min([rfix.min()] + [reduced(rows).min() for rows in row_blocks(n, n)])
+    low = min([rfix.min()] + [reduced(c, pot, rows).min() for rows in row_blocks(n, n)])
     gap = math.fsum(np.concatenate([pot, -c[np.arange(n), s]]))
     rho = 4 * eps * (np.abs(pot).max() + np.abs(c).max())
     tol = (max(gap, 0.0) + n * max(0.0, -low) + (n + 2) * rho) * (1 + 4 * eps)
-    a, b = np.minimum(np.arange(n), s), np.maximum(np.arange(n), s)
-    rsig = np.where(a == b, rfix, pot[a] + pot[b] - c[a, b] - c[b, a])
-    if not (rsig <= tol).all():  # s is kept, as shown above, unless NaN
-        raise ValueError("the reduced costs are not finite")
     ei, ej = [], []
     for rows in row_blocks(n, n):
-        i, j = np.nonzero(reduced(rows) <= tol)
+        i, j = np.nonzero(reduced(c, pot, rows) <= tol)
         i += rows.start
         ei.append(i[j > i])
         ej.append(j[j > i])
-    return rfix <= tol, np.concatenate(ei), np.concatenate(ej)
+    fixed_ok, ei, ej = rfix <= tol, np.concatenate(ei), np.concatenate(ej)
+    # s is kept, as shown above, unless an r is NaN: its kept points cover all n
+    if fixed_ok[s == np.arange(n)].sum() + 2 * (s[ei] == ej).sum() < n:
+        raise ValueError("the reduced costs are not finite")
+    return fixed_ok, ei, ej
 
 
 def _settle(

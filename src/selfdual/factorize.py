@@ -262,35 +262,28 @@ def selfdual_test(
 def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
     """Scan every pair for the monotonicity pairing <x_i - x_j, u_i - u_j>.
 
-    The verdict allows for rounding. The pairing is computed as
-    d_i + d_j - g_ij - g_ji from the entries g_ij = <x_i, u_j> (d_i = g_ii)
-    of one pairing product. Each entry is a d-term dot product, within
+    The pairing is dual_solver.reduced at pot = diag(c), read in row blocks
+    of the one pairing product c_ij = <u_i, x_j>; the first least entry is
+    the worst pair. Each c_ij is a d-term dot product, within
     gamma_d sum_k |x_ik| |u_jk| <= gamma_d X U of the exact one
     (gamma_d = d u / (1 - d u), u = eps / 2, X = dom.radius and
-    U = fld.field_radius, whose squares never overflow), and each has size
-    at most X U. The three subtractions round partial results of size at
-    most 2, 3 and 4 X U, so the computed pairing is within
-    (4 gamma_d + 9 u) X U (to first order) of the exact one;
-    delta = (2 d + 5) eps X U bounds that with room for its own rounding. A
-    worst pairing below -delta is non-monotone, one above delta strictly
-    monotone, and one within delta monotone.
+    U = fld.field_radius, whose squares never overflow), of size at most X U.
+    reduced rounds partial results of size at most 2, 3 and 4 X U, so the
+    pairing is within (4 gamma_d + 9 u) X U (to first order) of the exact
+    one; delta = (2 d + 5) eps X U bounds that with room for its own
+    rounding. A worst pairing below -delta is non-monotone, one above delta
+    strictly monotone, and one within delta monotone. Where 4 X U is not a
+    finite float a pairing may overflow, and ValueError is raised.
     """
-    check_pairing(dom, fld)
-    n = dom.n
-    if n == 1:
-        return MonotoneVerdict("strictly-monotone", np.inf, (0, 0))
-    gram = pairing(dom, fld).T  # [i, j] = <x_i, u_j>
-    diag = np.diag(gram)
-    # -(gram + gram^T - diag_i - diag_j) = <x_i - x_j, u_i - u_j> (zero
-    # diagonal), the same operations in the same order, in place
-    mono = gram + gram.T
-    mono -= diag[:, None]
-    mono -= diag[None, :]
-    np.negative(mono, out=mono)
-    np.fill_diagonal(mono, np.inf)
-    kmin = int(mono.argmin())
-    i, j = divmod(kmin, n)
-    worst = float(mono[i, j])
+    if not np.isfinite(4 * dom.radius * fld.field_radius):
+        raise ValueError("the monotonicity pairings overflow")
+    c = pairing(dom, fld)
+    worst, pair = np.inf, (0, 0)
+    for rows in row_blocks(dom.n, dom.n):
+        r = dual_solver.reduced(c, np.diagonal(c), rows)
+        i, j = np.unravel_index(r.argmin(), r.shape)
+        if r[i, j] < worst:
+            worst, pair = float(r[i, j]), (rows.start + int(i), int(j))
     delta = (2 * dom.dim + 5) * np.finfo(float).eps * dom.radius * fld.field_radius
     if worst > delta:
         verdict = "strictly-monotone"
@@ -298,7 +291,7 @@ def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
         verdict = "monotone"
     else:
         verdict = "non-monotone"
-    return MonotoneVerdict(verdict, worst, (int(i), int(j)))
+    return MonotoneVerdict(verdict, worst, pair)
 
 
 def _estimate_jacobians(

@@ -262,8 +262,8 @@ class TestPairing:
         monkeypatch.setattr(factorize, "pairing", spy)
         verdict = factorize.check_monotone(dom, fld)
         assert len(seen) == 1 and np.array_equal(seen[0], c)
-        gram = c.T
-        mono = -(gram + gram.T - np.diag(gram)[:, None] - np.diag(gram)[None, :])
+        diag = np.diagonal(c)
+        mono = ((diag[:, None] + diag[None, :]) - c) - c.T  # as dual_solver.reduced
         np.fill_diagonal(mono, np.inf)
         assert verdict.min_pairing == mono.min()
 

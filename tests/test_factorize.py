@@ -389,15 +389,56 @@ class TestCheckMonotone:
         assert check_monotone(dom, fld).verdict == "strictly-monotone"
 
     def test_peak_memory_in_place(self):
-        # the pairing and one [n, n] table, plus rounding: 2.2 tables, where
-        # building each step anew took 3.2 (0.99 MB on gradskew-196)
+        # the pairing and one row block of reduced costs: 1.4 tables (a full
+        # [n, n] table of pairings would add one more)
         dom, fld, _ = _builtin("gradskew", 196)
-        assert _traced_peak(check_monotone, dom, fld) <= 2.5 * dom.n**2 * 8
+        assert _traced_peak(check_monotone, dom, fld) <= 1.5 * dom.n**2 * 8
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_single_cell(self, d):
+        # the walk reads only the +inf diagonal
+        dom = sd.DiscreteDomain(np.full((1, d), 0.5), 1.0, d, 0.0)
+        v = check_monotone(dom, sd.SampledField(np.full((1, d), -2.0)))
+        assert (v.verdict, v.min_pairing, v.worst_pair) == ("strictly-monotone", np.inf, (0, 0))
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            lambda: sincos_problem(32),
+            lambda: _builtin("gradskew", 196)[:2],
+            lambda: _builtin("rotationJ", 36)[:2],
+            lambda: random_problem(np.random.default_rng(7), 23, 2),
+        ],
+        ids=["sincos-32", "gradskew-196", "rotationJ-36", "random-23"],
+    )
+    def test_row_blocks_do_not_move_the_walk(self, problem):
+        # one row, seven entries and the default: the first least entry and
+        # its bits do not depend on the blocks
+        dom, fld = problem()
+        want = check_monotone(dom, fld)
+        for budget in (1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(domain, "ROW_BLOCK", budget)
+                got = check_monotone(dom, fld)
+            assert got.verdict == want.verdict and got.worst_pair == want.worst_pair
+            assert np.float64(got.min_pairing).tobytes() == np.float64(want.min_pairing).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_pairings_raise(self, sign):
+        # u = +-x 1e290 on a box of side 1e10: the pairings pass 1.8e308, so
+        # the verdict of either sign would rest on inf - inf
+        dom = box_grid([(0, 1e10), (0, 1e10)], [2, 2])
+        fld = sd.SampledField(sign * dom.points * 1e290)
+        with pytest.raises(ValueError, match="pairings overflow"):
+            check_monotone(dom, fld)
+        hreg = sd.decompose(dom, sd.SampledField(dom.points)).hamiltonian
+        with pytest.raises(ValueError, match="pairings overflow"):
+            krauss_check(dom, fld, hreg)
 
     @pytest.mark.parametrize("n", [36, 121, 196])
     def test_rotation_monotone_within_rounding(self, n):
         # <J(x - y), x - y> = 0 exactly; the computed worst pairing reads
-        # -1.4e-16 to -2.9e-16 at these sizes
+        # -1.1e-16 to -2.2e-16 at these sizes
         dom, fld, _ = _builtin("rotationJ", n)
         v = check_monotone(dom, fld)
         assert v.min_pairing < 0
@@ -432,15 +473,16 @@ class TestCheckMonotone:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_allowance_bounds_rounding(self, d):
-        # every pairing, computed as check_monotone computes it, lies within
+        # every pairing, computed as check_monotone computes it (both r_ij
+        # and r_ji of dual_solver.reduced at pot = diag(c)), lies within
         # delta of its exact value in Fraction arithmetic, at mixed scales
         rng = np.random.default_rng(40 + d)
         dom, _ = random_problem(rng, 14, d)
         dom = sd.DiscreteDomain(dom.points * 1e3, dom.cell_measure, d, 0.0)
         fld = sd.SampledField(rng.normal(size=(14, d)) * np.logspace(-3, 2, d))
-        gram = sd.pairing(dom, fld).T
-        diag = np.diag(gram)
-        mono = -((gram + gram.T) - diag[:, None] - diag[None, :])
+        c = sd.pairing(dom, fld)
+        diag = np.diagonal(c)
+        mono = ((diag[:, None] + diag[None, :]) - c) - c.T
         x = np.linalg.norm(dom.points, axis=1).max()
         u = np.linalg.norm(fld.values, axis=1).max()
         delta = Fraction((2 * d + 5) * np.finfo(float).eps * x * u)
@@ -452,7 +494,8 @@ class TestCheckMonotone:
                     * (Fraction(fld.values[i, k]) - Fraction(fld.values[j, k]))
                     for k in range(d)
                 )
-                worst = max(worst, abs(Fraction(mono[i, j]) - exact))
+                for r in (mono[i, j], mono[j, i]):
+                    worst = max(worst, abs(Fraction(r) - exact))
         assert 0 < worst <= delta
 
     def test_rotation_field_monotone_not_strict(self):

@@ -114,6 +114,32 @@ def test_report_kernel_is_the_primal_kernel(n, d, seed, scale, kind):
     assert kernel.tobytes() == minimize_primal(dom, fld).kernel.matrix.tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@problems
+def test_monotone_verdict_within_its_allowance(n, d, seed, scale, kind):
+    # min_pairing lies within delta of the least pairing in Fraction values,
+    # a verdict beyond +-delta has its sign, and the exact minimum beyond
+    # +-2 delta gets the strict verdict
+    assume(n > 1)
+    dom, fld = make_problem(n, d, seed, scale, kind)
+    v = sd.check_monotone(dom, fld)
+    x = [[Fraction(t) for t in row] for row in dom.points.tolist()]
+    u = [[Fraction(t) for t in row] for row in fld.values.tolist()]
+    exact = min(
+        sum((x[i][k] - x[j][k]) * (u[i][k] - u[j][k]) for k in range(d))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    delta = Fraction((2 * d + 5) * np.finfo(float).eps * dom.radius * fld.field_radius)
+    assert abs(Fraction(v.min_pairing) - exact) <= delta
+    if v.verdict == "strictly-monotone":
+        assert exact > 0
+    if v.verdict == "non-monotone":
+        assert exact < 0
+    if abs(exact) > 2 * delta:
+        assert v.verdict == ("strictly-monotone" if exact > 0 else "non-monotone")
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
 def test_odd_cycle_instance(scale):
     dom, fld = odd_cycle_problem()
