@@ -29,8 +29,12 @@ with m dual points and n grid points, L* in 3 m n^2 cells through an [n, n]
 table. _maxplus is the one loop behind every table. It subtracts K, L and L*
 where the formulas add their negations, since a - b is exactly a + (-b), so
 no negated copy is built. Each piece is one IEEE operation and a max is
-exact, so no table depends on the loop order or its row blocks. A chain of
-two products frees its first operand before the second.
+exact, and one worker reduces each output cell in the order of the shared
+index, which also settles a tie of +0.0 and -0.0 the same way each time; so
+no table depends on its row blocks or on the number W of workers that share
+a large product's rows, and all W together hold the one serial block of
+scratch (see _maxplus). A chain of two products frees its first operand
+before the second.
 
 grad1 is the general central-difference evaluator, and grad2 is grad1 at
 the swapped pair, negated (HR(x, y) == -HR(y, x) to the last bit). The
@@ -48,6 +52,9 @@ product for each group of candidates that reads it.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -77,10 +84,22 @@ __all__ = [
 # residual_gradients tests candidates in row blocks (domain.row_blocks)
 # and gathers them in groups of about this many candidates
 _GROUP_BUDGET = 1 << 10
-# _maxplus takes its rows in blocks of at most this many [row, s, c] cells;
-# numpy adds up to 2^14 cells of iteration buffers, and a block must stay
-# below decompose's peak, the residual pass
+# _maxplus takes its rows in blocks of at most this many [row, s, c] cells,
+# and a block must stay below decompose's peak, the residual pass. Beside
+# its result a broadcasting call traces np.getbufsize() cells (8192, 64 KiB;
+# fewer in a smaller call) of iteration buffer per operand numpy buffers:
+# one in a one-row call of [1, 196, 325] cells, two in one of [4, 64, 64]
 _MAXPLUS_BUDGET = 1 << 13
+# _maxplus shares a product among workers only where each worker's calls
+# hold at least this many cells: on 2 cores, 128-row products took 1.48x
+# the one-worker time with calls of 12288 cells and 0.82x with 16384, and
+# half-row calls of 8384 cells made the sincos-128 chain 1.44x slower
+_WORKER_CELLS = 1 << 14
+# the CPUs this process may run on
+if hasattr(os, "sched_getaffinity"):
+    _CPUS = len(os.sched_getaffinity(0))
+else:
+    _CPUS = os.cpu_count() or 1
 
 
 def lagrangian(
@@ -153,21 +172,77 @@ def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
 
 def _maxplus(a: np.ndarray, b: np.ndarray, op=np.add, out=None) -> np.ndarray:
     """Max-plus product out[r, c] = max_s op(a[r, s], b[s, c]), op np.add or
-    np.subtract, in row blocks of at most _MAXPLUS_BUDGET [row, s, c] cells
-    (one row if b is larger). a - b is exactly a + (-b), so subtracting
-    gives the bits of adding a negated copy of b without building it. out,
-    if given, is any [r, c] array or view the result is written into; a
-    strided one gets each block copied in, since a reduction straight into
-    it runs in its memory order, slowly."""
+    np.subtract. a - b is exactly a + (-b), so subtracting gives the bits of
+    adding a negated copy of b without building it. out, if given, is any
+    [r, c] array or view the result is written into; a strided one gets each
+    row or block copied in, since a reduction straight into it runs in its
+    memory order, slowly.
+
+    For a of shape [r, s] and b of shape [s, c] the rows run on
+    W = min(_CPUS, s c // _WORKER_CELLS, r, s) workers, at least 1: the
+    calling thread and W - 1 threads it starts and joins, with no pool kept
+    between calls. One worker takes its rows in blocks of at most
+    _MAXPLUS_BUDGET [row, s, c] cells (one row if b is larger). W > 1
+    workers each take a contiguous share of the rows, one row at a time,
+    and a row's shared index in W contiguous parts, whose maxima they fold
+    into the row in order. So all W together hold one row's s c cells of
+    scratch, as one worker does, plus numpy's iteration buffers of each call.
+    Each output cell is reduced by one worker in the order of s, and numpy's
+    maximum keeps its second operand on a tie of +0.0 and -0.0, the later
+    piece, both in a reduction and in the fold; so a table's bits do not
+    depend on W. An exception in any worker is raised in the caller once
+    every worker has been joined."""
     b = np.ascontiguousarray(b)
     if out is None:
         out = np.empty((a.shape[0], b.shape[1]))
+    workers = min(_CPUS, b.size // _WORKER_CELLS, *a.shape)
+    if workers > 1:
+        return _maxplus_workers(a, b, op, out, workers)
     for rows in row_blocks(a.shape[0], b.size, _MAXPLUS_BUDGET):
         if out[rows].flags.c_contiguous:
             op(a[rows, :, None], b).max(axis=1, out=out[rows])
         else:
             out[rows] = op(a[rows, :, None], b).max(axis=1)
     return out
+
+
+def _maxplus_workers(a, b, op, out, workers: int) -> np.ndarray:
+    """_maxplus on workers > 1: a contiguous share of the rows each, the
+    first one on the calling thread. Kept out of _maxplus: its names would
+    grow the one-worker loop's frame, which counts in decompose's peak."""
+    n, s = a.shape
+    shares = [range(n * q // workers, n * (q + 1) // workers) for q in range(workers)]
+    parts = [slice(s * q // workers, s * (q + 1) // workers) for q in range(workers)]
+    errors = []
+    threads = []
+    try:
+        for rows in shares[1:]:
+            args = (a, b, op, out, rows, parts, errors)
+            threads.append(threading.Thread(target=_maxplus_share, args=args))
+            threads[-1].start()
+        _maxplus_share(a, b, op, out, shares[0], parts, errors)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _maxplus_share(a, b, op, out, rows, parts, errors) -> None:
+    """One worker's rows of _maxplus, each row's shared index taken in
+    parts whose maxima are folded into the row in order. An exception is
+    appended to errors, for the caller to raise once every worker is joined."""
+    try:
+        row, part_max = np.empty(b.shape[1]), np.empty(b.shape[1])
+        for r in rows:
+            op(a[r, parts[0], None], b[parts[0]]).max(axis=0, out=row)
+            for part in parts[1:]:
+                op(a[r, part, None], b[part]).max(axis=0, out=part_max)
+                np.maximum(row, part_max, out=row)
+            out[r] = row
+    except BaseException as exc:  # raised again in the caller
+        errors.append(exc)
 
 
 class RegularHamiltonian:

@@ -136,10 +136,21 @@ class SampledField:
 
 
 def check_pairing(dom: DiscreteDomain, fld: SampledField) -> None:
+    """Refuse a field that does not match the domain, or whose pairings
+    could overflow: each <u_i, x_j> is at most X U in modulus (X the domain
+    radius, U the field radius), and the monotonicity pairings sum four of
+    them (dual_solver.reduced at pot = diag(C)), so 4 X U must be a finite
+    float."""
     if fld.n != dom.n or fld.dim != dom.dim:
         raise ValueError(
             f"field shape {fld.values.shape} does not match domain "
             f"({dom.n} points in R^{dom.dim})"
+        )
+    if not np.isfinite(4 * dom.radius * fld.field_radius):
+        raise ValueError(
+            f"field radius {fld.field_radius:.3e} and domain radius {dom.radius:.3e} "
+            "are out of scale: the pairings overflow, as 4 times their product is not "
+            "a finite float"
         )
 
 
@@ -616,8 +627,12 @@ def write_csv(path: str | Path, header: Sequence[str], table: np.ndarray) -> Non
 
 
 def write_field_csv(path: str | Path, dom: DiscreteDomain, fld: SampledField) -> None:
-    """One row per cell: x0..x{d-1}, u0..u{d-1}."""
-    check_pairing(dom, fld)
+    """One row per cell: x0..x{d-1}, u0..u{d-1}. Writing forms no pairing,
+    so a field whose pairings overflow (check_pairing) is written too."""
+    if fld.values.shape != dom.points.shape:
+        raise ValueError(
+            f"field shape {fld.values.shape} does not match domain {dom.points.shape}"
+        )
     d = dom.dim
     header = [f"x{k}" for k in range(d)] + [f"u{k}" for k in range(d)]
     write_csv(path, header, np.hstack([dom.points, fld.values]))

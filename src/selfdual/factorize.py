@@ -273,10 +273,9 @@ def check_monotone(dom: DiscreteDomain, fld: SampledField) -> MonotoneVerdict:
     one; delta = (2 d + 5) eps X U bounds that with room for its own
     rounding. A worst pairing below -delta is non-monotone, one above delta
     strictly monotone, and one within delta monotone. Where 4 X U is not a
-    finite float a pairing may overflow, and ValueError is raised.
+    finite float a pairing may overflow, and pairing raises ValueError
+    (domain.check_pairing).
     """
-    if not np.isfinite(4 * dom.radius * fld.field_radius):
-        raise ValueError("the monotonicity pairings overflow")
     c = pairing(dom, fld)
     worst, pair = np.inf, (0, 0)
     for rows in row_blocks(dom.n, dom.n):

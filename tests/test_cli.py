@@ -399,15 +399,19 @@ class TestVerify:
     def test_overflowing_pairings_exit_2(self, tmp_path, capsys, sign):
         # u = +-x 1e290 on a box of side 1e10: the pairings pass the largest
         # float, so neither sign (u = x 1e290 is strictly monotone) has a
-        # verdict that could be read
+        # verdict that could be read, nor an assignment that could be solved
         spec = {"kind": "box", "bounds": [[0, 1e10], [0, 1e10]], "cells": [2, 2]}
         dom = sd.build_grid(spec)
         fcsv = tmp_path / "f.csv"
         write_field_csv(fcsv, dom, sd.SampledField(sign * dom.points * 1e290))
         out = tmp_path / "v.json"
-        argv = ["verify", "--field", str(fcsv), "--domain", json.dumps(spec)]
-        assert run_cli(argv + ["--out", str(out)]) == 2
-        assert "pairings overflow" in capsys.readouterr().err
+        for command in ("verify", "decompose", "dual"):
+            argv = [command, "--field", str(fcsv), "--domain", json.dumps(spec)]
+            assert run_cli(argv + ["--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert "pairings overflow" in err, command
+            assert "field radius 1.061e+300 and domain radius 1.061e+10" in err, command
+            assert not out.exists()
 
     def test_checks_without_solving(self, tmp_path):
         sigma_file = tmp_path / "refl.json"

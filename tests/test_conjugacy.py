@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -722,6 +725,78 @@ class TestMaxPlusProducts:
         # adds 7 KB on matrix-64, and one of 2**16 about 200 KiB)
         blocked = peak(conjugacy._MAXPLUS_BUDGET)
         assert blocked <= peak(1) + 1024
+
+    @pytest.mark.parametrize("r, s, c", [(7, 6, 5), (5, 2, 9), (40, 33, 17), (4, 1, 5), (1, 6, 5)])
+    def test_workers_give_the_same_bits(self, r, s, c, monkeypatch):
+        # exact ties among a few values, zeros of both signs and -inf in a;
+        # an output cell can be +0.0 or -0.0, so tables are compared as bytes
+        rng = np.random.default_rng([r, s, c, 3])
+        values, p = [0.0, -0.0, -1.0, -0.5, 1.0], [0.3, 0.3, 0.15, 0.15, 0.1]
+        a, b = rng.choice(values, (r, s), p=p), rng.choice(values, (s, c), p=p)
+        a[rng.random((r, s)) < 0.1] = -np.inf
+        if s >= 2:  # np.add's first and last pieces at cell (0, 0): +0.0 and -0.0
+            a[0], a[0, [0, -1]], b[[0, -1], 0] = -1.0, (0.0, -0.0), -0.0
+        want = {}
+        # 3 workers is more than the CPUs of a 2-core runner, and a short
+        # switch interval interleaves the workers' rows finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for op in (np.add, np.subtract):
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(conjugacy, "_CPUS", workers)
+                    monkeypatch.setattr(conjugacy, "_WORKER_CELLS", 1)
+                    got = conjugacy._maxplus(a, b, op)
+                    # the strided path of _restricted_dual, out=lstar.T
+                    strided = np.full((c, r), 7.0)
+                    conjugacy._maxplus(a, b, op, out=strided.T)
+                    want.setdefault(op, got)
+                    assert got.tobytes() == want[op].tobytes(), (op, workers)
+                    assert np.ascontiguousarray(strided.T).tobytes() == want[op].tobytes()
+                ref = op(a[:, :, None], b).max(axis=1)
+                assert want[op].tobytes() == ref.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_worker_error_raised_after_join(self, failing, monkeypatch):
+        # the failing share raises at once, the other sleeps first: the
+        # error reaches the caller only once the sleeper is joined
+        monkeypatch.setattr(conjugacy, "_CPUS", 2)
+        monkeypatch.setattr(conjugacy, "_WORKER_CELLS", 1)
+        before = set(threading.enumerate())
+
+        def op(x, y):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "caller"):
+                raise RuntimeError(f"{failing} failed")
+            time.sleep(0.05)
+            return np.add(x, y)
+
+        a, b = np.zeros((4, 6)), np.zeros((6, 5))
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            conjugacy._maxplus(a, b, op)
+        assert set(threading.enumerate()) == before
+
+    def test_floor_starts_no_thread(self, monkeypatch):
+        started = []
+
+        def no_thread(*args, **kw):
+            started.append(args)
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(conjugacy, "_CPUS", 2)
+        # 128 x 255 cells split in two would give calls below 2**14 cells
+        a, b = np.ones((3, 128)), np.ones((128, 255))
+        assert np.array_equal(conjugacy._maxplus(a, b), np.full((3, 255), 2.0))
+        # nor does any product of a 128-cell interval, up to 131 x 128 cells
+        dom, fld = sincos_problem(128)
+        sd.decompose(dom, fld)
+        assert started == []
+        # one more column of b makes two calls of 2**14 cells each
+        with pytest.raises(AssertionError, match="thread was started"):
+            conjugacy._maxplus(a, np.ones((128, 256)))
 
     def test_grid_pairing_is_the_one_product(self):
         dom, fld, bf = builtin_problem("gradskew", 196)

@@ -426,14 +426,22 @@ class TestCheckMonotone:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_pairings_raise(self, sign):
         # u = +-x 1e290 on a box of side 1e10: the pairings pass 1.8e308, so
-        # the verdict of either sign would rest on inf - inf
+        # the verdict of either sign would rest on inf - inf, and the
+        # assignment would read inf entries; every pairing is refused by name
         dom = box_grid([(0, 1e10), (0, 1e10)], [2, 2])
         fld = sd.SampledField(sign * dom.points * 1e290)
-        with pytest.raises(ValueError, match="pairings overflow"):
-            check_monotone(dom, fld)
         hreg = sd.decompose(dom, sd.SampledField(dom.points)).hamiltonian
-        with pytest.raises(ValueError, match="pairings overflow"):
-            krauss_check(dom, fld, hreg)
+        calls = [
+            lambda: check_monotone(dom, fld),
+            lambda: krauss_check(dom, fld, hreg),
+            lambda: decompose(dom, fld),
+            lambda: dual_solver.solve(dom, fld),
+            lambda: sd.pairing(dom, fld),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="pairings overflow") as err:
+                call()
+            assert "field radius 1.061e+300 and domain radius 1.061e+10" in str(err.value)
 
     @pytest.mark.parametrize("n", [36, 121, 196])
     def test_rotation_monotone_within_rounding(self, n):
