@@ -33,22 +33,23 @@ exact, and one worker reduces each output cell in the order of the shared
 index, which also settles a tie of +0.0 and -0.0 the same way each time; so
 no table depends on its row blocks or on the number W of workers that share
 a large product's rows, and all W together hold the one serial block of
-scratch (see _maxplus). A chain of two products frees its first operand
-before the second.
+scratch (see _maxplus). regularize frees the kernel once L is formed, when
+the caller hands it over, and L once the [n, n] table is formed, so the
+chain holds at most one of K and L beside E and its product.
 
 grad1 is the general central-difference evaluator, and grad2 is grad1 at
 the swapped pair, negated (HR(x, y) == -HR(y, x) to the last bit). The
 residual checks use residual_gradients, grad1's bits at the grid pairs
 (x_{s(i)}, x_i).
-It builds one dense bidual table, at the grid, and reads the 2d tables at
-the grid shifted by +-h e_c only at the pieces whose maximum a step of h
-can move: every piece is affine with slope at most R_p = max |p_k|, so a
-piece more than 2 (h R_p + delta) below its maximum stays below it, delta
-being a rounding allowance (_candidate_margin derives it). A float max over
-a superset of the argmax is the same float, so the bits do not change. It
-never holds two shifted [n, m] products at once: in d = 1 it computes each
-entry it reads as one rounded product, and in d >= 2 it recomputes a
-product for each group of candidates that reads it.
+It forms the bidual table at the grid a block of rows at a time, and reads
+the 2d tables at the grid shifted by +-h e_c only at the pieces whose
+maximum a step of h can move: every piece is affine with slope at most
+R_p = max |p_k|, so a piece more than 2 (h R_p + delta) below its maximum
+stays below it, delta being a rounding allowance (_candidate_margin derives
+it). A float max over a superset of the argmax is the same float, so the
+bits do not change. It never holds two shifted [n, m] products at once:
+in d = 1 it computes each entry it reads as one rounded product, and in
+d >= 2 it recomputes a product for each group of candidates that reads it.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ __all__ = [
 # residual_gradients tests candidates in row blocks (domain.row_blocks)
 # and gathers them in groups of about this many candidates
 _GROUP_BUDGET = 1 << 10
+# residual_gradients forms the grid bidual t0 in row blocks: of at most
+# domain.ROW_BLOCK entries in d = 1, and in d >= 2, where each block re-runs
+# the 2d shifted n-row products of the dense half, in this many blocks
+_BIDUAL_BLOCKS = 4
 # _maxplus takes its rows in blocks of at most this many [row, s, c] cells,
 # and a block must stay below decompose's peak, the residual pass. Beside
 # its result a broadcasting call traces np.getbufsize() cells (8192, 64 KiB;
@@ -146,19 +151,9 @@ def restricted_dual(
 
     The (k, i) entry is the exhaustive max over grid x dual-set of the
     Fenchel expression: L = E^T (x) -K, then L* through an [n, n] table.
+    It is the table regularize builds.
     """
-    return _restricted_dual(kernel, _grid_pairing(dom, pset))
-
-
-def _restricted_dual(kernel: AntiSymmetricKernel, e: np.ndarray) -> np.ndarray:
-    """restricted_dual from the grid pairing e[j, k] = <x_j, p_k>."""
-    # [i, j] = max over k_p of <x_i, p_kp> - L(x_j, p_kp), where
-    # [k, j] = L(x_j, p_k) is freed once read; then add <x_j, p_kq> and
-    # take the max over j
-    a = _maxplus(e, _maxplus(e.T, kernel.matrix, np.subtract), np.subtract)
-    lstar = np.empty((e.shape[1], e.shape[0]))  # written through its transpose
-    _maxplus(a, e, out=lstar.T)
-    return lstar
+    return regularize(kernel, dom, pset).lstar_table
 
 
 def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
@@ -255,32 +250,33 @@ class RegularHamiltonian:
     """
 
     def __init__(
-        self, kernel: AntiSymmetricKernel, dom: DiscreteDomain, pset: DualPointSet
+        self, dom: DiscreteDomain, pset: DualPointSet, xp: np.ndarray, lstar: np.ndarray
     ):
+        """From the grid pairing xp[j, k] = <x_j, p_k> and the table
+        lstar[k, i] = L*(p_k, x_i); regularize builds both from a kernel."""
         self.dom = dom
         self.pset = pset
-        self._xp = _grid_pairing(dom, pset)  # [j, k] = <x_j, p_k>
-        self.lstar_table = _restricted_dual(kernel, self._xp)
+        self._xp = xp
+        self.lstar_table = lstar
         # resolution of the finite dual set, reported with every run
         self.covering_radius = pset.covering_radius()
         self.tol_reg = 2.0 * pset.radius * self.covering_radius
 
     # -- evaluators --------------------------------------------------
 
-    def bidual_at_slopes(self, ys: np.ndarray, inner: bool = False):
+    def bidual_at_slopes(self, ys: np.ndarray) -> np.ndarray:
         """[b, k] = L**(y_b, p_k) for every dual slope at once, as the
-        max-plus products (Y (x) -L*) (x) E with Y[b, k'] = <y_b, p_k'>.
-
-        With ``inner`` also returns the [b, n] table
-        g[b, j] = max_k' <y_b, p_k'> - L*(p_k', x_j), whose pieces
-        <p_k, x_j> + g[b, j] the outer maximum runs over.
-        """
+        max-plus products (Y (x) -L*) (x) E with Y[b, k'] = <y_b, p_k'>."""
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        return _maxplus(self._inner_table(ys), self._xp)
+
+    def _inner_table(self, ys: np.ndarray) -> np.ndarray:
+        """The first product of bidual_at_slopes at [b, d] points ys: the
+        [b, n] table g[b, j] = max_k' <y_b, p_k'> - L*(p_k', x_j), whose
+        pieces <p_k, x_j> + g[b, j] the outer maximum runs over. A computed
+        Y is freed before it returns."""
         y = self._xp if ys is self.dom.points else ys @ self.pset.pts.T  # E at the grid
-        g = _maxplus(y, self.lstar_table, np.subtract)
-        del y  # a computed Y is freed before the second product
-        out = _maxplus(g, self._xp)
-        return (out, g) if inner else out
+        return _maxplus(y, self.lstar_table, np.subtract)
 
     def ball_ham(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """HB at batched pairs; convex piecewise-affine in the first slot."""
@@ -316,10 +312,26 @@ def regularize(
     The returned object satisfies, exactly up to rounding: the sign flip at
     every probed pair, the growth bound |HR(x,y)| <= R|x| + R|y| + 4R^2,
     and L_{HR}(x_i, p) <= L(x_i, p) for grid points and dual-set slopes.
+
+    L* is the chain of products L = E^T (x) -K, the [n, n] table E (x) -L,
+    then its product with E. A caller that passes the kernel with no
+    reference of its own left (a temporary) has it freed once L is formed,
+    so K is not held through the two later products.
     """
     if kernel.n != dom.n:
         raise ValueError("kernel size does not match domain")
-    return RegularHamiltonian(kernel, dom, pset)
+    e = _grid_pairing(dom, pset)
+    a = _maxplus(e.T, kernel.matrix, np.subtract)  # [k, j] = L(x_j, p_k)
+    # a kernel handed over as a temporary, as decompose does, is freed here;
+    # a class call would hold it until __init__ returns
+    del kernel
+    # [i, j] = max over k_p of <x_i, p_kp> - L(x_j, p_kp); L is freed once
+    # this is formed. Then add <x_j, p_kq> and take the max over j
+    a = _maxplus(e, a, np.subtract)
+    lstar = np.empty((e.shape[1], e.shape[0]))  # written through its transpose
+    _maxplus(a, e, out=lstar.T)
+    del a  # before the covering radius
+    return RegularHamiltonian(dom, pset, e, lstar)
 
 
 def grad1(
@@ -362,8 +374,9 @@ def residual_gradients(
 
     Every point at which the central differences need L**(., p_k) is the
     grid, the grid shifted by +-h e_c, or a row permutation of one of them,
-    so row gathers serve the whole pass. The table t0 = L**(grid, .) and
-    its inner table g0 are computed densely, once. HR(x_{perm(i)} +- s, x_i)
+    so row gathers serve the whole pass. The inner table g0 of
+    t0 = L**(grid, .) is computed whole, once, and t0 in row blocks, each
+    used up before the next. HR(x_{perm(i)} +- s, x_i)
     has a dense half HB(x_{perm(i)} +- s, x_i), which reads t0, and a
     sparse half HB(x_i, x_{perm(i)} +- s), which reads the shifted tables
     only in the maxima over k, and there each of the three nested maxima
@@ -388,17 +401,23 @@ def residual_gradients(
     apart: rare inputs (2 of 120 tenths-rounded fields on 7 x 7 to 9 x 9
     symmetric grids) differ from grad1 in the last bits.
 
-    Candidate tests and the row gathers of the dense half run in blocks of
-    at most domain.ROW_BLOCK pieces, and the sparse gathers in groups of
-    about _GROUP_BUDGET candidates, whatever h is. The rest of the scratch
-    is at most two [n, m] tables at a time (t0 beside one product), the
-    [n, n] inner table, an [n, m] boolean mask and a few numbers per pair
+    Candidate tests run in blocks of at most domain.ROW_BLOCK pieces, and
+    the sparse gathers in groups of about _GROUP_BUDGET candidates,
+    whatever h is. The rest of the scratch is the [n, n] inner table g0,
+    one block of t0 beside one [n, m] table at a time (one row of the
+    block's product, or one shifted product), and a few numbers per pair
     (b, k) the sparse half reads: nearly every pair when h is of the order
-    of R. In d >= 2 each group of candidates recomputes the 2d shifted
-    products, one at a time: gradskew and matrix up to n = 900 make 1 to 8
-    groups, but rotationJ, whose pieces tie, makes 583 at n = 400, and its
-    pass takes about a fifth longer than with the products held. In d = 1,
-    where groups run to the hundreds, only the entries read are computed.
+    of R. A block's bits do not depend on the blocking (see _maxplus), and
+    its dense-half rows are those of the n-row shifted products: computed
+    alone in d = 1, where a block holds at most domain.ROW_BLOCK entries,
+    and read off the whole product in d >= 2, where each block re-runs the
+    2d shifted products, so there t0 takes _BIDUAL_BLOCKS blocks.
+    In d >= 2 each group of candidates of the sparse half also recomputes
+    the 2d shifted products, one at a time: gradskew and matrix up to
+    n = 900 make 1 to 8 groups, but rotationJ, whose pieces tie, makes 583
+    at n = 400, and its pass takes about a fifth longer than with the
+    products held. In d = 1, where groups run to the hundreds, only the
+    entries read are computed.
     """
     if h <= 0:
         raise ValueError("difference step must be positive")
@@ -410,22 +429,28 @@ def residual_gradients(
     shifts = np.array([sign * e for e in np.eye(d) * h for sign in (1, -1)])
     tau = _candidate_margin(hreg, h)
 
-    t0, g0 = hreg.bidual_at_slopes(grid, inner=True)
-
-    def hb_rows(ys):
-        # [b] = max over k of <y_b, p_k> - t0[b, k], one product at a time
-        a = ys @ pts_t
-        for rows in row_blocks(n, m):
-            a[rows] -= t0[rows]
-        return a.max(axis=1)
-
-    # the dense half, HB(x_{perm(i)} +- s, x_i)
-    hb_sx = np.array([hb_rows(sx + s) for s in shifts])
+    g0 = hreg._inner_table(grid)  # read whole by the sparse half
+    # t0 = L**(grid, .) = g0 (x) E is formed a block of rows at a time, and
+    # each block is used up before the next: the dense half,
+    # HB(x_{perm(i)} +- s, x_i), at its rows, and the pairs (b, k) at which
     # the sparse half, HB(x_i, x_{perm(i)} +- s), reads the shifted tables
-    # at the pairs (b, k) in need, at row b = perm(i)
-    need = np.flatnonzero(_near_max(lambda rows: xp[pinv[rows]] - t0[rows], n, m, tau))
-    thr = t0.ravel()[need] - tau  # need holds b * m + k, sorted
-    del t0
+    # (row b = perm(i)), with their thresholds
+    hb_sx = np.empty((2 * d, n))
+    need, thr = [], []
+    for blk in row_blocks(n, m, -(-n // _BIDUAL_BLOCKS) * m if d > 1 else None):
+        t0 = _maxplus(g0[blk], xp)
+        for q, s in enumerate(shifts):
+            # [b] = max over k of <y_b, p_k> - t0[b, k]
+            a = _shifted_rows(sx, pts_t, s, blk)
+            a -= t0
+            hb_sx[q, blk] = a.max(axis=1)
+            del a  # before the next product
+        ib = pinv[blk]
+        keep = np.flatnonzero(_near_max(lambda rows: xp[ib[rows]] - t0[rows], len(ib), m, tau))
+        thr.append(t0.ravel()[keep] - tau)
+        need.append(keep + blk.start * m)  # b * m + k, sorted
+        del t0, keep  # before the next block
+    need, thr = np.concatenate(need), np.concatenate(thr)
 
     hb_1 = np.full((2 * d, n), -np.inf)
     # L**(y_b + s, p_k) = max over j of <p_k, x_j> + g(y_b + s, x_j)
@@ -457,6 +482,17 @@ def residual_gradients(
     # 2c + 1 hold the shifts +h e_c and -h e_c
     hr = 0.5 * (hb_sx - hb_1)  # HR(x_{perm(i)} +- s, x_i)
     return np.ascontiguousarray(((hr[0::2] - hr[1::2]) / (2.0 * h)).T)
+
+
+def _shifted_rows(sx, pts_t, s, rows) -> np.ndarray:
+    """Rows ``rows`` of (sx + s) @ pts_t, bit for bit those of the n-row
+    product grad1 makes: computed alone in d = 1, as in _shifted_entries,
+    and read off the whole product in d >= 2."""
+    if sx.shape[1] == 1:
+        a = (sx[rows] + s) * pts_t
+        a += 0.0
+        return a
+    return ((sx + s) @ pts_t)[rows]
 
 
 def _shifted_entries(grid, pts, shifts, b, k) -> np.ndarray:

@@ -359,14 +359,22 @@ class AntiSymmetricKernel:
         mat = np.array(upper, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("kernel table must be square")
-        if not np.all(np.isfinite(mat)):
+        # min and max carry any nan or inf, with no [n, n] mask
+        if mat.size and not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
             raise ValueError("non-finite kernel entry")
-        # triu(upper, 1) - triu(upper, 1).T in place, in square tiles (x - 0.0 is x)
-        for blk in row_blocks(len(mat), 1, math.isqrt(ROW_BLOCK)):
-            for col in row_blocks(blk.start, 1, math.isqrt(ROW_BLOCK)):
-                np.subtract(0.0, mat[col, blk].T, out=mat[blk, col])
-            tri = np.triu(mat[blk, blk], k=1)
-            mat[blk, blk] = tri - tri.T
+        # triu(upper, 1) - triu(upper, 1).T in place, in square tiles: the
+        # strict upper triangle is kept (x - 0.0 is x), the lower one is
+        # 0.0 - x of its mirror (the sign of zero as in the subtraction) and
+        # the diagonal 0.0
+        side = math.isqrt(ROW_BLOCK)
+        scratch, lower = np.empty(side * side), np.tri(side, side, dtype=bool)
+        for blk in row_blocks(len(mat), 1, side):
+            for col in row_blocks(blk.start, 1, side):
+                mat[blk, col] = _negated_transpose(mat[col, blk], scratch)
+            diag = mat[blk, blk]
+            t = _negated_transpose(diag, scratch)
+            np.fill_diagonal(t, 0.0)
+            np.copyto(diag, t, where=lower[: len(t), : len(t)])
         mat.flags.writeable = False
         self.matrix = mat
 
@@ -382,6 +390,16 @@ class AntiSymmetricKernel:
 
     def __repr__(self) -> str:
         return f"AntiSymmetricKernel(n={self.n})"
+
+
+def _negated_transpose(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """0.0 - a.T in a contiguous view of scratch. It is copied in and then
+    negated in place: with a strided input, np.subtract(0.0, ...) traces a
+    tile-sized buffer, and a copy of the input too when it shares the
+    output's array, where a contiguous in-place call traces neither."""
+    t = scratch[: a.size].reshape(a.shape[::-1])
+    np.copyto(t, a.T)
+    return np.subtract(0.0, t, out=t)
 
 
 def make_kernel(dom: DiscreteDomain, h: Callable) -> AntiSymmetricKernel:

@@ -183,10 +183,11 @@ def decompose(
     pset = build_dual_points(
         dom, fld, margin=cfg.radius_margin, sphere_points=cfg.sphere_points, seed=cfg.seed
     )
-    hreg = conjugacy.regularize(primal.kernel, dom, pset)
     sigma = dual.sigma
     cert = primal_solver.weak_duality(dom, fld, primal.kernel, sigma)
-    primal.kernel = None  # the residual pass, the peak, runs without it
+    # weak_duality was the kernel's other reader: regularize is handed the
+    # only reference and frees K once L is formed (the report rebuilds it)
+    hreg = conjugacy.regularize(primal.take_kernel(), dom, pset)
 
     h = cfg.fd_step_rel * pset.radius
     g1 = residual_gradients(hreg, sigma.sigma, h)

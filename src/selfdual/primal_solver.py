@@ -27,6 +27,7 @@ from .domain import (
     Involution,
     SampledField,
     pairing,
+    row_blocks,
 )
 
 __all__ = [
@@ -92,10 +93,16 @@ def weak_duality(
 
 @dataclass
 class PrimalSolution:
-    kernel: AntiSymmetricKernel
+    kernel: AntiSymmetricKernel | None
     value: float
     iterations: int
     converged: bool
+
+    def take_kernel(self) -> AntiSymmetricKernel:
+        """The kernel, with this solution's reference to it dropped, so that
+        a callee handed it as a temporary can free it."""
+        kernel, self.kernel = self.kernel, None
+        return kernel
 
 
 def optimal_kernel(dom: DiscreteDomain, fld: SampledField, pot: np.ndarray):
@@ -103,9 +110,9 @@ def optimal_kernel(dom: DiscreteDomain, fld: SampledField, pot: np.ndarray):
     k = pairing(dom, fld)  # k.T[j, i] = c_ji
     np.subtract(k.T, k, out=k)  # numpy reads the overlapping k.T from a copy
     k *= 0.5
-    dpot = np.subtract(pot[None, :], pot[:, None])  # [j, i] = pot_i - pot_j
-    k -= np.multiply(0.5, dpot, out=dpot)
-    del dpot
+    for rows in row_blocks(len(k), len(k)):
+        dpot = np.subtract(pot[None, :], pot[rows, None])  # [j, i] = pot_i - pot_j
+        k[rows] -= np.multiply(0.5, dpot, out=dpot)
     return AntiSymmetricKernel(k)
 
 

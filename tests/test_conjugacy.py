@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -248,6 +249,45 @@ class TestRegularize:
             worst = max(worst, lhs - rhs)
         assert worst <= hreg.tol_reg
 
+    def test_kernel_handed_over_freed_after_first_product(self, monkeypatch):
+        # a temporary kernel's table is freed once L = E^T (x) -K is formed,
+        # before the product E (x) -L starts
+        dom, fld = sincos_problem(24)
+        pset = sd.build_dual_points(dom, fld)
+        refs, alive = [], []
+        maxplus = conjugacy._maxplus
+
+        def spy(*args, **kw):
+            alive.append(refs[0]() is not None)
+            return maxplus(*args, **kw)
+
+        def temporary_kernel():
+            kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
+            refs.append(weakref.ref(kernel.matrix))
+            return kernel
+
+        monkeypatch.setattr(conjugacy, "_maxplus", spy)
+        regularize(temporary_kernel(), dom, pset)
+        assert alive == [True, False, False]
+
+    def test_decompose_frees_kernel_after_first_product(self, monkeypatch):
+        # decompose hands the primal kernel over: the matrix the first
+        # product reads is dead when the second starts
+        dom, fld = sincos_problem(24)
+        first, dead = [], []
+        maxplus = conjugacy._maxplus
+
+        def spy(a, b, *args, **kw):
+            if not first:
+                first.append(weakref.ref(b))
+            elif not dead:
+                dead.append(first[0]() is None)
+            return maxplus(a, b, *args, **kw)
+
+        monkeypatch.setattr(conjugacy, "_maxplus", spy)
+        sd.decompose(dom, fld)
+        assert dead == [True]
+
     def test_tol_reg_reported(self, sincos64_hreg):
         hreg, kernel, pset = sincos64_hreg
         assert hreg.tol_reg == pytest.approx(2 * pset.radius * hreg.covering_radius)
@@ -477,7 +517,7 @@ class TestResidualGradients:
             fallback_cloud(),
         ):
             hreg = sd.decompose(dom, fld).hamiltonian
-            t0, g0 = hreg.bidual_at_slopes(dom.points, inner=True)
+            t0, g0 = hreg.bidual_at_slopes(dom.points), hreg._inner_table(dom.points)
             pieces = (
                 hreg.lstar_table,
                 g0,
@@ -512,6 +552,37 @@ class TestResidualGradients:
             monkeypatch.undo()
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("problem", ["sincos-24", "matrix-36"])
+    def test_bidual_blocks_bit_identical(self, problem, monkeypatch):
+        # the grid bidual in one-row blocks, in blocks of a few rows and in
+        # one block of all n rows (d = 1 and d = 2); bytes, so that the sign
+        # of a zero counts too
+        if problem == "sincos-24":
+            dom, fld = sincos_problem(24)
+        else:
+            dom, fld = builtin_problem("matrix", 36)[:2]
+        hreg = sd.decompose(dom, fld).hamiltonian
+        (n, m), h = hreg._xp.shape, 1e-4 * hreg.pset.radius
+        blocks, maxplus = [], conjugacy._maxplus
+
+        def spy(a, b, *args, **kw):
+            if b is hreg._xp:  # a block of t0 = g0 (x) E
+                blocks.append(len(a))
+            return maxplus(a, b, *args, **kw)
+
+        for perm in (np.arange(n), three_cycle(n), pair_swap(n)):
+            want = residual_gradients(hreg, perm, h).tobytes()
+            if np.array_equal(perm, np.arange(n)):
+                assert want == fd_residual_gradients(hreg, perm, h).tobytes()
+            for rows in (1, 3, n):  # d = 1 reads the first, d = 2 the second
+                monkeypatch.setattr(domain, "ROW_BLOCK", rows * m)
+                monkeypatch.setattr(conjugacy, "_BIDUAL_BLOCKS", -(-n // rows))
+                monkeypatch.setattr(conjugacy, "_maxplus", spy)
+                blocks.clear()
+                assert residual_gradients(hreg, perm, h).tobytes() == want
+                assert blocks == [rows] * (n // rows)
+            monkeypatch.undo()
+
     def test_wrong_length_rejected(self, sincos64_hreg):
         hreg = sincos64_hreg[0]
         n = hreg.dom.n
@@ -531,10 +602,15 @@ class TestResidualGradients:
 
     # the dense pass over 1 + 2d bidual tables peaked at 4.02 and 0.94 MB,
     # the sparse pass with its 2d shifted products held together at 2.55
-    # and 0.70 MB; with one shifted product at a time it reads 1.54 and
-    # 0.51 MB (gradskew-196: 63700 entries per [n, m] table)
+    # and 0.70 MB; with one shifted product at a time it read 1.48 and
+    # 0.47 MB, and with the grid bidual in row blocks 1.11 and 0.414 MB
+    # (gradskew-196: 63700 entries per [n, m] table). With 3 or more CPUs
+    # gradskew-196's products take 3 workers, one more iteration buffer
+    # each: 1.19 MB
     @pytest.mark.parametrize(
-        "name, n, peak_mb", [("gradskew", 196, 1.7), ("sincos", 128, 0.58)]
+        "name, n, peak_mb",
+        [("gradskew", 196, 1.31), ("sincos", 128, 0.46)],
+        ids=["gradskew-196", "sincos-128"],  # the same names when a bound moves
     )
     def test_peak_memory_below_dense_pass(self, name, n, peak_mb):
         dom, fld, bf = builtin_problem(name, n)
@@ -610,9 +686,7 @@ class TestRunningMaxEvaluators:
             )
             want = broadcast_bidual_at_slopes(hreg, ys)
             assert np.array_equal(hreg.bidual_at_slopes(ys), want)
-            table, inner = hreg.bidual_at_slopes(ys, inner=True)
-            assert np.array_equal(table, want)
-            assert np.array_equal(inner, broadcast_inner_table(hreg, ys))
+            assert np.array_equal(hreg._inner_table(ys), broadcast_inner_table(hreg, ys))
 
 
 def broadcast_restricted_dual(kernel, dom, pset):
@@ -747,7 +821,7 @@ class TestMaxPlusProducts:
                     monkeypatch.setattr(conjugacy, "_CPUS", workers)
                     monkeypatch.setattr(conjugacy, "_WORKER_CELLS", 1)
                     got = conjugacy._maxplus(a, b, op)
-                    # the strided path of _restricted_dual, out=lstar.T
+                    # the strided path of regularize, out=lstar.T
                     strided = np.full((c, r), 7.0)
                     conjugacy._maxplus(a, b, op, out=strided.T)
                     want.setdefault(op, got)

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,11 +151,37 @@ class TestMakeKernel:
         # of one row, of several with a short last one, and of all rows
         upper = np.random.default_rng(n).normal(size=(n, n))
         upper[0, -1] = -0.0
+        np.fill_diagonal(upper, -0.0)  # the diagonal comes out +0.0
         tri = np.triu(upper, 1)
         want = (tri - tri.T).tobytes()
         for budget in (domain.ROW_BLOCK, 1, n, 3 * n, n * n):
             monkeypatch.setattr(domain, "ROW_BLOCK", budget)
             assert sd.AntiSymmetricKernel(upper).matrix.tobytes() == want
+
+
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_mirror_peak_one_scratch_tile(self, n):
+        # the copy of the table, one scratch tile and the small tile mask;
+        # an overlapping np.subtract per tile (a copied input beside numpy's
+        # buffer) and an [n, n] finiteness mask held 101 KB beside the copy
+        upper = np.random.default_rng(n).normal(size=(n, n))
+        sd.AntiSymmetricKernel(upper)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sd.AntiSymmetricKernel(upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 2 * 8 * domain.ROW_BLOCK
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        upper = np.zeros((5, 5))
+        upper[3, 1] = bad  # below the diagonal, so it would not be kept
+        with pytest.raises(ValueError, match="non-finite"):
+            sd.AntiSymmetricKernel(upper)
+        assert sd.AntiSymmetricKernel(np.zeros((0, 0))).n == 0  # nothing to check
 
 
 class TestRowBlocks:

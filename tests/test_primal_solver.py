@@ -6,6 +6,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import selfdual as sd
+from selfdual import domain
 from selfdual.conjugacy import lagrangian_at_field
 from selfdual.dual_solver import (
     assignment_relaxation,
@@ -16,6 +17,7 @@ from selfdual.dual_solver import (
 from selfdual.primal_solver import (
     kernel_cancellation,
     minimize_primal,
+    optimal_kernel,
     primal_objective,
     weak_duality,
 )
@@ -219,6 +221,20 @@ class TestMinimizePrimal:
             assert (z.max(axis=0) <= pot + 1e-13 * scale).all()
             assert sol.value == pytest.approx(bound, rel=1e-12, abs=1e-14)
             assert sol.iterations == 0 and sol.converged
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (13, 1), (70, 2)])
+    def test_optimal_kernel_in_row_blocks_bit_for_bit(self, n, d, monkeypatch):
+        # the potential differences in row blocks give the bits of the whole
+        # [n, n] table (pot_i - pot_j) / 2 taken off (c_ji - c_ij) / 2
+        dom, fld = random_problem(np.random.default_rng([n, d]), n, d=d)
+        pot = assignment_relaxation(dom, fld)[1]
+        c = domain.pairing(dom, fld).T  # [j, i] = c_ji
+        k = np.multiply(c - c.T, 0.5)
+        k -= np.multiply(0.5, np.subtract(pot[None, :], pot[:, None]))
+        want = sd.AntiSymmetricKernel(k).matrix.tobytes()
+        for budget in (domain.ROW_BLOCK, 1, 3 * n):
+            monkeypatch.setattr(domain, "ROW_BLOCK", budget)
+            assert optimal_kernel(dom, fld, pot).matrix.tobytes() == want
 
     def test_lp_duality_crosscheck(self):
         # the dual of the kernel program is exactly the symmetric doubly
