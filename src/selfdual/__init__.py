@@ -48,8 +48,8 @@ from .factorize import (
     selfdual_test,
 )
 from .primal_solver import (
-    PrimalSolution,
-    minimize_primal,
+    optimal_kernel,
+    primal_converged,
     primal_objective,
     weak_duality,
 )

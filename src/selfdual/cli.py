@@ -4,7 +4,7 @@ Subcommands
 -----------
 decompose   full pipeline, report JSON
 dual        involution solve only
-primal      kernel minimization only
+primal      the optimal kernel from the assignment potentials, its value
 verify      checks only, against a supplied involution and/or kernel
 transport   atom export and the cost identity
 gallery     every builtin at sizes 16 / 32 / 64, one summary row each
@@ -79,7 +79,8 @@ _COMMAND_KEYS = {
     "primal": (*_PROBLEM, "eps_primal"),
     "verify": (*_PROBLEM, *_DUAL_SET, "fd_step_rel", "sigma", "kernel"),
     "transport": (*_PROBLEM, "dump"),
-    "gallery": (*_DUAL_SET, "fd_step_rel", "eps_primal"),
+    # the d = 1 builtins have no shell size to set (domain.build_dual_points)
+    "gallery": ("radius_margin", "seed", "fd_step_rel", "eps_primal"),
 }
 _FLAG_NAMES = {"field_csv": "--field", "sphere_points": "--pset-m"}
 _PIPELINE_TYPES = typing.get_type_hints(factorize.PipelineConfig)
@@ -224,22 +225,24 @@ def _cmd_dual(cfg: RunConfig) -> int:
 
 def _cmd_primal(cfg: RunConfig) -> int:
     dom, fld, _ = _load_problem(cfg)
-    relaxation = dual_solver.assignment_relaxation(dom, fld)
-    sol = primal_solver.minimize_primal(dom, fld, relaxation, cfg.pipeline.eps_primal)
-    bound = relaxation[2]
-    _, argmax = lagrangian_at_field(sol.kernel, dom, fld)
+    _, pot, bound = dual_solver.assignment_relaxation(dom, fld)
+    kernel = primal_solver.optimal_kernel(dom, fld, pot)
+    lvals, argmax = lagrangian_at_field(kernel, dom, fld)
+    value = float(lvals.sum() * dom.cell_measure)
+    converged = primal_solver.primal_converged(
+        dom, fld, kernel, value, bound, cfg.pipeline.eps_primal
+    )
     _emit(
         {
-            "P": sol.value,
-            "iterations": sol.iterations,
+            "P": value,
             "lower_bound": bound,
-            "gap_vs_bound": sol.value - bound,
-            "converged": sol.converged,
+            "gap_vs_bound": value - bound,
+            "converged": converged,
             "argmax": [int(k) for k in argmax],
         },
         cfg.out,
     )
-    return 0 if sol.converged else 1
+    return 0 if converged else 1
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -373,7 +376,7 @@ _HELP = {
     "domain": "domain spec: inline JSON {...} or a JSON file",
     "n": "cell budget (default 64)",
     "sphere_points": "samples on the shell of the dual ball in d >= 2 "
-    "(default 64 d); in d = 1 the shell is the two points -R and R",
+    "(default 64 d); refused in d = 1, where the shell is the two points -R and R",
     "fd_step_rel": "difference step h of the residual check, as a fraction of "
     "the ball radius R (default 1e-4); the residual pass reads every "
     "piece that a step of h can lift to a maximum, so its time grows "

@@ -563,5 +563,6 @@ def _candidate_margin(hreg: RegularHamiltonian, h: float) -> float:
     eps = np.finfo(float).eps
     r_p = float(row_norms(hreg.pset.pts).max())
     a = (hreg.dom.radius + h) * r_p
-    scale = 3.0 * a + float(np.abs(hreg.lstar_table).max())
+    lstar = hreg.lstar_table
+    scale = 3.0 * a + float(max(lstar.max(), -lstar.min()))  # no [m, n] |L*| table
     return 2.0 * (h * r_p + (4 * hreg.dom.dim + 8) * eps * scale)

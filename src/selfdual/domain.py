@@ -318,7 +318,8 @@ def build_dual_points(
     radius, field radius), which holds the domain and the field values; the
     margin keeps suprema off the ball boundary, and the containment
     invariants only need margin >= 0. The shell has sphere_points samples
-    (default 64 * d) in d >= 2 and is the two points +-R in d = 1.
+    (default 64 * d) in d >= 2 and is the two points +-R in d = 1, where a
+    sphere_points is refused.
     """
     if not (np.isfinite(margin) and margin >= 0):
         raise ValueError("margin must be non-negative and finite")
@@ -330,6 +331,8 @@ def build_dual_points(
             f"field radius {fld.field_radius:.3e} and domain radius {dom.radius:.3e} "
             f"are out of scale: R = {radius:.3e}, and R^2 is not a normal float"
         )
+    if sphere_points is not None and dom.dim == 1:
+        raise ValueError("sphere_points sets no shell in d = 1, where the shell is +-R")
     m = 64 * dom.dim if sphere_points is None else int(sphere_points)
     if m < 1:
         raise ValueError("need at least one sphere sample")

@@ -68,6 +68,7 @@ class DualSolution:
     value: float
     certificate: str  # what backs optimality (see solve), or the oracle
     bound: float | None = None  # the assignment bound, set by solve
+    pot: np.ndarray | None = None  # its potentials, set by solve
     uniqueness: str | None = None  # set by solve, see _settle
     alternative: Involution | None = None
 
@@ -426,11 +427,7 @@ def _admits_another(
 # the dual path
 
 
-def solve(
-    dom: DiscreteDomain,
-    fld: SampledField,
-    relaxation: tuple[np.ndarray, np.ndarray, float] | None = None,
-) -> DualSolution:
+def solve(dom: DiscreteDomain, fld: SampledField) -> DualSolution:
     """Best involution, with the assignment bound and a uniqueness verdict.
 
     Rounds the optimal assignment (_round_cycles). Without an odd cycle that
@@ -438,11 +435,11 @@ def solve(
     uniqueness, up to _BLOSSOM_EDGES kept edges. With one, the rounding is
     a start: the blossom, uncapped, returns an exact optimum
     ("kept-graph-exact"), and where that beats the start a second run from
-    it decides. A precomputed assignment_relaxation can be passed so that
-    one assignment solve serves both the dual and the primal. solve_matching
-    and solve_brute are the oracles it is tested against.
+    it decides. The assignment potentials, pot, give the primal its kernel
+    (primal_solver.optimal_kernel). solve_matching and solve_brute are the
+    oracles it is tested against.
     """
-    perm, pot, bound = relaxation or assignment_relaxation(dom, fld)
+    perm, pot, bound = assignment_relaxation(dom, fld)
     c = pairing(dom, fld)
     start, tight = _round_cycles(c, perm)
     cap = _BLOSSOM_EDGES if tight else None
@@ -451,4 +448,4 @@ def solve(
         sigma, verdict, alt = _settle(c, pot, sigma, cap)
     value = float(c[np.arange(dom.n), sigma].sum() * dom.cell_measure)
     cert = "assignment-bound-tight" if tight else "kept-graph-exact"
-    return DualSolution(Involution(sigma), value, cert, bound, verdict, alt)
+    return DualSolution(Involution(sigma), value, cert, bound, pot, verdict, alt)

@@ -1,9 +1,10 @@
 """End-to-end factorization pipeline and its diagnostics.
 
-decompose() solves the involution dual and the kernel primal from one
-assignment solve (see dual_solver and primal_solver), extends the optimal
-kernel to a regularized Hamiltonian, and checks the two gradient
-identities of the factorization along the recovered involution:
+decompose() solves the involution dual, whose assignment potentials give
+the kernel primal its optimum in closed form (see dual_solver and
+primal_solver), extends the optimal kernel to a regularized Hamiltonian,
+and checks the two gradient identities of the factorization along the
+recovered involution:
 
     u_i            ~ grad1 HR at (x_{s(i)}, x_i)
     u_{s(i)}       ~ -grad2 HR at (x_{s(i)}, x_i)
@@ -174,20 +175,13 @@ def decompose(
     cfg = cfg or PipelineConfig()
     check_pairing(dom, fld)
 
-    relaxation = dual_solver.assignment_relaxation(dom, fld)
-    dual = dual_solver.solve(dom, fld, relaxation)
-    primal = primal_solver.minimize_primal(dom, fld, relaxation, cfg.eps_primal)
-    pot = relaxation[1]
-    del relaxation  # perm is not held through the larger stages below
-
+    dual = dual_solver.solve(dom, fld)
     pset = build_dual_points(
         dom, fld, margin=cfg.radius_margin, sphere_points=cfg.sphere_points, seed=cfg.seed
     )
     sigma = dual.sigma
-    cert = primal_solver.weak_duality(dom, fld, primal.kernel, sigma)
-    # weak_duality was the kernel's other reader: regularize is handed the
-    # only reference and frees K once L is formed (the report rebuilds it)
-    hreg = conjugacy.regularize(primal.take_kernel(), dom, pset)
+    # a temporary kernel, which regularize frees once L is formed
+    hreg = conjugacy.regularize(primal_solver.optimal_kernel(dom, fld, dual.pot), dom, pset)
 
     h = cfg.fd_step_rel * pset.radius
     g1 = residual_gradients(hreg, sigma.sigma, h)
@@ -199,6 +193,12 @@ def decompose(
         uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
     else:
         uniq = UniquenessVerdict(dual.uniqueness, alternative=dual.alternative)
+
+    kernel = primal_solver.optimal_kernel(dom, fld, dual.pot)  # regularize's, rebuilt
+    cert = primal_solver.weak_duality(dom, fld, kernel, sigma)
+    converged = primal_solver.primal_converged(
+        dom, fld, kernel, cert.primal_value, dual.bound, cfg.eps_primal
+    )
 
     tolerances = {
         "eps_primal": cfg.eps_primal,
@@ -212,12 +212,12 @@ def decompose(
         "residual_scale_factor": res1.median / (h + dom.mesh),
         "dual_bound": dual.bound,
         "certificate": dual.certificate,
-        "primal_iterations": primal.iterations,
-        "primal_converged": primal.converged,
+        "primal_iterations": 0,  # no iterative primal; a key the benchmark reads
+        "primal_converged": converged,
         "seed": cfg.seed,
     }
     return DecompositionReport(
-        primal.value,
+        cert.primal_value,
         dual.value,
         cert.gap,
         sigma,
@@ -226,7 +226,7 @@ def decompose(
         cert.slack,
         mono,
         uniq,
-        primal_solver.optimal_kernel(dom, fld, pot),  # the same bits, rebuilt last
+        kernel,
         hreg,
         dual,
         tolerances,

@@ -1,12 +1,12 @@
-"""Minimize the kernel Lagrangian objective over anti-symmetric kernels.
+"""The kernel Lagrangian primal, in closed form from the dual's potentials.
 
 The objective P(K) = sum_i max_j (<x_j, u_i> - K[j, i]) * mu is a finite
 convex program, a max of affine functions in the N(N-1)/2 free kernel
 entries. Its linear programming dual is exactly the symmetric doubly
 stochastic relaxation, which is the max-weight assignment on
-S = (C + C^T) / 2 solved by the dual solver. The assignment's dual
-potentials give an optimal kernel in closed form, so the primal needs no
-iterative solver: its value equals the assignment bound up to rounding.
+S = (C + C^T) / 2 solved by the dual solver. The assignment's potentials
+give an optimal kernel in closed form (optimal_kernel): nothing is left to
+minimize, and P equals the assignment bound up to rounding (primal_converged).
 
 Weak duality against any involution is exact in floating point: the
 per-index slacks are nonnegative by construction and the kernel terms
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual_solver
 from .conjugacy import lagrangian_scores
 from .domain import (
     AntiSymmetricKernel,
@@ -31,12 +30,11 @@ from .domain import (
 )
 
 __all__ = [
-    "PrimalSolution",
     "DualityCertificate",
     "primal_objective",
     "weak_duality",
-    "minimize_primal",
     "optimal_kernel",
+    "primal_converged",
     "kernel_cancellation",
 ]
 
@@ -78,35 +76,36 @@ def weak_duality(
     """Certificate that P(K) >= D(s) with the per-index slack vector.
 
     slack_i = L(x_i, u_i) + K[s(i), i] - <u_i, x_{s(i)}> is computed as a
-    max minus one of its own entries, hence exactly nonnegative.
+    max minus one of its own entries, hence exactly nonnegative. D sums
+    C[i, s(i)] as dual_objective does, off the one pairing, before K is taken off.
     """
-    d = dual_solver.dual_objective(dom, fld, s)  # raises on a length mismatch
-    z = lagrangian_scores(kernel, dom, fld)
+    if s.n != dom.n:
+        raise ValueError("involution length does not match domain")
+    if kernel.n != dom.n:
+        raise ValueError("kernel size does not match domain")
+    idx, mu = np.arange(dom.n), dom.cell_measure
+    z = pairing(dom, fld).T  # [j, i] = <x_j, u_i> = C[i, j]
+    d = float(z[s.sigma, idx].sum() * mu)
+    z -= kernel.matrix  # the scores of lagrangian_scores
     lvals = z.max(axis=0)
-    slack = lvals - z[s.sigma, np.arange(dom.n)]
-    mu = dom.cell_measure
+    slack = lvals - z[s.sigma, idx]
     cancel = kernel_cancellation(kernel, s, mu)
     if cancel != 0.0:
         raise AssertionError("involution kernel sum failed to cancel exactly")
     return DualityCertificate(float(lvals.sum() * mu), d, float(slack.sum() * mu), slack, cancel)
 
 
-@dataclass
-class PrimalSolution:
-    kernel: AntiSymmetricKernel | None
-    value: float
-    iterations: int
-    converged: bool
-
-    def take_kernel(self) -> AntiSymmetricKernel:
-        """The kernel, with this solution's reference to it dropped, so that
-        a callee handed it as a temporary can free it."""
-        kernel, self.kernel = self.kernel, None
-        return kernel
-
-
 def optimal_kernel(dom: DiscreteDomain, fld: SampledField, pot: np.ndarray):
-    """minimize_primal's kernel, built in place in two [n, n] tables."""
+    """The optimal kernel in closed form, built in place in two [n, n] tables.
+
+    With the assignment potentials pot (DualSolution.pot: pot_i >= C[i, i],
+    pot_i + pot_j >= C[i, j] + C[j, i], sum(pot) * mu == bound), the kernel
+    K[j, i] = (c_ji - c_ij) / 2 - (pot_i - pot_j) / 2 with c_ji = <x_j, u_i>
+    gives c_ji - K[j, i] = S[i, j] + (pot_i - pot_j) / 2 <= pot_i, so
+    P(K) <= bound; LP duality gives P(K) >= bound, hence P(K) == bound, the
+    optimum. Only its upper triangle is stored, which keeps anti-symmetry
+    bit-exact.
+    """
     k = pairing(dom, fld)  # k.T[j, i] = c_ji
     np.subtract(k.T, k, out=k)  # numpy reads the overlapping k.T from a copy
     k *= 0.5
@@ -116,30 +115,25 @@ def optimal_kernel(dom: DiscreteDomain, fld: SampledField, pot: np.ndarray):
     return AntiSymmetricKernel(k)
 
 
-def minimize_primal(
+def primal_converged(
     dom: DiscreteDomain,
     fld: SampledField,
-    relaxation: tuple[np.ndarray, np.ndarray, float] | None = None,
-    eps_rel: float = 1e-6,
-) -> PrimalSolution:
-    """Optimal kernel in closed form from the assignment potentials.
-
-    With pot from dual_solver.assignment_relaxation (pot_i >= C[i, i],
-    pot_i + pot_j >= C[i, j] + C[j, i], sum(pot) * mu == bound), the kernel
-    K[j, i] = (c_ji - c_ij) / 2 - (pot_i - pot_j) / 2 with c_ji = <x_j, u_i>
-    gives c_ji - K[j, i] = S[i, j] + (pot_i - pot_j) / 2 <= pot_i, so
-    P(K) <= bound; LP duality gives P(K) >= bound, hence P(K) == bound, the
-    optimum. Only its upper triangle is stored, which keeps anti-symmetry
-    bit-exact. converged reports value - bound <= eps_rel * |value| + floor,
+    kernel: AntiSymmetricKernel,
+    value: float,
+    bound: float,
+    eps_rel: float,
+) -> bool:
+    """Whether the primal value P(kernel) meets the assignment bound:
+    value - bound <= eps_rel * |value| + floor, with
     floor = 4 (n + d + 2) eps mu (sum_i max_j |C_ij| + sum_i max_j |K_ji|)
     bounding the rounding of the two n-term sums, so that an optimum of 0
-    is not judged by a relative test alone.
+    is not judged by a relative test alone. Each max |x| is taken as
+    max(max x, -min x), which holds no [n, n] table beside the pairing.
     """
     if not (np.isfinite(eps_rel) and eps_rel > 0):
         raise ValueError("eps_rel must be positive and finite")
-    _, pot, bound = relaxation or dual_solver.assignment_relaxation(dom, fld)
-    kernel = optimal_kernel(dom, fld, pot)
-    value = primal_objective(dom, fld, kernel)
-    scale = np.abs(pairing(dom, fld)).max(axis=1).sum() + np.abs(kernel.matrix).max(axis=0).sum()
+    c, k = pairing(dom, fld), kernel.matrix
+    scale = np.maximum(c.max(axis=1), -c.min(axis=1)).sum()
+    scale += np.maximum(k.max(axis=0), -k.min(axis=0)).sum()
     floor = float(4 * (dom.n + dom.dim + 2) * np.finfo(float).eps * dom.cell_measure * scale)
-    return PrimalSolution(kernel, value, 0, value - bound <= eps_rel * abs(value) + floor)
+    return value - bound <= eps_rel * abs(value) + floor

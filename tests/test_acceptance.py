@@ -24,12 +24,12 @@ from selfdual.dual_solver import (
 from selfdual.factorize import decompose, selfdual_test
 from selfdual.primal_solver import (
     kernel_cancellation,
-    minimize_primal,
     weak_duality,
 )
 from selfdual.transport import transport_cost
 
 from conftest import (
+    closed_form_primal,
     random_involution,
     random_kernel,
     random_problem,
@@ -284,9 +284,9 @@ def test_criterion_9_duality_gap_trend():
         fracs = []
         for n in (16, 32, 64, 128):
             dom, fld = problem(n)
-            p = minimize_primal(dom, fld)
+            _, p, _ = closed_form_primal(dom, fld)
             d = solve_matching(dom, fld)
-            fracs.append((p.value - d.value) / abs(p.value))
+            fracs.append((p - d.value) / abs(p))
         ok = ok and fracs[2] <= 0.02
         ok = ok and all(b <= a + 1e-9 for a, b in zip(fracs, fracs[1:]))
         details.append(f"{name}: " + ", ".join(f"{f:.1e}" for f in fracs))

@@ -10,7 +10,7 @@ import selfdual as sd
 from selfdual import cli, fields
 from selfdual.domain import write_field_csv
 
-from conftest import BAD_PERMUTATIONS
+from conftest import BAD_PERMUTATIONS, closed_form_primal
 
 
 def run_cli(argv):
@@ -120,6 +120,7 @@ class TestParseConfig:
             ("verify", ["--eps-primal", "1e-6"]),
             ("transport", ["--seed", "9"]),
             ("gallery", ["--builtin", "sincos"]),
+            ("gallery", ["--pset-m", "5"]),
         ],
     )
     def test_unread_flag_exits_2(self, capsys, command, flag):
@@ -526,8 +527,33 @@ class TestOtherCommands:
         bf = fields.builtin_field("monotone1d", 12)
         dom = sd.build_grid(bf.domain_spec)
         fld = sd.sample_field(dom, bf.rule)
-        _, argmax = sd.lagrangian_at_field(sd.minimize_primal(dom, fld).kernel, dom, fld)
+        kernel, value, _ = closed_form_primal(dom, fld)
+        _, argmax = sd.lagrangian_at_field(kernel, dom, fld)
         assert payload["argmax"] == argmax.tolist()
+        # P is the primal value to the bit, and nothing iterates
+        assert payload["P"] == value
+        assert "iterations" not in payload
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_pset_m_in_d_1_exits_2(self, tmp_path, capsys, command):
+        # the d = 1 shell is +-R: --pset-m would change nothing, so it is refused
+        sig = tmp_path / "s.json"
+        assert run_cli(["dual", "--builtin", "sincos", "--n", "16", "--out", str(sig)]) == 0
+        argv = [command, "--builtin", "sincos", "--n", "16", "--pset-m", "5"]
+        argv += ["--sigma", str(sig)] if command == "verify" else []
+        assert run_cli([*argv, "--out", str(tmp_path / "r.json")]) == 2
+        assert "sphere_points sets no shell in d = 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_primal_and_decompose_print_the_same_p(self, tmp_path):
+        # the primal subcommand and the report read the same kernel and sum
+        for name, n in (("sincos", "16"), ("rotationJ", "128")):
+            base = ["--builtin", name, "--n", n]
+            assert run_cli(["primal", *base, "--out", str(tmp_path / "p.json")]) == 0
+            assert run_cli(["decompose", *base, "--out", str(tmp_path / "r.json")]) == 0
+            p = json.loads((tmp_path / "p.json").read_text())
+            r = json.loads((tmp_path / "r.json").read_text())
+            assert p["P"] == r["P"] and p["converged"] is r["config"]["primal_converged"]
 
     def test_zero_optimum_converges(self, tmp_path):
         # rotationJ's optimum is 0: P - bound is rounding noise (1.3e-16)

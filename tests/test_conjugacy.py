@@ -879,7 +879,7 @@ class TestMaxPlusProducts:
 
     def test_regularize_computes_the_grid_pairing_once(self, monkeypatch):
         dom, fld = random_problem(np.random.default_rng(49), 12, d=2)
-        kernel = sd.minimize_primal(dom, fld).kernel
+        kernel = sd.optimal_kernel(dom, fld, sd.assignment_relaxation(dom, fld)[1])
         pset = sd.build_dual_points(dom, fld)
         made = []
 

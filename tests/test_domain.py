@@ -424,6 +424,17 @@ class TestBallAndDualPoints:
         expect = _covering_oracle(pset.pts, pset.radius)
         assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("sphere_points", [1, 2, 64])
+    def test_sphere_points_refused_in_d_1(self, sphere_points):
+        # the d = 1 shell is +-R whatever the count: a count is refused,
+        # not ignored
+        dom = sd.interval_grid(0.0, 1.0, 8)
+        fld = sd.sample_field(dom, lambda x: x)
+        with pytest.raises(ValueError, match="sphere_points sets no shell in d = 1"):
+            sd.build_dual_points(dom, fld, sphere_points=sphere_points)
+        pset = sd.build_dual_points(dom, fld)
+        assert {-pset.radius, pset.radius} <= set(pset.pts[:, 0].tolist())
+
     def test_covering_radius_2d_collinear_field(self):
         # field values on the first axis and a one-point shell at -R: the
         # sites lie on one line up to the rounding of sin(pi)

@@ -143,12 +143,25 @@ class TestDecompose:
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("name", fields.builtin_names())
     def test_report_kernel_is_the_primal_kernel(self, name, n):
-        # rebuilt from the potentials after the residual pass, bit for bit
+        # the report's kernel is the closed form in the dual's potentials,
+        # and P, D, gap, complementarity and the convergence verdict are
+        # recomputed from it, sigma and the bound, bit for bit
         dom, fld, bf = _builtin(name, n)
         rep = decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
-        primal = sd.minimize_primal(dom, fld)
-        assert rep.kernel.matrix.tobytes() == primal.kernel.matrix.tobytes()
-        assert not rep.kernel.matrix.flags.writeable
+        _, pot, bound = sd.assignment_relaxation(dom, fld)
+        assert rep.dual.pot.tobytes() == pot.tobytes() and rep.dual.bound == bound
+        kernel = rep.kernel
+        assert kernel.matrix.tobytes() == sd.optimal_kernel(dom, fld, pot).matrix.tobytes()
+        assert not kernel.matrix.flags.writeable
+        p = sd.primal_objective(dom, fld, kernel)
+        assert rep.p_value.hex() == p.hex()
+        assert rep.d_value.hex() == sd.dual_objective(dom, fld, rep.sigma).hex()
+        cert = sd.weak_duality(dom, fld, kernel, rep.sigma)
+        assert rep.gap.hex() == cert.gap.hex()
+        assert rep.complementarity.tobytes() == cert.slack.tobytes()
+        eps = rep.tolerances["eps_primal"]
+        converged = sd.primal_converged(dom, fld, kernel, p, rep.dual.bound, eps)
+        assert rep.tolerances["primal_converged"] is converged is True
 
     def test_sincos(self):
         dom, fld = sincos_problem(64)
@@ -177,6 +190,15 @@ class TestDecompose:
         kw = dict(rule=bf.rule, jacobian=bf.jacobian)
         decompose(dom, fld, **kw)  # lazy imports and caches first
         assert _traced_peak(decompose, dom, fld, **kw) <= 2.36e6
+
+    def test_peak_memory_matrix_196(self):
+        # m < n here, so the certificate and the convergence test, which run
+        # beside E and L*, come closest to the residual pass: 1.26 MB with no
+        # |C| or |K| table in the convergence test, 1.40 MB with them
+        dom, fld, bf = _builtin("matrix", 196)
+        kw = dict(rule=bf.rule, jacobian=bf.jacobian)
+        decompose(dom, fld, **kw)  # lazy imports and caches first
+        assert _traced_peak(decompose, dom, fld, **kw) <= 1.32e6
 
     def test_monotone_identity_and_krauss(self):
         dom, fld = monotone_problem(16)
@@ -258,7 +280,7 @@ class TestDecompose:
             lambda: PipelineConfig(fd_step_rel=value),
             lambda: PipelineConfig(eps_primal=value),
             lambda: PipelineConfig(radius_margin=value),
-            lambda: sd.minimize_primal(dom, fld, eps_rel=value),
+            lambda: sd.primal_converged(dom, fld, sd.AntiSymmetricKernel(np.zeros((8, 8))), 0.0, 0.0, value),
             lambda: sd.build_dual_points(dom, fld, margin=value),
         ):
             with pytest.raises(ValueError, match="finite"):

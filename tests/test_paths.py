@@ -2,7 +2,6 @@
 assignment core, blossom and brute, each paired with the closed-form
 primal kernel."""
 
-import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +20,11 @@ from selfdual.dual_solver import (
     solve_brute,
     solve_matching,
 )
-from selfdual.primal_solver import minimize_primal, weak_duality
+from selfdual.primal_solver import optimal_kernel, weak_duality
 
-from conftest import odd_cycle_problem
+from conftest import closed_form_primal, odd_cycle_problem
 
-EPS_PRIMAL = inspect.signature(minimize_primal).parameters["eps_rel"].default
+EPS_PRIMAL = sd.PipelineConfig().eps_primal
 
 
 def make_problem(n, d, seed, scale, kind):
@@ -53,16 +52,16 @@ def check_paths(dom, fld):
     bound."""
     n = dom.n
     _, _, bound = assignment_relaxation(dom, fld)
-    primal = minimize_primal(dom, fld)
-    k = primal.kernel.matrix
+    kernel, value, converged = closed_form_primal(dom, fld)
+    k = kernel.matrix
     assert np.array_equal(k, -k.T)
     assert not np.diag(k).any()
     c = fld.values @ dom.points.T
     # rounding of an n-term sum of d-term dot products
     scale = np.abs(c).max() * n * dom.cell_measure
     rounding = 64 * (n + 2) * np.finfo(float).eps * scale
-    assert abs(primal.value - bound) <= EPS_PRIMAL * abs(primal.value) + rounding
-    assert primal.converged
+    assert abs(value - bound) <= EPS_PRIMAL * abs(value) + rounding
+    assert converged
     values = {}
     solvers = {"auto": solve, "matching": solve_matching, "brute": solve_brute}
     for method, solver in solvers.items():
@@ -71,7 +70,7 @@ def check_paths(dom, fld):
         assert np.array_equal(sigma[sigma], np.arange(n))
         assert sol.bound == (bound if method == "auto" else None)
         assert sol.value <= bound + rounding
-        cert = weak_duality(dom, fld, primal.kernel, sol.sigma)
+        cert = weak_duality(dom, fld, kernel, sol.sigma)
         assert (cert.slack >= 0).all()
         assert cert.gap >= 0
         assert cert.cancellation == 0.0
@@ -105,13 +104,15 @@ def test_paths_agree(n, d, seed, scale, kind):
 @settings(max_examples=150, deadline=None)
 @problems
 def test_report_kernel_is_the_primal_kernel(n, d, seed, scale, kind):
-    # decompose drops the kernel before the residual pass and rebuilds it
-    # from the potentials afterwards: the same bits as the primal's kernel
+    # decompose builds the kernel from the dual's potentials after the
+    # residual pass: the assignment's potentials and their kernel, bit for bit
     dom, fld = make_problem(n, d, seed, scale, kind)
     # decompose refuses a ball radius R whose square is not a normal float
     assume(max(dom.radius, fld.field_radius) > 0)
-    kernel = sd.decompose(dom, fld).kernel.matrix
-    assert kernel.tobytes() == minimize_primal(dom, fld).kernel.matrix.tobytes()
+    rep = sd.decompose(dom, fld)
+    pot = assignment_relaxation(dom, fld)[1]
+    assert rep.dual.pot.tobytes() == pot.tobytes()
+    assert rep.kernel.matrix.tobytes() == optimal_kernel(dom, fld, pot).matrix.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

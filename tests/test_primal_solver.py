@@ -16,13 +16,14 @@ from selfdual.dual_solver import (
 )
 from selfdual.primal_solver import (
     kernel_cancellation,
-    minimize_primal,
     optimal_kernel,
+    primal_converged,
     primal_objective,
     weak_duality,
 )
 
 from conftest import (
+    closed_form_primal,
     monotone_problem,
     random_involution,
     random_kernel,
@@ -78,8 +79,8 @@ class TestPrimalObjective:
 
     def test_sincos_near_pi(self):
         dom, fld = sincos_problem(64)
-        sol = minimize_primal(dom, fld)
-        assert sol.value == pytest.approx(math.pi, rel=0.02)
+        _, value, _ = closed_form_primal(dom, fld)
+        assert value == pytest.approx(math.pi, rel=0.02)
 
     def test_sincos_analytic_kernel_near_pi(self):
         # complementarity along the reflection makes the tabulated analytic
@@ -144,10 +145,29 @@ class TestWeakDuality:
 
     def test_optimal_pair_small_slack(self):
         dom, fld = sincos_problem(64)
-        sol = minimize_primal(dom, fld)
+        kernel, _, _ = closed_form_primal(dom, fld)
         s = solve_matching(dom, fld).sigma
-        cert = weak_duality(dom, fld, sol.kernel, s)
+        cert = weak_duality(dom, fld, kernel, s)
         assert cert.gap <= 0.02 * cert.primal_value
+
+    def test_dual_value_is_dual_objective_bit_for_bit(self):
+        # D is read off the pairing that also gives the scores, in
+        # dual_objective's order: the same bits
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            dom, fld = random_problem(rng, n, d=int(rng.integers(1, 4)))
+            s = random_involution(rng, n)
+            cert = weak_duality(dom, fld, random_kernel(rng, n), s)
+            assert cert.dual_value.hex() == dual_objective(dom, fld, s).hex()
+
+    def test_rejects_a_kernel_of_another_size(self):
+        dom, fld = monotone_problem(3)
+        kernel = sd.AntiSymmetricKernel(np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="kernel size"):
+            weak_duality(dom, fld, kernel, sd.Involution.identity(3))
+        with pytest.raises(ValueError, match="involution length"):
+            weak_duality(dom, fld, kernel, sd.Involution.identity(4))
 
     def test_cancellation_bit_exact(self):
         rng = np.random.default_rng(23)
@@ -165,22 +185,24 @@ class TestWeakDuality:
 
 
 class TestMinimizePrimal:
+    """The closed-form primal that takes the minimizer's place: the optimal
+    kernel from the assignment potentials, its value and primal_converged."""
+
     def test_single_cell(self):
         dom, fld = monotone_problem(1)
-        sol = minimize_primal(dom, fld)
-        assert sol.iterations == 0
-        assert np.all(sol.kernel.matrix == 0.0)
-        assert sol.value == pytest.approx(
+        kernel, value, _ = closed_form_primal(dom, fld)
+        assert np.all(kernel.matrix == 0.0)
+        assert value == pytest.approx(
             float(dom.points[0] @ fld.values[0]) * dom.cell_measure
         )
 
     def test_monotone_reaches_dual_value(self):
         dom, fld = monotone_problem(16)
-        sol = minimize_primal(dom, fld)
+        _, value, converged = closed_form_primal(dom, fld)
         d = solve_brute(dom, fld).value if dom.n <= 12 else solve_matching(dom, fld).value
-        assert sol.converged
-        assert sol.value == pytest.approx(d, rel=1e-6)
-        assert sol.value == pytest.approx(
+        assert converged
+        assert value == pytest.approx(d, rel=1e-6)
+        assert value == pytest.approx(
             float((dom.points**2).sum() * dom.cell_measure), rel=1e-6
         )
 
@@ -189,22 +211,22 @@ class TestMinimizePrimal:
         # an optimum near 2/3; the identity involution alone gives the
         # closed-form 5/8 - O(1/n^2), so that is a hard lower bound on D
         dom, fld = tent_problem(64)
-        sol = minimize_primal(dom, fld)
+        _, value, converged = closed_form_primal(dom, fld)
         match = solve_matching(dom, fld)
         ident = dual_objective(dom, fld, sd.Involution.identity(64))
         assert ident == pytest.approx(0.625, abs=2.0 / 64**2)
         assert match.value >= ident - 1e-12
-        assert sol.value == pytest.approx(match.value, rel=0.02)
-        assert sol.converged
+        assert value == pytest.approx(match.value, rel=0.02)
+        assert converged
 
-    def test_best_iterate_bounded_by_zero_start(self):
+    def test_closed_form_bounded_by_zero_kernel(self):
         rng = np.random.default_rng(24)
         dom, fld = random_problem(rng, 14)
         zero_val = primal_objective(dom, fld, sd.AntiSymmetricKernel(np.zeros((14, 14))))
-        sol = minimize_primal(dom, fld)
-        assert sol.value <= zero_val + 1e-12
+        _, value, _ = closed_form_primal(dom, fld)
+        assert value <= zero_val + 1e-12
         bound = assignment_relaxation(dom, fld)[2]
-        assert sol.value >= bound - 1e-6 * max(1, abs(sol.value))
+        assert value >= bound - 1e-6 * max(1, abs(value))
 
     def test_closed_form_kernel_attains_the_bound(self):
         rng = np.random.default_rng(25)
@@ -212,15 +234,15 @@ class TestMinimizePrimal:
             n = int(rng.integers(1, 15))
             dom, fld = random_problem(rng, n, d=int(rng.integers(1, 3)))
             _, pot, bound = assignment_relaxation(dom, fld)
-            sol = minimize_primal(dom, fld)
-            k = sol.kernel.matrix
+            kernel, value, converged = closed_form_primal(dom, fld)
+            k = kernel.matrix
             assert np.array_equal(k, -k.T) and not np.diag(k).any()
             # every affine piece of index i stays below pot_i, so P <= bound
             z = dom.points @ fld.values.T - k
             scale = 1 + np.abs(z).max()
             assert (z.max(axis=0) <= pot + 1e-13 * scale).all()
-            assert sol.value == pytest.approx(bound, rel=1e-12, abs=1e-14)
-            assert sol.iterations == 0 and sol.converged
+            assert value == pytest.approx(bound, rel=1e-12, abs=1e-14)
+            assert converged
 
     @pytest.mark.parametrize("n, d", [(1, 1), (13, 1), (70, 2)])
     def test_optimal_kernel_in_row_blocks_bit_for_bit(self, n, d, monkeypatch):
@@ -236,6 +258,19 @@ class TestMinimizePrimal:
             monkeypatch.setattr(domain, "ROW_BLOCK", budget)
             assert optimal_kernel(dom, fld, pot).matrix.tobytes() == want
 
+    def test_convergence_floor(self):
+        # the floor is 4 (n + d + 2) eps mu (sum_i max_j |C_ij| + sum_i
+        # max_j |K_ji|), to the bit: a value of exactly the floor over the
+        # bound converges and the next float does not (eps_rel far below an ulp)
+        for n, d in ((1, 1), (9, 1), (12, 2)):
+            dom, fld = random_problem(np.random.default_rng([n, d, 7]), n, d=d)
+            kernel = optimal_kernel(dom, fld, assignment_relaxation(dom, fld)[1])
+            c = sd.pairing(dom, fld)
+            scale = np.abs(c).max(axis=1).sum() + np.abs(kernel.matrix).max(axis=0).sum()
+            floor = float(4 * (n + d + 2) * np.finfo(float).eps * dom.cell_measure * scale)
+            assert primal_converged(dom, fld, kernel, floor, 0.0, 1e-300)
+            assert not primal_converged(dom, fld, kernel, np.nextafter(floor, 1.0), 0.0, 1e-300)
+
     def test_lp_duality_crosscheck(self):
         # the dual of the kernel program is exactly the symmetric doubly
         # stochastic relaxation; certified here with an independent LP
@@ -246,8 +281,8 @@ class TestMinimizePrimal:
             direct = primal_lp_oracle(dom, fld)
             relaxed = assignment_relaxation(dom, fld)[2]
             assert direct == pytest.approx(relaxed, rel=1e-7, abs=1e-9)
-            sol = minimize_primal(dom, fld)
-            assert sol.value == pytest.approx(direct, rel=1e-5, abs=1e-8)
+            _, value, _ = closed_form_primal(dom, fld)
+            assert value == pytest.approx(direct, rel=1e-5, abs=1e-8)
 
 
 class TestRecoverInvolution:
@@ -275,9 +310,9 @@ class TestRecoverInvolution:
         # complementary slackness: at the optimal kernel every slack along
         # the blossom optimum vanishes, fixed points and 2-cycles alike
         dom, fld = sincos_problem(32)
-        sol = minimize_primal(dom, fld)
+        kernel, _, _ = closed_form_primal(dom, fld)
         s = solve_matching(dom, fld).sigma
         assert s.pairs()
-        cert = weak_duality(dom, fld, sol.kernel, s)
+        cert = weak_duality(dom, fld, kernel, s)
         assert (cert.slack >= 0).all()
         assert cert.slack.max() <= 1e-8 * max(1.0, abs(cert.primal_value))
