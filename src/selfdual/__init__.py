@@ -32,7 +32,6 @@ from .domain import (
 from .dual_solver import (
     DualSolution,
     assignment_relaxation,
-    distance_objective,
     dual_objective,
     solve_brute,
     solve_matching,
@@ -52,12 +51,6 @@ from .primal_solver import (
     primal_converged,
     primal_objective,
     weak_duality,
-)
-from .transport import (
-    PairMeasure,
-    build_pair_measures,
-    parametrize_map,
-    transport_cost,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,6 @@ decompose   full pipeline, report JSON
 dual        involution solve only
 primal      the optimal kernel from the assignment potentials, its value
 verify      checks only, against a supplied involution and/or kernel
-transport   atom export and the cost identity
 gallery     every builtin at sizes 16 / 32 / 64, one summary row each
 
 Exit codes: 0 success, 1 solver non-convergence, 2 bad configuration,
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dual_solver, factorize, fields, primal_solver, transport
+from . import dual_solver, factorize, fields, primal_solver
 from .conjugacy import lagrangian_at_field, regularize
 from .domain import (
     AntiSymmetricKernel,
@@ -78,7 +77,6 @@ _COMMAND_KEYS = {
     "dual": _PROBLEM,
     "primal": (*_PROBLEM, "eps_primal"),
     "verify": (*_PROBLEM, *_DUAL_SET, "fd_step_rel", "sigma", "kernel"),
-    "transport": (*_PROBLEM, "dump"),
     # the d = 1 builtins have no shell size to set (domain.build_dual_points)
     "gallery": ("radius_margin", "seed", "fd_step_rel", "eps_primal"),
 }
@@ -246,16 +244,18 @@ def _cmd_primal(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    """Check identities for supplied artifacts without solving."""
+    """Check identities for supplied artifacts without solving.
+
+    With both an involution and a kernel, D and P are read off the one
+    weak-duality certificate, which sums them as dual_objective and
+    primal_objective do, to the same bits.
+    """
     dom, fld, bf = _load_problem(cfg)
     payload: dict = {}
     sigma = None
     if cfg.sigma:
         raw = _read(cfg.sigma, "sigma", _load_json)
         sigma = Involution(raw["sigma"] if isinstance(raw, dict) else raw)
-        payload["D"] = dual_solver.dual_objective(dom, fld, sigma)
-        payload["distance"] = dual_solver.distance_objective(dom, fld, sigma)
-        payload["transport_cost"] = transport.transport_cost(dom, fld, sigma)
     kernel = None
     if cfg.kernel:
         mat = _read(cfg.kernel, "kernel", lambda p: np.loadtxt(p, delimiter=","))
@@ -265,10 +265,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
         # builtins with a closed-form Hamiltonian verify against its table
         kernel = make_kernel(dom, bf.hamiltonian)
         payload["kernel_source"] = "builtin-analytic"
-    if kernel is not None:
+    if sigma is not None and kernel is None:
+        payload["D"] = dual_solver.dual_objective(dom, fld, sigma)
+    if kernel is not None and sigma is None:
         payload["P"] = primal_solver.primal_objective(dom, fld, kernel)
     if kernel is not None and sigma is not None:
         cert = primal_solver.weak_duality(dom, fld, kernel, sigma)
+        payload["D"], payload["P"] = cert.dual_value, cert.primal_value
         value, verdict = factorize.selfdual_test(kernel, sigma, dom.cell_measure)
         payload["weak_duality_gap"] = cert.gap
         payload["complementarity"] = {
@@ -288,26 +291,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
         payload["residual2"] = {"median": res2.median, "max": res2.max}
     payload["monotone"] = factorize.check_monotone(dom, fld).verdict
     _emit(payload, cfg.out)
-    return 0
-
-
-def _cmd_transport(cfg: RunConfig) -> int:
-    dom, fld, _ = _load_problem(cfg)
-    mu_hat, nu_hat = transport.build_pair_measures(dom, fld)
-    if cfg.dump:
-        transport.export_atoms_csv(cfg.dump, mu_hat)
-    sol = dual_solver.solve(dom, fld)
-    plan = transport.parametrize_map(dom, fld, sol.sigma)
-    _emit(
-        {
-            "total_mass": mu_hat.total_mass,
-            "D": sol.value,
-            "distance": dual_solver.distance_objective(dom, fld, sol.sigma),
-            "transport_cost": transport.transport_cost(dom, fld, sol.sigma),
-            "pushes_onto_transpose": plan.pushes_onto_transpose,
-        },
-        cfg.out,
-    )
     return 0
 
 
@@ -365,7 +348,6 @@ _HANDLERS = {
     "dual": _cmd_dual,
     "primal": _cmd_primal,
     "verify": _cmd_verify,
-    "transport": _cmd_transport,
     "gallery": _cmd_gallery,
 }
 

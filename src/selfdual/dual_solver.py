@@ -11,7 +11,8 @@ assignment's reduced costs then finds an optimum, where an odd cycle
 leaves the rounding short, and decides whether it is the only one. The
 float blossom on the full graph and a brute-force enumerator are kept
 alone, as the oracles the path is tested against. C is domain.pairing,
-the one place the pairing is computed.
+the one place the pairing is computed. The paper's self-dual transport
+problem is this one: its cost is a constant less 2 D (dual_objective).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .domain import DiscreteDomain, Involution, SampledField, pairing, row_block
 __all__ = [
     "DualSolution",
     "dual_objective",
-    "distance_objective",
     "involution_count",
     "all_involutions",
     "solve_brute",
@@ -47,19 +47,19 @@ _BLOSSOM_EDGES = 1 << 12
 
 
 def dual_objective(dom: DiscreteDomain, fld: SampledField, s: Involution) -> float:
-    """Measure-weighted pairing sum of an involution."""
+    """Measure-weighted pairing sum of an involution, D(s).
+
+    The paper's self-dual transport cost of s, the symmetric quadratic cost
+    T(s) = 1/2 sum_i (|u_s(i) - x_i|^2 + |u_i - x_s(i)|^2) mu, and the
+    squared distance sum_i |u_i - x_s(i)|^2 mu are both
+    sum_i (|x_i|^2 + |u_i|^2) mu - 2 D(s): reindexing i -> s(i) turns
+    sum_i <u_s(i), x_i> into sum_i <u_i, x_s(i)>, as s is its own inverse.
+    Minimizing either cost is maximizing D.
+    """
     if s.n != dom.n:
         raise ValueError("involution length does not match domain")
     c = pairing(dom, fld)
     return float(c[np.arange(dom.n), s.sigma].sum() * dom.cell_measure)
-
-
-def distance_objective(dom: DiscreteDomain, fld: SampledField, s: Involution) -> float:
-    """Squared distance of the field to the involution, measure weighted."""
-    if s.n != dom.n:
-        raise ValueError("involution length does not match domain")
-    diff = fld.values - dom.points[s.sigma]
-    return float((diff * diff).sum() * dom.cell_measure)
 
 
 @dataclass(frozen=True)

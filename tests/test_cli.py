@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import selfdual as sd
-from selfdual import cli, fields
+from selfdual import cli, conjugacy, dual_solver, factorize, fields, primal_solver
 from selfdual.domain import write_field_csv
 
 from conftest import BAD_PERMUTATIONS, closed_form_primal
@@ -118,7 +118,7 @@ class TestParseConfig:
             ("dual", ["--dump", "x.csv"]),
             ("primal", ["--fd-step-rel", "0.5"]),
             ("verify", ["--eps-primal", "1e-6"]),
-            ("transport", ["--seed", "9"]),
+            ("dual", ["--seed", "9"]),
             ("gallery", ["--builtin", "sincos"]),
             ("gallery", ["--pset-m", "5"]),
         ],
@@ -137,7 +137,7 @@ class TestParseConfig:
             ("dual", {"dump": "x.csv", "seed": 9}),
             ("primal", {"fd_step_rel": 0.5}),
             ("verify", {"eps_primal": 1e-6}),
-            ("transport", {"seed": 9}),
+            ("primal", {"dump": "x.csv"}),
             ("gallery", {"builtin": "sincos"}),
         ],
     )
@@ -218,7 +218,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("dual", "--out"), ("decompose", "--dump"), ("transport", "--dump")],
+        [("dual", "--out"), ("decompose", "--dump")],
     )
     @pytest.mark.parametrize("target", ["dir", "missing-dir"])
     def test_unwritable_output_exits_3(self, tmp_path, capsys, command, flag, target):
@@ -434,7 +434,17 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["D"] == pytest.approx(math.pi, rel=0.02)
-        assert payload["transport_cost"] == pytest.approx(payload["distance"], rel=1e-12)
+        assert sorted(payload) == [
+            "D",
+            "P",
+            "complementarity",
+            "kernel_source",
+            "monotone",
+            "residual2",
+            "selfdual_sum",
+            "selfdual_verdict",
+            "weak_duality_gap",
+        ]
         assert payload["monotone"] == "non-monotone"
         # sincos carries a closed-form Hamiltonian, so the complementarity
         # and residual sections appear without any solving
@@ -504,6 +514,34 @@ class TestVerify:
         assert payloads[0] == payloads[1]
         assert payloads[2]["residual2"] != payloads[0]["residual2"]
 
+    def test_d_and_p_from_one_certificate(self, tmp_path, monkeypatch):
+        # with an involution and a kernel, D and P come off the weak-duality
+        # certificate: the pairing is formed there and by check_monotone only
+        bf = fields.builtin_field("matrix", 16)
+        dom = sd.build_grid(bf.domain_spec)
+        fld = sd.sample_field(dom, bf.rule)
+        kernel = sd.make_kernel(dom, bf.hamiltonian)
+        identity = sd.Involution.identity(dom.n)
+        d, p = sd.dual_objective(dom, fld, identity), sd.primal_objective(dom, fld, kernel)
+        sigma_file = tmp_path / "identity.json"
+        sigma_file.write_text(json.dumps(list(range(dom.n))))
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return sd.pairing(*args)
+
+        for module in (conjugacy, dual_solver, factorize, primal_solver):
+            monkeypatch.setattr(module, "pairing", spy)
+        out = tmp_path / "v.json"
+        argv = ["verify", "--builtin", "matrix", "--n", "16", "--sigma", str(sigma_file)]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        assert len(calls) == 2
+        payload = json.loads(out.read_text())
+        assert payload["kernel_source"] == "builtin-analytic"
+        # the JSON text of D and P is that of the two objectives
+        assert (repr(payload["D"]), repr(payload["P"])) == (repr(d), repr(p))
+
     @pytest.mark.parametrize("bad", BAD_PERMUTATIONS, ids=str)
     def test_bad_sigma_exits_2(self, tmp_path, capsys, bad):
         sigma_file = tmp_path / "s.json"
@@ -562,27 +600,12 @@ class TestOtherCommands:
         assert run_cli(argv) == 0
         assert json.loads(out.read_text())["config"]["primal_converged"]
 
-    def test_transport_command(self, tmp_path):
-        out = tmp_path / "t.json"
-        dump = tmp_path / "atoms.csv"
-        code = run_cli(
-            [
-                "transport",
-                "--builtin",
-                "tent",
-                "--n",
-                "16",
-                "--out",
-                str(out),
-                "--dump",
-                str(dump),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["transport_cost"] == pytest.approx(payload["distance"], rel=1e-12)
-        assert payload["pushes_onto_transpose"]
-        assert dump.exists()
+    def test_removed_transport_command_exits_2(self, capsys):
+        # the transport view is the dual shifted by a constant: no command
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["transport", "--builtin", "sincos", "--n", "16"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'transport'" in capsys.readouterr().err
 
     def test_entry_point_help(self):
         res = subprocess.run(

@@ -243,8 +243,6 @@ def _zero_hamiltonian(dom, fld):
 
 PERMUTATION_READERS = {
     "Involution": lambda dom, fld, s: sd.Involution(s),
-    "transport_cost": lambda dom, fld, s: sd.transport_cost(dom, fld, s),
-    "parametrize_map": lambda dom, fld, s: sd.parametrize_map(dom, fld, s),
     "selfdual_test": lambda dom, fld, s: sd.selfdual_test(
         sd.AntiSymmetricKernel(np.zeros((dom.n, dom.n))), s
     ),
