@@ -5,6 +5,7 @@ import pytest
 
 import selfdual as sd
 from selfdual import fields
+from selfdual.dual_solver import dual_objective
 
 
 def sincos_problem(n: int):
@@ -55,6 +56,30 @@ def random_involution(rng, n: int) -> sd.Involution:
         a, b = perm[2 * k], perm[2 * k + 1]
         sigma[a], sigma[b] = b, a
     return sd.Involution(sigma)
+
+
+def symmetric_transport_cost(dom, fld, s) -> float:
+    """The paper's self-dual transport cost of the plan that an involution
+    s parametrizes, from its formula:
+    1/2 sum_i (|u_s(i) - x_i|^2 + |u_i - x_s(i)|^2) mu."""
+    u, x, sigma = fld.values, dom.points, s.sigma
+    a = ((u[sigma] - x) ** 2).sum(axis=1)
+    b = ((u - x[sigma]) ** 2).sum(axis=1)
+    return float(0.5 * (a + b).sum() * dom.cell_measure)
+
+
+def squared_distance(dom, fld, s) -> float:
+    """Squared distance of the field to an involution, from its formula:
+    sum_i |u_i - x_s(i)|^2 mu."""
+    diff = fld.values - dom.points[s.sigma]
+    return float((diff * diff).sum() * dom.cell_measure)
+
+
+def shifted_dual(dom, fld, s) -> float:
+    """sum_i (|x_i|^2 + |u_i|^2) mu - 2 D(s), the value both costs above
+    take at every involution s."""
+    norms = ((dom.points**2).sum() + (fld.values**2).sum()) * dom.cell_measure
+    return float(norms - 2 * dual_objective(dom, fld, s))
 
 
 def random_kernel(rng, n: int, scale: float = 1.0) -> sd.AntiSymmetricKernel:

@@ -34,6 +34,7 @@ from conftest import (
     random_kernel,
     random_problem,
     sincos_problem,
+    symmetric_transport_cost,
     tent_problem,
 )
 
@@ -256,16 +257,6 @@ def test_criterion_7_rotation_counterexample():
         "rotation is measure preserving but not self dual; involutions cancel",
         f"pairing sum {lhs:.6f} == -sum|x|^2 mu exactly, involution sums all 0.0",
     )
-
-
-def symmetric_transport_cost(dom, fld, s):
-    """The paper's self-dual transport cost of the plan that an involution
-    s parametrizes, from its formula:
-    1/2 sum_i (|u_s(i) - x_i|^2 + |u_i - x_s(i)|^2) mu."""
-    u, x, sigma = fld.values, dom.points, s.sigma
-    a = ((u[sigma] - x) ** 2).sum(axis=1)
-    b = ((u - x[sigma]) ** 2).sum(axis=1)
-    return float(0.5 * (a + b).sum() * dom.cell_measure)
 
 
 def test_criterion_8_transport_identity():

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selfdual as sd
 from selfdual import fields
@@ -25,7 +27,9 @@ from conftest import (
     odd_cycle_problem,
     random_involution,
     random_problem,
+    shifted_dual,
     sincos_problem,
+    squared_distance,
     tent_problem,
 )
 
@@ -52,6 +56,36 @@ class TestDualObjective:
         dom, fld = monotone_problem(8)
         with pytest.raises(ValueError):
             dual_objective(dom, fld, sd.Involution.identity(9))
+
+
+class TestDistanceObjective:
+    """The squared distance to an involution is the dual shifted by the
+    norms, so D alone ranks involutions by distance."""
+
+    def test_fixed_point_of_linear_field(self):
+        dom, fld = monotone_problem(10)
+        s = sd.Involution.identity(10)
+        assert squared_distance(dom, fld, s) == 0.0
+        assert shifted_dual(dom, fld, s) == pytest.approx(0.0, abs=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 16), st.integers(0, 2**31 - 1))
+    def test_relation_to_dual(self, n, seed):
+        rng = np.random.default_rng(seed)
+        dom, fld = random_problem(rng, n, d=2)
+        s = random_involution(rng, n)
+        lhs = squared_distance(dom, fld, s)
+        assert lhs == pytest.approx(shifted_dual(dom, fld, s), rel=1e-12, abs=1e-12)
+
+    def test_sincos_reflection_distance(self):
+        dom, fld = sincos_problem(64)
+        s = sd.Involution.reversal(64)
+        mu = dom.cell_measure
+        norms = ((fld.values**2).sum() + (dom.points**2).sum()) * mu
+        expect = norms - 2 * math.pi  # dual value tends to pi
+        got = squared_distance(dom, fld, s)
+        assert got == pytest.approx(expect, rel=0.02)
+        assert got == pytest.approx(shifted_dual(dom, fld, s), rel=1e-12)
 
 
 class TestKnownAnswers:
