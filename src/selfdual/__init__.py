@@ -13,7 +13,6 @@ from .conjugacy import (
     lagrangian_at_field,
     regularize,
     residual_gradients,
-    restricted_dual,
 )
 from .domain import (
     AntiSymmetricKernel,
@@ -38,7 +37,6 @@ from .dual_solver import (
 )
 from .factorize import (
     DecompositionReport,
-    PipelineConfig,
     check_monotone,
     check_uniqueness,
     decompose,

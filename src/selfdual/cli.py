@@ -9,18 +9,18 @@ verify      checks only, against a supplied involution and/or kernel
 gallery     every builtin at sizes 16 / 32 / 64, one summary row each
 
 Exit codes: 0 success, 1 solver non-convergence, 2 bad configuration,
-3 a file that cannot be read or written. Runs are deterministic for a
-fixed config and seed; reports embed every tolerance used.
+3 a file that cannot be read or written. The pipeline takes no settings:
+its step, tolerance, margin and seed are module constants, a run is
+deterministic for a given problem, and reports embed every value used.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +44,10 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 @dataclass
 class RunConfig:
     builtin: str | None = None
-    params: dict = dataclasses.field(default_factory=dict)
+    params: dict = field(default_factory=dict)
     field_csv: str | None = None
     domain: dict | None = None
     n: int = 64
-    pipeline: factorize.PipelineConfig = dataclasses.field(
-        default_factory=factorize.PipelineConfig
-    )
     out: str | None = None
     dump: str | None = None
     sigma: str | None = None
@@ -66,31 +63,26 @@ class RunConfig:
         return self
 
 
-# the config keys each subcommand reads, besides `out`: fields of RunConfig
-# and of its PipelineConfig. Each key is also a flag, `--key` with dashes
-# except those in _FLAG_NAMES, typed by the field's hint; argparse rejects
-# every other flag and parse_config every other key.
+# the config keys each subcommand reads, besides `out`: fields of RunConfig.
+# Each key is also a flag, `--key` with dashes except those in _FLAG_NAMES,
+# typed by the field's hint; argparse rejects every other flag and
+# parse_config every other key.
 _PROBLEM = ("builtin", "params", "field_csv", "domain", "n")
-_DUAL_SET = ("radius_margin", "sphere_points", "seed")
 _COMMAND_KEYS = {
-    "decompose": (*_PROBLEM, *_DUAL_SET, "fd_step_rel", "eps_primal", "dump"),
+    "decompose": (*_PROBLEM, "dump"),
     "dual": _PROBLEM,
-    "primal": (*_PROBLEM, "eps_primal"),
-    "verify": (*_PROBLEM, *_DUAL_SET, "fd_step_rel", "sigma", "kernel"),
-    # the d = 1 builtins have no shell size to set (domain.build_dual_points)
-    "gallery": ("radius_margin", "seed", "fd_step_rel", "eps_primal"),
+    "primal": _PROBLEM,
+    "verify": (*_PROBLEM, "sigma", "kernel"),
+    "gallery": (),
 }
-_FLAG_NAMES = {"field_csv": "--field", "sphere_points": "--pset-m"}
-_PIPELINE_TYPES = typing.get_type_hints(factorize.PipelineConfig)
-_TYPES = {**typing.get_type_hints(RunConfig), **_PIPELINE_TYPES}
+_FLAG_NAMES = {"field_csv": "--field"}
+_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _check_type(key: str, value, hint) -> None:
-    """Reject a value of another type than the field's; a float field takes
-    an int, an int field takes no bool and no float."""
+    """Reject a value of another type than the field's; an int field takes
+    no bool and no float."""
     allowed = typing.get_args(hint) or (hint,)
-    if float in allowed:
-        allowed += (int,)
     if isinstance(value, bool) or not isinstance(value, allowed):
         names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
         raise ValueError(f"config value {key}={value!r} is not {names}")
@@ -119,8 +111,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge a JSON config file (if given) with command-line flags.
 
     Flags win over file values; keys the subcommand does not read and
-    values of the wrong type are rejected. The keys are flat; the pipeline
-    settings among them go to RunConfig.pipeline.
+    values of the wrong type are rejected.
     """
     keys = (*_COMMAND_KEYS[args.command], "out")
     merged: dict = {}
@@ -141,8 +132,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         merged["domain"] = json.loads(src) if inline else _read(src, "domain", _load_json)
     for key, value in merged.items():
         _check_type(key, value, _TYPES[key])
-    pipeline = {key: merged.pop(key) for key in _PIPELINE_TYPES if key in merged}
-    cfg = RunConfig(**merged, pipeline=factorize.PipelineConfig(**pipeline))
+    cfg = RunConfig(**merged)
     # the gallery runs every builtin and reads no problem settings
     return cfg if args.command == "gallery" else cfg.validate()
 
@@ -194,11 +184,7 @@ def _dump_cells(path: str, dom, fld, report) -> None:
 def _cmd_decompose(cfg: RunConfig) -> int:
     dom, fld, bf = _load_problem(cfg)
     report = factorize.decompose(
-        dom,
-        fld,
-        cfg.pipeline,
-        rule=bf.rule if bf else None,
-        jacobian=bf.jacobian if bf else None,
+        dom, fld, rule=bf.rule if bf else None, jacobian=bf.jacobian if bf else None
     )
     _emit(report.to_dict(), cfg.out)
     if cfg.dump:
@@ -227,9 +213,7 @@ def _cmd_primal(cfg: RunConfig) -> int:
     kernel = primal_solver.optimal_kernel(dom, fld, pot)
     lvals, argmax = lagrangian_at_field(kernel, dom, fld)
     value = float(lvals.sum() * dom.cell_measure)
-    converged = primal_solver.primal_converged(
-        dom, fld, kernel, value, bound, cfg.pipeline.eps_primal
-    )
+    converged = primal_solver.primal_converged(dom, fld, kernel, value, bound)
     _emit(
         {
             "P": value,
@@ -281,13 +265,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         }
         payload["selfdual_sum"] = value
         payload["selfdual_verdict"] = verdict
-        pcfg = cfg.pipeline
-        pset = build_dual_points(
-            dom, fld, margin=pcfg.radius_margin, sphere_points=pcfg.sphere_points, seed=pcfg.seed
-        )
-        hreg = regularize(kernel, dom, pset)
-        h = pcfg.fd_step_rel * pset.radius
-        res2 = factorize.second_identity_check(dom, fld, hreg, sigma, h)
+        hreg = regularize(kernel, dom, build_dual_points(dom, fld))
+        res2 = factorize.second_identity_check(dom, fld, hreg, sigma)
         payload["residual2"] = {"median": res2.median, "max": res2.max}
     payload["monotone"] = factorize.check_monotone(dom, fld).verdict
     _emit(payload, cfg.out)
@@ -304,9 +283,7 @@ def _cmd_gallery(cfg: RunConfig) -> int:
             bf = fields.builtin_field(name, n)
             dom = build_grid(bf.domain_spec)
             fld = sample_field(dom, bf.rule)
-            report = factorize.decompose(
-                dom, fld, cfg.pipeline, rule=bf.rule, jacobian=bf.jacobian
-            )
+            report = factorize.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
             row = {
                 "builtin": name,
                 "cells": dom.n,
@@ -357,13 +334,6 @@ _HELP = {
     "field_csv": "field CSV (x0..x{d-1}, u0..u{d-1})",
     "domain": "domain spec: inline JSON {...} or a JSON file",
     "n": "cell budget (default 64)",
-    "sphere_points": "samples on the shell of the dual ball in d >= 2 "
-    "(default 64 d); refused in d = 1, where the shell is the two points -R and R",
-    "fd_step_rel": "difference step h of the residual check, as a fraction of "
-    "the ball radius R (default 1e-4); the residual pass reads every "
-    "piece that a step of h can lift to a maximum, so its time grows "
-    "with h: on sincos at n = 128, about 8 ms at 1e-4, 65 ms at 1e-2 "
-    "and 0.3 s at 1 (2-core VM)",
     "dump": "write the plot-ready CSV here",
     "sigma": "involution JSON file",
     "kernel": "kernel CSV file",

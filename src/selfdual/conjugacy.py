@@ -12,7 +12,7 @@ Notation used throughout, for a kernel K on a domain with points x_j and
 a dual set with points p_k:
 
     lagrangian        L(x_i, p)   = max_j  <x_j, p> - K[j, i]
-    restricted_dual   L*(q, y)    = max_{j,k} <y, p_k> + <q, x_j> - L(x_j, p_k)
+    lstar_table       L*(q, y)    = max_{j,k} <y, p_k> + <q, x_j> - L(x_j, p_k)
     bidual_at_slopes  L**(y, q)   = max_{j,k} <y, p_k> + <q, x_j> - L*(p_k, x_j)
     ball_ham          HB(x, y)    = max_k  <x, p_k> - L**(y, p_k)
     regularized       HR(x, y)    = (HB(x, y) - HB(y, x)) / 2
@@ -74,7 +74,6 @@ __all__ = [
     "lagrangian",
     "lagrangian_scores",
     "lagrangian_at_field",
-    "restricted_dual",
     "RegularHamiltonian",
     "regularize",
     "grad1",
@@ -142,18 +141,6 @@ def lagrangian_at_field(
     """
     scores = lagrangian_scores(kernel, dom, fld)
     return scores.max(axis=0), scores.argmax(axis=0)
-
-
-def restricted_dual(
-    kernel: AntiSymmetricKernel, dom: DiscreteDomain, pset: DualPointSet
-) -> np.ndarray:
-    """Table L*(p_k, x_i) over the dual set and the grid.
-
-    The (k, i) entry is the exhaustive max over grid x dual-set of the
-    Fenchel expression: L = E^T (x) -K, then L* through an [n, n] table.
-    It is the table regularize builds.
-    """
-    return regularize(kernel, dom, pset).lstar_table
 
 
 def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:

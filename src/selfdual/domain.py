@@ -46,6 +46,10 @@ __all__ = [
 # blocks of at most this many entries (row_blocks reads it as a walk starts)
 ROW_BLOCK = 1 << 12
 
+# the dual ball's radius is (1 + RADIUS_MARGIN) times the larger of the
+# domain and field radii (build_dual_points)
+RADIUS_MARGIN = 0.05
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
@@ -93,8 +97,11 @@ class DiscreteDomain:
             raise ValueError("need at least one point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite grid point")
-        if self.cell_measure <= 0:
-            raise ValueError("cell_measure must be positive")
+        if not (np.isfinite(self.cell_measure) and self.cell_measure > 0):
+            raise ValueError(
+                f"cell_measure {self.cell_measure} is not a positive finite float "
+                "(a cell measure past the largest float overflows to inf)"
+            )
         # duplicate representatives make suprema and matching weights ill-posed
         if len(np.unique(pts, axis=0)) != len(pts):
             raise ValueError("grid points must be pairwise distinct")
@@ -136,21 +143,37 @@ class SampledField:
 
 
 def check_pairing(dom: DiscreteDomain, fld: SampledField) -> None:
-    """Refuse a field that does not match the domain, or whose pairings
-    could overflow: each <u_i, x_j> is at most X U in modulus (X the domain
-    radius, U the field radius), and the monotonicity pairings sum four of
-    them (dual_solver.reduced at pot = diag(C)), so 4 X U must be a finite
-    float."""
+    """Refuse a field that does not match the domain, or whose pairings or
+    measure-weighted sums could overflow.
+
+    Each <u_i, x_j> is at most X U in modulus (X the domain radius, U the
+    field radius), and the monotonicity pairings sum four of them
+    (dual_solver.reduced at pot = diag(C)), so 4 X U must be a finite float.
+    The assignment potentials lie in [-X U, (2 n - 1) X U] (pot_i >= C[i, i],
+    and sum(pot) is a sum of n entries of S), so a kernel entry is at most
+    (n + 1) X U and a Lagrangian value at most pot_i + 2 X U in modulus.
+    D and the assignment bound (n X U), P (3 n X U), the weak-duality
+    slacks (4 n X U) and the scale of primal_converged's floor
+    (n (n + 2) X U) are sums taken before they are multiplied by mu, so
+    4 n (n + 2) X U max(1, mu) must be a finite float too.
+    """
     if fld.n != dom.n or fld.dim != dom.dim:
         raise ValueError(
             f"field shape {fld.values.shape} does not match domain "
             f"({dom.n} points in R^{dom.dim})"
         )
-    if not np.isfinite(4 * dom.radius * fld.field_radius):
+    xu, n = dom.radius * fld.field_radius, dom.n
+    if not np.isfinite(4 * xu):
         raise ValueError(
             f"field radius {fld.field_radius:.3e} and domain radius {dom.radius:.3e} "
             "are out of scale: the pairings overflow, as 4 times their product is not "
             "a finite float"
+        )
+    if not np.isfinite(xu * (4 * n * (n + 2)) * max(1.0, dom.cell_measure)):
+        raise ValueError(
+            f"cell measure {dom.cell_measure:.3e} on {n} cells is out of scale with the "
+            "radii: the measure-weighted sums overflow, as 4 n (n + 2) X U max(1, mu) "
+            "is not a finite float"
         )
 
 
@@ -292,14 +315,13 @@ def _sq(v: np.ndarray) -> np.ndarray:
     return np.einsum("fi,fi->f", v, v)
 
 
-def _sphere_samples(dim: int, m: int, radius: float, seed: int = 0) -> np.ndarray:
+def _sphere_samples(dim: int, m: int, radius: float) -> np.ndarray:
     if dim == 1:
         return np.array([[-radius], [radius]])
     if dim == 2:
         ang = 2.0 * np.pi * (np.arange(m) + 0.5) / m
         return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, dim))
+    g = np.random.default_rng(0).standard_normal((m, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return radius * g
 
@@ -308,9 +330,8 @@ def build_dual_points(
     dom: DiscreteDomain,
     fld: SampledField,
     *,
-    margin: float = 0.05,
+    margin: float = RADIUS_MARGIN,
     sphere_points: int | None = None,
-    seed: int = 0,
 ) -> DualPointSet:
     """Assemble {0} + sampled field values + sphere shell, duplicates dropped.
 
@@ -318,8 +339,8 @@ def build_dual_points(
     radius, field radius), which holds the domain and the field values; the
     margin keeps suprema off the ball boundary, and the containment
     invariants only need margin >= 0. The shell has sphere_points samples
-    (default 64 * d) in d >= 2 and is the two points +-R in d = 1, where a
-    sphere_points is refused.
+    (default 64 * d; in d >= 3 drawn from seed 0) in d >= 2 and is the two
+    points +-R in d = 1, where a sphere_points is refused.
     """
     if not (np.isfinite(margin) and margin >= 0):
         raise ValueError("margin must be non-negative and finite")
@@ -340,7 +361,7 @@ def build_dual_points(
         [
             np.zeros((1, dom.dim)),
             fld.values,
-            _sphere_samples(dom.dim, m, radius, seed),
+            _sphere_samples(dom.dim, m, radius),
         ]
     )
     _, keep = np.unique(pts, axis=0, return_index=True)

@@ -17,6 +17,12 @@ in the continuum, and finite differences of a piecewise affine extension
 carry O(step + mesh) defects near kinks, so the report publishes the
 scale factor median / (step + mesh) instead of asserting a universal
 constant.
+
+decompose takes the field and nothing else. Its step is FD_STEP_REL times
+the dual ball's radius, whose margin is domain.RADIUS_MARGIN; P is held to
+the bound within primal_solver.EPS_PRIMAL; the shell in d >= 3 and the
+sample of check_uniqueness are drawn from seed 0. The report's config
+records each value.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import numpy as np
 from . import conjugacy, dual_solver, primal_solver
 from .conjugacy import RegularHamiltonian, residual_gradients
 from .domain import (
+    RADIUS_MARGIN,
     AntiSymmetricKernel,
     DiscreteDomain,
     Involution,
@@ -41,7 +48,6 @@ from .domain import (
 )
 
 __all__ = [
-    "PipelineConfig",
     "DecompositionReport",
     "decompose",
     "selfdual_test",
@@ -54,30 +60,14 @@ __all__ = [
     "ResidualStats",
 ]
 
+# the difference step of the residual check, as a fraction of the dual
+# ball's radius R: h = FD_STEP_REL * R
+FD_STEP_REL = 1e-4
+
 # check_uniqueness takes every triple up to this many, a seeded sample
 # above; it scans its (point, pair) ratios, and the sample-only Jacobian
 # fit its squared distances, in row blocks (domain.row_blocks)
 _UNIQUENESS_TRIPLES = 200_000
-
-
-@dataclass
-class PipelineConfig:
-    radius_margin: float = 0.05
-    sphere_points: int | None = None  # None -> 64 * d
-    fd_step_rel: float = 1e-4  # h = fd_step_rel * R
-    eps_primal: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        knobs = [self.fd_step_rel, self.eps_primal, self.radius_margin]
-        if not np.isfinite(knobs).all():
-            raise ValueError("steps, tolerances and margins must be finite")
-        if self.fd_step_rel <= 0 or self.eps_primal <= 0:
-            raise ValueError("steps and tolerances must be positive")
-        if self.radius_margin < 0:
-            raise ValueError("radius margin must be non-negative")
-        if self.sphere_points is not None and self.sphere_points < 1:
-            raise ValueError("sphere_points must be at least 1")
 
 
 @dataclass
@@ -159,7 +149,6 @@ class DecompositionReport:
 def decompose(
     dom: DiscreteDomain,
     fld: SampledField,
-    cfg: PipelineConfig | None = None,
     rule: Callable | None = None,
     jacobian: Callable | None = None,
 ) -> DecompositionReport:
@@ -172,40 +161,35 @@ def decompose(
     pointwise rule and Jacobian feed it, and without them it estimates the
     Jacobian from neighboring samples.
     """
-    cfg = cfg or PipelineConfig()
     check_pairing(dom, fld)
 
     dual = dual_solver.solve(dom, fld)
-    pset = build_dual_points(
-        dom, fld, margin=cfg.radius_margin, sphere_points=cfg.sphere_points, seed=cfg.seed
-    )
+    pset = build_dual_points(dom, fld)
     sigma = dual.sigma
     # a temporary kernel, which regularize frees once L is formed
     hreg = conjugacy.regularize(primal_solver.optimal_kernel(dom, fld, dual.pot), dom, pset)
 
-    h = cfg.fd_step_rel * pset.radius
+    h = FD_STEP_REL * pset.radius
     g1 = residual_gradients(hreg, sigma.sigma, h)
     res1 = ResidualStats(np.linalg.norm(fld.values - g1, axis=1))
     res2 = ResidualStats(res1.values[sigma.sigma])
 
     mono = check_monotone(dom, fld)
     if dual.uniqueness is None:
-        uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian, seed=cfg.seed)
+        uniq = check_uniqueness(dom, fld, rule=rule, jacobian=jacobian)
     else:
         uniq = UniquenessVerdict(dual.uniqueness, alternative=dual.alternative)
 
     kernel = primal_solver.optimal_kernel(dom, fld, dual.pot)  # regularize's, rebuilt
     cert = primal_solver.weak_duality(dom, fld, kernel, sigma)
-    converged = primal_solver.primal_converged(
-        dom, fld, kernel, cert.primal_value, dual.bound, cfg.eps_primal
-    )
+    converged = primal_solver.primal_converged(dom, fld, kernel, cert.primal_value, dual.bound)
 
     tolerances = {
-        "eps_primal": cfg.eps_primal,
+        "eps_primal": primal_solver.EPS_PRIMAL,
         "fd_step": h,
         "mesh": dom.mesh,
         "radius": pset.radius,
-        "radius_margin": cfg.radius_margin,
+        "radius_margin": RADIUS_MARGIN,
         "tol_reg": hreg.tol_reg,
         "pset_covering_radius": hreg.covering_radius,
         "pset_size": pset.m,
@@ -214,7 +198,7 @@ def decompose(
         "certificate": dual.certificate,
         "primal_iterations": 0,  # no iterative primal; a key the benchmark reads
         "primal_converged": converged,
-        "seed": cfg.seed,
+        "seed": 0,
     }
     return DecompositionReport(
         cert.primal_value,
@@ -445,6 +429,6 @@ def second_identity_check(
         raise ValueError("involution length does not match domain")
     if not np.array_equal(hreg.dom.points, dom.points):
         raise ValueError("hamiltonian was built on another grid")
-    h = h if h is not None else PipelineConfig.fd_step_rel * hreg.pset.radius
+    h = h if h is not None else FD_STEP_REL * hreg.pset.radius
     g1 = residual_gradients(hreg, s.sigma, h)
     return ResidualStats(np.linalg.norm(fld.values - g1, axis=1)[s.sigma])

@@ -65,6 +65,10 @@ def _tent(n: int, params: Mapping) -> BuiltinField:
         out = [("reflection", Involution.reversal(dom.n))]
         if dom.n % 2 == 0:
             out.append(("half-shift", Involution.half_shift(dom.n)))
+            # the optimum, D = 2/3 - 1/(6 n^2): the rising half stays fixed
+            # and the falling half reverses onto itself
+            i, half = np.arange(dom.n), dom.n // 2
+            out.append(("optimum", Involution(np.where(i < half, i, 3 * half - 1 - i))))
         return out
 
     return BuiltinField(

@@ -38,6 +38,9 @@ __all__ = [
     "kernel_cancellation",
 ]
 
+# the relative tolerance of primal_converged's test of P against the bound
+EPS_PRIMAL = 1e-6
+
 
 def primal_objective(
     dom: DiscreteDomain, fld: SampledField, kernel: AntiSymmetricKernel
@@ -121,7 +124,7 @@ def primal_converged(
     kernel: AntiSymmetricKernel,
     value: float,
     bound: float,
-    eps_rel: float,
+    eps_rel: float = EPS_PRIMAL,
 ) -> bool:
     """Whether the primal value P(kernel) meets the assignment bound:
     value - bound <= eps_rel * |value| + floor, with

@@ -88,13 +88,12 @@ def random_kernel(rng, n: int, scale: float = 1.0) -> sd.AntiSymmetricKernel:
 
 def closed_form_primal(dom, fld):
     """(kernel, P, converged): the optimal kernel from the assignment
-    potentials, its value and the convergence test at the default
-    eps_primal, as the primal subcommand takes them."""
+    potentials, its value and the convergence test at its default
+    eps_rel, EPS_PRIMAL, as the primal subcommand takes them."""
     _, pot, bound = sd.assignment_relaxation(dom, fld)
     kernel = sd.optimal_kernel(dom, fld, pot)
     value = sd.primal_objective(dom, fld, kernel)
-    eps = sd.PipelineConfig().eps_primal
-    return kernel, value, sd.primal_converged(dom, fld, kernel, value, bound, eps)
+    return kernel, value, sd.primal_converged(dom, fld, kernel, value, bound)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,17 @@ from selfdual.domain import write_field_csv
 from conftest import BAD_PERMUTATIONS, closed_form_primal
 
 
+# the former pipeline settings, each with its former flag and a value it
+# once took
+REMOVED_SETTINGS = {
+    "radius_margin": ("--radius-margin", "0.1"),
+    "sphere_points": ("--pset-m", "5"),
+    "seed": ("--seed", "9"),
+    "fd_step_rel": ("--fd-step-rel", "0.001"),
+    "eps_primal": ("--eps-primal", "1e-05"),
+}
+
+
 def run_cli(argv):
     return cli.run(argv)
 
@@ -84,13 +95,38 @@ class TestParseConfig:
         ],
     )
     def test_non_finite_options_exit_2(self, tmp_path, capsys, flag, key, value):
+        # a non-finite step, margin or tolerance still exits 2: no flag or
+        # config key sets one
         base = ["decompose", "--builtin", "sincos", "--n", "8"]
-        assert run_cli(base + [flag, value]) == 2
-        assert "finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"builtin": "sincos", "n": 8, key: float(value)}))
         assert run_cli(["decompose", "--config", str(cfg)]) == 2
-        assert "finite" in capsys.readouterr().err
+        assert f"decompose does not read config keys {[key]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [pytest.param(c, k, id=f"{c}-{k}") for c in cli._COMMAND_KEYS for k in REMOVED_SETTINGS],
+    )
+    def test_removed_setting_exits_2(self, tmp_path, monkeypatch, capsys, command, key):
+        # the pipeline takes no settings: each former flag is unrecognized
+        # and each former config key unread
+        monkeypatch.chdir(tmp_path)
+        flag, text = REMOVED_SETTINGS[key]
+        base = [] if command == "gallery" else ["--builtin", "sincos", "--n", "16"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *base, flag, text, "--out", "r.json"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        problem = {} if command == "gallery" else {"builtin": "sincos", "n": 16}
+        cfg.write_text(json.dumps({**problem, key: json.loads(text)}))
+        assert run_cli([command, "--config", str(cfg), "--out", "r.json"]) == 2
+        assert f"{command} does not read config keys {[key]}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "key",
@@ -98,10 +134,6 @@ class TestParseConfig:
             {"n": "8"},
             {"n": True},
             {"n": 8.0},
-            {"seed": "x"},
-            {"fd_step_rel": "x"},
-            {"radius_margin": None},
-            {"sphere_points": 2.5},
         ],
         ids=str,
     )
@@ -163,11 +195,6 @@ class TestParseConfig:
             "field_csv": ("--field", "f.csv", "f.csv"),
             "domain": ("--domain", json.dumps(domain), domain),
             "n": ("--n", "12", 12),
-            "radius_margin": ("--radius-margin", "0.25", 0.25),
-            "sphere_points": ("--pset-m", "5", 5),
-            "seed": ("--seed", "9", 9),
-            "fd_step_rel": ("--fd-step-rel", "0.001", 0.001),
-            "eps_primal": ("--eps-primal", "1e-05", 1e-05),
             "dump": ("--dump", "x.csv", "x.csv"),
             "sigma": ("--sigma", "s.json", "s.json"),
             "kernel": ("--kernel", "k.csv", "k.csv"),
@@ -182,7 +209,7 @@ class TestParseConfig:
         else:
             base = ["--builtin", "sincos"]
         cfg = cli.parse_config(cli.build_parser().parse_args([command, flag, text, *base]))
-        parsed = getattr(cfg.pipeline if hasattr(cfg.pipeline, key) else cfg, key)
+        parsed = getattr(cfg, key)
         assert parsed == value
         assert type(parsed) is type(value)
 
@@ -313,7 +340,7 @@ class TestRunDecompose:
     def test_report_roundtrip_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
-        args = ["decompose", "--builtin", "sincos", "--n", "24", "--seed", "7"]
+        args = ["decompose", "--builtin", "sincos", "--n", "24"]
         assert run_cli(args + ["--out", str(out1)]) == 0
         assert run_cli(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -396,6 +423,30 @@ class TestRunDecompose:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "bounds, cells, scale, message",
+        [
+            # the cell measure 2.5e399 overflows to inf
+            ([[0, 1e200]] * 2, [2, 2], 1e-200, "cell_measure inf"),
+            # mu = 1.25e308 is finite, D = mu sum_i <u_i, x_i> is not
+            ([[0, 1e103]] * 3, [2, 2, 2], 1e-103, "measure-weighted sums overflow"),
+        ],
+        ids=["box-2d", "box-3d"],
+    )
+    def test_overflowing_measure_exits_2(self, tmp_path, capsys, bounds, cells, scale, message):
+        spec = {"kind": "box", "bounds": bounds, "cells": cells}
+        axes = [np.array([0.25, 0.75]) * b for _, b in bounds]
+        pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        fcsv = tmp_path / "f.csv"
+        grid = sd.DiscreteDomain(pts, 1.0, len(bounds), 0.0)  # the box's points, mu = 1
+        write_field_csv(fcsv, grid, sd.SampledField(pts * scale))
+        out = tmp_path / "r.json"
+        for command in ("dual", "primal", "verify", "decompose"):
+            argv = [command, "--field", str(fcsv), "--domain", json.dumps(spec)]
+            assert run_cli(argv + ["--out", str(out)]) == 2, command
+            assert message in capsys.readouterr().err, command
+            assert not out.exists()
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_pairings_exit_2(self, tmp_path, capsys, sign):
         # u = +-x 1e290 on a box of side 1e10: the pairings pass the largest
@@ -502,17 +553,24 @@ class TestVerify:
         assert "selfdual_verdict" in json.loads(by_file.read_text())
 
     def test_fd_step_rel_sets_residual_step(self, tmp_path):
+        # verify's step is factorize.FD_STEP_REL times the dual ball's radius,
+        # second_identity_check's default; another step moves the residuals
         sigma_file = tmp_path / "refl.json"
         sigma_file.write_text(json.dumps(list(range(15, -1, -1))))
-        base = ["verify", "--builtin", "sincos", "--n", "16", "--sigma", str(sigma_file)]
-        payloads = []
-        for extra in ([], ["--fd-step-rel", "1e-4"], ["--fd-step-rel", "0.05"]):
-            out = tmp_path / "v.json"
-            assert run_cli(base + extra + ["--out", str(out)]) == 0
-            payloads.append(json.loads(out.read_text()))
-        # the default step is 1e-4 R, as before the flag was read
-        assert payloads[0] == payloads[1]
-        assert payloads[2]["residual2"] != payloads[0]["residual2"]
+        out = tmp_path / "v.json"
+        argv = ["verify", "--builtin", "sincos", "--n", "16", "--sigma", str(sigma_file)]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        bf = fields.builtin_field("sincos", 16)
+        dom = sd.build_grid(bf.domain_spec)
+        fld = sd.sample_field(dom, bf.rule)
+        pset = sd.build_dual_points(dom, fld)
+        hreg = sd.regularize(sd.make_kernel(dom, bf.hamiltonian), dom, pset)
+        reversal = sd.Involution.reversal(16)
+        for h in (factorize.FD_STEP_REL * pset.radius, 0.05 * pset.radius):
+            res2 = sd.second_identity_check(dom, fld, hreg, reversal, h)
+            same = payload["residual2"] == {"median": res2.median, "max": res2.max}
+            assert same == (h < 0.05 * pset.radius)
 
     def test_d_and_p_from_one_certificate(self, tmp_path, monkeypatch):
         # with an involution and a kernel, D and P come off the weak-duality
@@ -572,17 +630,6 @@ class TestOtherCommands:
         assert payload["P"] == value
         assert "iterations" not in payload
 
-    @pytest.mark.parametrize("command", ["decompose", "verify"])
-    def test_pset_m_in_d_1_exits_2(self, tmp_path, capsys, command):
-        # the d = 1 shell is +-R: --pset-m would change nothing, so it is refused
-        sig = tmp_path / "s.json"
-        assert run_cli(["dual", "--builtin", "sincos", "--n", "16", "--out", str(sig)]) == 0
-        argv = [command, "--builtin", "sincos", "--n", "16", "--pset-m", "5"]
-        argv += ["--sigma", str(sig)] if command == "verify" else []
-        assert run_cli([*argv, "--out", str(tmp_path / "r.json")]) == 2
-        assert "sphere_points sets no shell in d = 1" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
-
     def test_primal_and_decompose_print_the_same_p(self, tmp_path):
         # the primal subcommand and the report read the same kernel and sum
         for name, n in (("sincos", "16"), ("rotationJ", "128")):
@@ -636,5 +683,7 @@ class TestGallery:
         assert refl == pytest.approx(0.375, rel=0.02)
         assert shift == pytest.approx(0.375, rel=0.02)
         assert refl == pytest.approx(shift, rel=1e-12)
+        # the optimal involution is listed too, at the dual's value
+        assert tent64["known_involutions"]["optimum"] == tent64["D"] == 2 / 3 - 1 / (6 * 64**2)
         for r in rows:
             assert r["P"] >= r["D"] - 1e-9 * max(1, abs(r["P"]))

@@ -19,7 +19,6 @@ from selfdual.conjugacy import (
     lagrangian_at_field,
     regularize,
     residual_gradients,
-    restricted_dual,
 )
 
 from conftest import odd_cycle_problem, random_problem, sincos_problem
@@ -98,7 +97,7 @@ class TestRestrictedDual:
     def test_single_point_zero(self):
         dom, fld, kernel, _ = single_point_setup()
         pset = sd.DualPointSet(np.array([[0.0], [1.0]]), 1.0)
-        table = restricted_dual(kernel, dom, pset)
+        table = regularize(kernel, dom, pset).lstar_table
         # L(0.5, 0) = 0, so L*(0, 0.5) = max(0.5*0 + 0*0.5 - 0, ...) over the set
         assert table[0, 0] == pytest.approx(0.0)
 
@@ -107,7 +106,7 @@ class TestRestrictedDual:
         dom, fld = sincos_problem(16)
         kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
         pset = sd.build_dual_points(dom, fld)
-        table = restricted_dual(kernel, dom, pset)
+        table = regularize(kernel, dom, pset).lstar_table
         lh = np.stack([lagrangian(kernel, dom, p)[0] for p in pset.pts])  # [k, i]
         for _ in range(200):
             kq = rng.integers(pset.m)
@@ -691,7 +690,7 @@ class TestRunningMaxEvaluators:
 
 def broadcast_restricted_dual(kernel, dom, pset):
     """[k, i] = L*(p_k, x_i) as three broadcast maxima over E = x @ P.T,
-    in the association of restricted_dual: through the [n, n] table
+    in the association of regularize's lstar_table: through the [n, n] table
     E (x) -L."""
     e = dom.points @ pset.pts.T  # [j, k]
     lh = (e[:, :, None] - kernel.matrix[:, None, :]).max(axis=0)  # [k, j]
@@ -771,7 +770,7 @@ class TestMaxPlusProducts:
             (kernel, hreg.dom, few),
         ):
             want = broadcast_restricted_dual(kernel, dom, pset)
-            assert np.array_equal(restricted_dual(kernel, dom, pset), want)
+            assert np.array_equal(regularize(kernel, dom, pset).lstar_table, want)
 
     @pytest.mark.parametrize("problem", ["matrix-64", "random-d2-48"])
     def test_blocks_raise_no_peak(self, problem, monkeypatch):
@@ -891,4 +890,4 @@ class TestMaxPlusProducts:
         hreg = regularize(kernel, dom, pset)
         assert len(made) == 1 and hreg._xp is made[0]
         monkeypatch.undo()
-        assert np.array_equal(hreg.lstar_table, restricted_dual(kernel, dom, pset))
+        assert np.array_equal(hreg.lstar_table, regularize(kernel, dom, pset).lstar_table)

@@ -28,6 +28,17 @@ from conftest import BAD_PERMUTATIONS, monotone_problem, random_problem, sincos_
 
 
 class TestBuildGrid:
+    @pytest.mark.parametrize("measure", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_cell_measure_not_positive_finite_rejected(self, measure):
+        pts = np.array([[0.25], [0.75]])
+        with pytest.raises(ValueError, match="not a positive finite float"):
+            sd.DiscreteDomain(pts, measure, 1, 0.0)
+
+    def test_box_whose_cell_measure_overflows_rejected(self):
+        # each cell of [0, 1e200]^2 on 2 x 2 cells measures 2.5e399
+        with pytest.raises(ValueError, match="cell_measure inf .* overflows"):
+            box_grid([(0, 1e200), (0, 1e200)], [2, 2])
+
     def test_interval_midpoints(self):
         dom = sd.interval_grid(0.0, math.pi, 4)
         expect = np.array([math.pi / 8, 3 * math.pi / 8, 5 * math.pi / 8, 7 * math.pi / 8])
@@ -268,6 +279,18 @@ class TestCheckPermutation:
 
 
 class TestPairing:
+    def test_measure_weighted_sums_that_overflow_refused(self):
+        # on [0, 1e103]^3 with u = x 1e-103 the pairings are of order 1e103
+        # and mu = 1.25e308 is finite, but D = mu sum_i <u_i, x_i> is not
+        dom = box_grid([(0, 1e103)] * 3, [2] * 3)
+        fld = sd.SampledField(dom.points * 1e-103)
+        assert math.isfinite(dom.cell_measure)
+        for call in (sd.pairing, sd.dual_solver.solve, factorize.decompose):
+            with pytest.raises(ValueError, match="measure-weighted sums overflow"):
+                call(dom, fld)
+        # at mu = 1e200, 4 n (n + 2) X U mu = 320 * 1.69e103 * 1e200 is finite
+        domain.check_pairing(sd.DiscreteDomain(dom.points, 1e200, 3, 0.0), fld)
+
     def test_every_reader_sees_the_same_bits(self, monkeypatch):
         # on this grid x @ u.T and (u @ x.T).T differ in 242 entries, so
         # every [j, i] table must be a transpose of the one pairing C

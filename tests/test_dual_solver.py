@@ -89,10 +89,11 @@ class TestDistanceObjective:
 
 
 class TestKnownAnswers:
-    """Builtins that list one involution: solve returns it at every cell,
-    and the builtin's closed-form Hamiltonian closes the duality gap on it
-    exactly. rotationJ's H_J is measure preserving but not self dual, so
-    its gap stays open; verify labels that kernel builtin-analytic."""
+    """Builtins that list their optimal involution: solve returns it at every
+    cell, and where the builtin has a closed-form Hamiltonian it closes the
+    duality gap on it exactly. tent has none, so only its sigma is checked.
+    rotationJ's H_J is measure preserving but not self dual, so its gap
+    stays open; verify labels that kernel builtin-analytic."""
 
     @staticmethod
     def problem(name, n):
@@ -100,10 +101,11 @@ class TestKnownAnswers:
         dom = sd.build_grid(bf.domain_spec)
         fld = sd.sample_field(dom, bf.rule)
         sol = solve(dom, fld)
+        if bf.hamiltonian is None:
+            return bf, dom, sol, None, None
         kernel = sd.make_kernel(dom, bf.hamiltonian)
         cert = weak_duality(dom, fld, kernel, sol.sigma)
-        eps = sd.PipelineConfig().eps_primal
-        converged = sd.primal_converged(dom, fld, kernel, cert.primal_value, sol.bound, eps)
+        converged = sd.primal_converged(dom, fld, kernel, cert.primal_value, sol.bound)
         return bf, dom, sol, cert, converged
 
     @pytest.mark.parametrize("n", [16, 64, 256])
@@ -114,15 +116,16 @@ class TestKnownAnswers:
             ("matrix", "swap"),
             ("gradskew", "identity"),
             ("monotone1d", "identity"),
+            ("tent", "optimum"),
         ],
     )
     def test_solve_finds_the_known_involution(self, name, label, n):
         bf, dom, sol, cert, converged = self.problem(name, n)
-        ((known, sigma),) = bf.involutions(dom)
-        assert known == label and dom.n == n
-        assert np.array_equal(sol.sigma.sigma, sigma.sigma)
-        assert cert.gap == 0.0
-        assert converged
+        assert dom.n == n
+        assert np.array_equal(sol.sigma.sigma, dict(bf.involutions(dom))[label].sigma)
+        if cert is not None:
+            assert cert.gap == 0.0
+            assert converged
 
     @pytest.mark.parametrize("n, gap", [(16, 6.0), (64, 7.0), (256, 7.5)])
     def test_rotation_kernel_leaves_a_gap(self, n, gap):

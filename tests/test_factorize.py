@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -11,7 +12,6 @@ import selfdual as sd
 from selfdual import domain, dual_solver, factorize, fields
 from selfdual.domain import box_grid, rotation_permutation, swap_permutation
 from selfdual.factorize import (
-    PipelineConfig,
     UniquenessVerdict,
     _estimate_jacobians,
     check_monotone,
@@ -277,9 +277,6 @@ class TestDecompose:
     def test_non_finite_settings_rejected(self, value):
         dom, fld = monotone_problem(8)
         for make in (
-            lambda: PipelineConfig(fd_step_rel=value),
-            lambda: PipelineConfig(eps_primal=value),
-            lambda: PipelineConfig(radius_margin=value),
             lambda: sd.primal_converged(dom, fld, sd.AntiSymmetricKernel(np.zeros((8, 8))), 0.0, 0.0, value),
             lambda: sd.build_dual_points(dom, fld, margin=value),
         ):
@@ -294,9 +291,10 @@ class TestDecompose:
         assert np.array_equal(rep.sigma.sigma, np.arange(8))
 
     def test_local_path_small_instance(self):
-        # no setting chooses the dual path; asking for one fails loudly
+        # decompose takes no settings: asking it for a dual path fails loudly
+        dom, fld = monotone_problem(8)
         with pytest.raises(TypeError, match="dual_method"):
-            PipelineConfig(dual_method="local")
+            decompose(dom, fld, dual_method="local")
 
     @pytest.mark.parametrize(
         "problem, n",
@@ -342,19 +340,20 @@ class TestDecompose:
         assert rep.residual1.median <= 1e-9
         assert rep.residual2.median <= 1e-9
 
-    def test_config_overrides_reach_report(self):
-        # planar, so that sphere_points sets the shell (a 1-d shell is +-R)
-        dom, fld, _ = matrix_problem(4)
-        sizes = {}
-        for m in (8, 16):
-            cfg = PipelineConfig(sphere_points=m, fd_step_rel=1e-3, eps_primal=1e-4)
-            rep = decompose(dom, fld, cfg)
-            radius = sd.build_dual_points(dom, fld, margin=cfg.radius_margin).radius
-            assert rep.tolerances["fd_step"] == pytest.approx(1e-3 * radius)
-            assert rep.tolerances["eps_primal"] == 1e-4
-            sizes[m] = rep.tolerances["pset_size"]
-        # dedup drops no shell point: none is the origin or a field value
-        assert sizes[16] - sizes[8] == 8
+    def test_signature_takes_no_settings(self):
+        params = list(inspect.signature(sd.decompose).parameters)
+        assert params == ["dom", "fld", "rule", "jacobian"]
+        assert not hasattr(sd, "PipelineConfig")
+        assert not hasattr(factorize, "PipelineConfig")
+
+    def test_report_config_holds_the_constants(self):
+        dom, fld = sincos_problem(16)
+        config = decompose(dom, fld).to_dict()["config"]
+        assert config["eps_primal"] == 1e-6 == sd.primal_solver.EPS_PRIMAL
+        assert config["radius_margin"] == 0.05 == domain.RADIUS_MARGIN
+        assert config["seed"] == 0 and type(config["seed"]) is int
+        assert config["fd_step"] == 1e-4 * config["radius"]
+        assert factorize.FD_STEP_REL == 1e-4
 
 
 class TestSelfdualTest:

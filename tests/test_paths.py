@@ -20,11 +20,9 @@ from selfdual.dual_solver import (
     solve_brute,
     solve_matching,
 )
-from selfdual.primal_solver import optimal_kernel, weak_duality
+from selfdual.primal_solver import EPS_PRIMAL, optimal_kernel, weak_duality
 
 from conftest import closed_form_primal, odd_cycle_problem
-
-EPS_PRIMAL = sd.PipelineConfig().eps_primal
 
 
 def make_problem(n, d, seed, scale, kind):
