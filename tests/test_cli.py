@@ -134,14 +134,24 @@ class TestParseConfig:
             {"n": "8"},
             {"n": True},
             {"n": 8.0},
+            {"seed": "x"},
+            {"fd_step_rel": "x"},
+            {"radius_margin": None},
+            {"sphere_points": 2.5},
         ],
         ids=str,
     )
     def test_wrong_typed_config_values_exit_2(self, tmp_path, capsys, key):
+        # a former pipeline setting is refused as unread, whatever its value
+        name = next(iter(key))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"builtin": "sincos", "n": 8, **key}))
         assert run_cli(["decompose", "--config", str(cfg)]) == 2
-        assert f"config value {next(iter(key))}=" in capsys.readouterr().err
+        if name in REMOVED_SETTINGS:
+            expected = f"decompose does not read config keys {[name]}"
+        else:
+            expected = f"config value {name}="
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -629,6 +639,19 @@ class TestOtherCommands:
         # P is the primal value to the bit, and nothing iterates
         assert payload["P"] == value
         assert "iterations" not in payload
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_pset_m_in_d_1_exits_2(self, tmp_path, capsys, command):
+        # --pset-m sets no shell in any dimension now, so it is unrecognized
+        sig = tmp_path / "s.json"
+        assert run_cli(["dual", "--builtin", "sincos", "--n", "16", "--out", str(sig)]) == 0
+        argv = [command, "--builtin", "sincos", "--n", "16", "--pset-m", "5"]
+        argv += ["--sigma", str(sig)] if command == "verify" else []
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pset-m 5" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_primal_and_decompose_print_the_same_p(self, tmp_path):
         # the primal subcommand and the report read the same kernel and sum
