@@ -10,7 +10,6 @@ from .conjugacy import (
     grad1,
     grad2,
     lagrangian,
-    lagrangian_at_field,
     regularize,
     residual_gradients,
 )
@@ -47,7 +46,6 @@ from .factorize import (
 from .primal_solver import (
     optimal_kernel,
     primal_converged,
-    primal_objective,
     weak_duality,
 )
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dual_solver, factorize, fields, primal_solver
-from .conjugacy import lagrangian_at_field, regularize
+from .conjugacy import regularize
 from .domain import (
     AntiSymmetricKernel,
     Involution,
@@ -211,16 +211,16 @@ def _cmd_primal(cfg: RunConfig) -> int:
     dom, fld, _ = _load_problem(cfg)
     _, pot, bound = dual_solver.assignment_relaxation(dom, fld)
     kernel = primal_solver.optimal_kernel(dom, fld, pot)
-    lvals, argmax = lagrangian_at_field(kernel, dom, fld)
-    value = float(lvals.sum() * dom.cell_measure)
-    converged = primal_solver.primal_converged(dom, fld, kernel, value, bound)
+    # P, its argmax and the floor do not depend on the involution
+    cert = primal_solver.weak_duality(dom, fld, kernel, Involution.identity(dom.n))
+    value, converged = cert.primal_value, primal_solver.primal_converged(cert, bound)
     _emit(
         {
             "P": value,
             "lower_bound": bound,
             "gap_vs_bound": value - bound,
             "converged": converged,
-            "argmax": [int(k) for k in argmax],
+            "argmax": [int(k) for k in cert.argmax],
         },
         cfg.out,
     )
@@ -230,9 +230,8 @@ def _cmd_primal(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     """Check identities for supplied artifacts without solving.
 
-    With both an involution and a kernel, D and P are read off the one
-    weak-duality certificate, which sums them as dual_objective and
-    primal_objective do, to the same bits.
+    With a kernel, P is read off the weak-duality certificate; with an
+    involution too, so is D, summed as dual_objective sums it, to the same bits.
     """
     dom, fld, bf = _load_problem(cfg)
     payload: dict = {}
@@ -251,11 +250,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
         payload["kernel_source"] = "builtin-analytic"
     if sigma is not None and kernel is None:
         payload["D"] = dual_solver.dual_objective(dom, fld, sigma)
-    if kernel is not None and sigma is None:
-        payload["P"] = primal_solver.primal_objective(dom, fld, kernel)
+    if kernel is not None:
+        # P does not depend on the involution: a kernel alone is scored along the identity
+        cert = primal_solver.weak_duality(dom, fld, kernel, sigma or Involution.identity(dom.n))
+        payload["P"] = cert.primal_value
     if kernel is not None and sigma is not None:
-        cert = primal_solver.weak_duality(dom, fld, kernel, sigma)
-        payload["D"], payload["P"] = cert.dual_value, cert.primal_value
+        payload["D"] = cert.dual_value
         value, verdict = factorize.selfdual_test(kernel, sigma, dom.cell_measure)
         payload["weak_duality_gap"] = cert.gap
         payload["complementarity"] = {

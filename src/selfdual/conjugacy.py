@@ -63,17 +63,13 @@ from .domain import (
     AntiSymmetricKernel,
     DiscreteDomain,
     DualPointSet,
-    SampledField,
     check_permutation,
-    pairing,
     row_blocks,
     row_norms,
 )
 
 __all__ = [
     "lagrangian",
-    "lagrangian_scores",
-    "lagrangian_at_field",
     "RegularHamiltonian",
     "regularize",
     "grad1",
@@ -117,29 +113,6 @@ def lagrangian(
     p = np.asarray(p, dtype=float).reshape(dom.dim)
     z = dom.points @ p  # <x_j, p>
     scores = z[:, None] - kernel.matrix  # [j, i]
-    return scores.max(axis=0), scores.argmax(axis=0)
-
-
-def lagrangian_scores(
-    kernel: AntiSymmetricKernel, dom: DiscreteDomain, fld: SampledField
-) -> np.ndarray:
-    """[j, i] = <x_j, u_i> - K[j, i]; column i's max is L(x_i, u_i)."""
-    scores = pairing(dom, fld).T
-    if kernel.n != dom.n:
-        raise ValueError("kernel size does not match domain")
-    scores -= kernel.matrix  # over the pairing, not beside it
-    return scores
-
-
-def lagrangian_at_field(
-    kernel: AntiSymmetricKernel, dom: DiscreteDomain, fld: SampledField
-) -> tuple[np.ndarray, np.ndarray]:
-    """L(x_i, u_i) for every i, with the attaining grid index per i.
-
-    The argmax (the smallest index on ties) is the map a kernel encodes;
-    an optimal kernel need not make it a permutation.
-    """
-    scores = lagrangian_scores(kernel, dom, fld)
     return scores.max(axis=0), scores.argmax(axis=0)
 
 

@@ -95,6 +95,8 @@ class DiscreteDomain:
         pts = _readonly(np.atleast_2d(self.points))
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("need at least one point")
+        if self.dim != pts.shape[1]:
+            raise ValueError(f"dim {self.dim} does not match the points' {pts.shape[1]} columns")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite grid point")
         if not (np.isfinite(self.cell_measure) and self.cell_measure > 0):
@@ -153,7 +155,7 @@ def check_pairing(dom: DiscreteDomain, fld: SampledField) -> None:
     and sum(pot) is a sum of n entries of S), so a kernel entry is at most
     (n + 1) X U and a Lagrangian value at most pot_i + 2 X U in modulus.
     D and the assignment bound (n X U), P (3 n X U), the weak-duality
-    slacks (4 n X U) and the scale of primal_converged's floor
+    slacks (4 n X U) and the scale of the weak-duality certificate's floor
     (n (n + 2) X U) are sums taken before they are multiplied by mu, so
     4 n (n + 2) X U max(1, mu) must be a finite float too.
     """
@@ -404,9 +406,10 @@ class AntiSymmetricKernel:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "AntiSymmetricKernel":
-        """Anti-symmetrize an arbitrary square table, (M - M.T) / 2."""
+        """Anti-symmetrize an arbitrary square table, (M - M.T) / 2; any other
+        table goes on to the constructor's shape check."""
         m = np.asarray(m, dtype=float)
-        return cls(0.5 * (m - m.T))
+        return cls(0.5 * (m - m.T) if m.shape == m.T.shape else m)
 
     @property
     def n(self) -> int:
@@ -684,7 +687,9 @@ def read_field_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read points and values back; pairing with a domain is the caller's job."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"field csv {path} is empty")
         d = sum(1 for c in header if c.startswith("x"))
         if d == 0 or len(header) != 2 * d:
             raise ValueError("field csv must have columns x0..x{d-1}, u0..u{d-1}")

@@ -182,7 +182,7 @@ def decompose(
 
     kernel = primal_solver.optimal_kernel(dom, fld, dual.pot)  # regularize's, rebuilt
     cert = primal_solver.weak_duality(dom, fld, kernel, sigma)
-    converged = primal_solver.primal_converged(dom, fld, kernel, cert.primal_value, dual.bound)
+    converged = primal_solver.primal_converged(cert, dual.bound)
 
     tolerances = {
         "eps_primal": primal_solver.EPS_PRIMAL,

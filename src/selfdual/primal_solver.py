@@ -8,6 +8,8 @@ S = (C + C^T) / 2 solved by the dual solver. The assignment's potentials
 give an optimal kernel in closed form (optimal_kernel): nothing is left to
 minimize, and P equals the assignment bound up to rounding (primal_converged).
 
+weak_duality is the one place a kernel is scored: its certificate holds P,
+its argmax map and the convergence floor beside D, all off one pairing.
 Weak duality against any involution is exact in floating point: the
 per-index slacks are nonnegative by construction and the kernel terms
 along an involution cancel pair by pair, bit for bit.
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugacy import lagrangian_scores
 from .domain import (
     AntiSymmetricKernel,
     DiscreteDomain,
@@ -31,7 +32,6 @@ from .domain import (
 
 __all__ = [
     "DualityCertificate",
-    "primal_objective",
     "weak_duality",
     "optimal_kernel",
     "primal_converged",
@@ -40,12 +40,6 @@ __all__ = [
 
 # the relative tolerance of primal_converged's test of P against the bound
 EPS_PRIMAL = 1e-6
-
-
-def primal_objective(
-    dom: DiscreteDomain, fld: SampledField, kernel: AntiSymmetricKernel
-) -> float:
-    return float(lagrangian_scores(kernel, dom, fld).max(axis=0).sum() * dom.cell_measure)
 
 
 def kernel_cancellation(kernel: AntiSymmetricKernel, s: Involution, mu: float) -> float:
@@ -68,6 +62,8 @@ class DualityCertificate:
     gap: float  # mu * sum of slacks, nonnegative by construction
     slack: np.ndarray  # per-index, each >= 0 exactly
     cancellation: float  # kernel sum along the involution, exactly 0.0
+    argmax: np.ndarray  # per-index first grid index attaining L(x_i, u_i)
+    floor: float  # rounding floor of primal_converged's test
 
 
 def weak_duality(
@@ -81,21 +77,32 @@ def weak_duality(
     slack_i = L(x_i, u_i) + K[s(i), i] - <u_i, x_{s(i)}> is computed as a
     max minus one of its own entries, hence exactly nonnegative. D sums
     C[i, s(i)] as dual_objective does, off the one pairing, before K is taken off.
+    argmax is the map a kernel encodes, the smallest index on ties; an
+    optimal kernel need not make it a permutation. floor, the absolute
+    slack of primal_converged(cert, bound), bounds the rounding of the sums
+    P and bound, 4 (n + d + 2) eps mu (sum_i max_j |C_ij| + sum_i max_j |K_ji|),
+    so that an optimum of 0 is not judged by a relative test alone; each
+    max |x| is max(max x, -min x), with no [n, n] table beside the pairing.
+    P, argmax and floor do not depend on s.
     """
     if s.n != dom.n:
         raise ValueError("involution length does not match domain")
     if kernel.n != dom.n:
         raise ValueError("kernel size does not match domain")
-    idx, mu = np.arange(dom.n), dom.cell_measure
+    idx, mu, k = np.arange(dom.n), dom.cell_measure, kernel.matrix
     z = pairing(dom, fld).T  # [j, i] = <x_j, u_i> = C[i, j]
     d = float(z[s.sigma, idx].sum() * mu)
-    z -= kernel.matrix  # the scores of lagrangian_scores
+    scale = np.maximum(z.max(axis=0), -z.min(axis=0)).sum()
+    scale += np.maximum(k.max(axis=0), -k.min(axis=0)).sum()
+    floor = float(4 * (dom.n + dom.dim + 2) * np.finfo(float).eps * mu * scale)
+    z -= k  # [j, i] = <x_j, u_i> - K[j, i]; column i's max is L(x_i, u_i)
     lvals = z.max(axis=0)
     slack = lvals - z[s.sigma, idx]
     cancel = kernel_cancellation(kernel, s, mu)
     if cancel != 0.0:
         raise AssertionError("involution kernel sum failed to cancel exactly")
-    return DualityCertificate(float(lvals.sum() * mu), d, float(slack.sum() * mu), slack, cancel)
+    p, gap = float(lvals.sum() * mu), float(slack.sum() * mu)
+    return DualityCertificate(p, d, gap, slack, cancel, z.argmax(axis=0), floor)
 
 
 def optimal_kernel(dom: DiscreteDomain, fld: SampledField, pot: np.ndarray):
@@ -118,25 +125,9 @@ def optimal_kernel(dom: DiscreteDomain, fld: SampledField, pot: np.ndarray):
     return AntiSymmetricKernel(k)
 
 
-def primal_converged(
-    dom: DiscreteDomain,
-    fld: SampledField,
-    kernel: AntiSymmetricKernel,
-    value: float,
-    bound: float,
-    eps_rel: float = EPS_PRIMAL,
-) -> bool:
-    """Whether the primal value P(kernel) meets the assignment bound:
-    value - bound <= eps_rel * |value| + floor, with
-    floor = 4 (n + d + 2) eps mu (sum_i max_j |C_ij| + sum_i max_j |K_ji|)
-    bounding the rounding of the two n-term sums, so that an optimum of 0
-    is not judged by a relative test alone. Each max |x| is taken as
-    max(max x, -min x), which holds no [n, n] table beside the pairing.
-    """
+def primal_converged(cert: DualityCertificate, bound: float, eps_rel: float = EPS_PRIMAL) -> bool:
+    """Whether the certificate's P meets the assignment bound:
+    P - bound <= eps_rel * |P| + cert.floor."""
     if not (np.isfinite(eps_rel) and eps_rel > 0):
         raise ValueError("eps_rel must be positive and finite")
-    c, k = pairing(dom, fld), kernel.matrix
-    scale = np.maximum(c.max(axis=1), -c.min(axis=1)).sum()
-    scale += np.maximum(k.max(axis=0), -k.min(axis=0)).sum()
-    floor = float(4 * (dom.n + dom.dim + 2) * np.finfo(float).eps * dom.cell_measure * scale)
-    return value - bound <= eps_rel * abs(value) + floor
+    return cert.primal_value - bound <= eps_rel * abs(cert.primal_value) + cert.floor

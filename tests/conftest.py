@@ -86,14 +86,27 @@ def random_kernel(rng, n: int, scale: float = 1.0) -> sd.AntiSymmetricKernel:
     return sd.AntiSymmetricKernel(scale * np.triu(rng.normal(size=(n, n)), k=1))
 
 
+def kernel_certificate(dom, fld, kernel):
+    """The weak-duality certificate of a kernel along the identity: its P,
+    argmax and floor do not depend on the involution."""
+    return sd.weak_duality(dom, fld, kernel, sd.Involution.identity(dom.n))
+
+
+def field_lagrangian(dom, fld, kernel):
+    """(L(x_i, u_i), its first attaining index) per i, off the kernel's
+    certificate: column i's max is its one piece at argmax_i, to the bit."""
+    arg, idx = kernel_certificate(dom, fld, kernel).argmax, np.arange(dom.n)
+    return sd.pairing(dom, fld)[idx, arg] - kernel.matrix[arg, idx], arg
+
+
 def closed_form_primal(dom, fld):
     """(kernel, P, converged): the optimal kernel from the assignment
     potentials, its value and the convergence test at its default
     eps_rel, EPS_PRIMAL, as the primal subcommand takes them."""
     _, pot, bound = sd.assignment_relaxation(dom, fld)
     kernel = sd.optimal_kernel(dom, fld, pot)
-    value = sd.primal_objective(dom, fld, kernel)
-    return kernel, value, sd.primal_converged(dom, fld, kernel, value, bound)
+    cert = kernel_certificate(dom, fld, kernel)
+    return kernel, cert.primal_value, sd.primal_converged(cert, bound)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import selfdual as sd
-from selfdual import cli, conjugacy, dual_solver, factorize, fields, primal_solver
+from selfdual import cli, domain, dual_solver, factorize, fields, primal_solver
 from selfdual.domain import write_field_csv
 
 from conftest import BAD_PERMUTATIONS, closed_form_primal
@@ -422,6 +422,17 @@ class TestRunDecompose:
         spec = '{"kind": "interval",' + " " * 300 + '"bounds": [0, 1], "cells": 12}'
         assert run_cli(["dual", "--field", str(fcsv), "--domain", spec]) == 0
 
+    @pytest.mark.parametrize("command", ["decompose", "dual", "primal", "verify"])
+    def test_empty_field_csv_exits_2(self, tmp_path, capsys, command):
+        # an empty file is bad input (2), not a solver that failed to converge (1)
+        fcsv = tmp_path / "empty.csv"
+        fcsv.write_text("")
+        spec = '{"kind": "interval", "bounds": [0, 1], "cells": 2}'
+        out = tmp_path / "r.json"
+        assert run_cli([command, "--field", str(fcsv), "--domain", spec, "--out", str(out)]) == 2
+        assert f"field csv {fcsv} is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_mismatch_exits_2(self, tmp_path):
         dom = sd.interval_grid(0.0, 1.0, 12)
         fld = sd.sample_field(dom, lambda x: x)
@@ -590,7 +601,8 @@ class TestVerify:
         fld = sd.sample_field(dom, bf.rule)
         kernel = sd.make_kernel(dom, bf.hamiltonian)
         identity = sd.Involution.identity(dom.n)
-        d, p = sd.dual_objective(dom, fld, identity), sd.primal_objective(dom, fld, kernel)
+        d = sd.dual_objective(dom, fld, identity)
+        p = float((sd.pairing(dom, fld).T - kernel.matrix).max(axis=0).sum() * dom.cell_measure)
         sigma_file = tmp_path / "identity.json"
         sigma_file.write_text(json.dumps(list(range(dom.n))))
         calls = []
@@ -599,7 +611,7 @@ class TestVerify:
             calls.append(1)
             return sd.pairing(*args)
 
-        for module in (conjugacy, dual_solver, factorize, primal_solver):
+        for module in (dual_solver, factorize, primal_solver):
             monkeypatch.setattr(module, "pairing", spy)
         out = tmp_path / "v.json"
         argv = ["verify", "--builtin", "matrix", "--n", "16", "--sigma", str(sigma_file)]
@@ -607,8 +619,18 @@ class TestVerify:
         assert len(calls) == 2
         payload = json.loads(out.read_text())
         assert payload["kernel_source"] == "builtin-analytic"
-        # the JSON text of D and P is that of the two objectives
+        # the JSON text of D and P is that of dual_objective and of P's formula
         assert (repr(payload["D"]), repr(payload["P"])) == (repr(d), repr(p))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_kernel_csv_not_square_exits_2(self, tmp_path, capsys, shape):
+        kcsv = tmp_path / "k.csv"
+        np.savetxt(kcsv, np.ones(shape), delimiter=",")
+        out = tmp_path / "v.json"
+        argv = ["verify", "--builtin", "sincos", "--n", "2", "--kernel", str(kcsv)]
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        assert "kernel table must be square" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", BAD_PERMUTATIONS, ids=str)
     def test_bad_sigma_exits_2(self, tmp_path, capsys, bad):
@@ -634,7 +656,7 @@ class TestOtherCommands:
         dom = sd.build_grid(bf.domain_spec)
         fld = sd.sample_field(dom, bf.rule)
         kernel, value, _ = closed_form_primal(dom, fld)
-        _, argmax = sd.lagrangian_at_field(kernel, dom, fld)
+        argmax = (sd.pairing(dom, fld).T - kernel.matrix).argmax(axis=0)
         assert payload["argmax"] == argmax.tolist()
         # P is the primal value to the bit, and nothing iterates
         assert payload["P"] == value
@@ -662,6 +684,24 @@ class TestOtherCommands:
             p = json.loads((tmp_path / "p.json").read_text())
             r = json.loads((tmp_path / "r.json").read_text())
             assert p["P"] == r["P"] and p["converged"] is r["config"]["primal_converged"]
+
+    @pytest.mark.parametrize("command, products", [("decompose", 6), ("primal", 3)])
+    def test_pairings_per_command(self, tmp_path, monkeypatch, command, products):
+        # the kernel is scored once, by weak_duality, whose certificate also
+        # holds the argmax and the convergence floor: decompose forms the
+        # pairing in the dual (2), the two kernels, the certificate and
+        # check_monotone; primal in the relaxation, the kernel and the certificate
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return sd.pairing(*args)
+
+        for module in (domain, dual_solver, factorize, primal_solver):
+            monkeypatch.setattr(module, "pairing", spy)
+        argv = [command, "--builtin", "matrix", "--n", "16", "--out", str(tmp_path / "r.json")]
+        assert run_cli(argv) == 0
+        assert len(calls) == products
 
     def test_zero_optimum_converges(self, tmp_path):
         # rotationJ's optimum is 0: P - bound is rounding noise (1.3e-16)

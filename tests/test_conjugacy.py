@@ -16,12 +16,17 @@ from selfdual.conjugacy import (
     grad1,
     grad2,
     lagrangian,
-    lagrangian_at_field,
     regularize,
     residual_gradients,
 )
 
-from conftest import odd_cycle_problem, random_problem, sincos_problem
+from conftest import (
+    field_lagrangian,
+    kernel_certificate,
+    odd_cycle_problem,
+    random_problem,
+    sincos_problem,
+)
 
 
 def single_point_setup():
@@ -75,19 +80,19 @@ class TestLagrangian:
     def test_at_field_matches_per_point(self):
         dom, fld = sincos_problem(10)
         kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
-        vals, arg = lagrangian_at_field(kernel, dom, fld)
+        vals, arg = field_lagrangian(dom, fld, kernel)
         for i in range(10):
             vi, ai = lagrangian(kernel, dom, fld.values[i])
             assert vals[i] == vi[i]
             assert arg[i] == ai[i]
 
     def test_at_field_rejects_kernel_of_another_size(self):
-        # the primal objective and the Lagrangian share one score table
+        # P and the argmax come off one certificate, along any involution
         dom, fld = sincos_problem(10)
         kernel = sd.AntiSymmetricKernel(np.zeros((9, 9)))
         for call in (
-            lambda: lagrangian_at_field(kernel, dom, fld),
-            lambda: sd.primal_objective(dom, fld, kernel),
+            lambda: kernel_certificate(dom, fld, kernel),
+            lambda: sd.weak_duality(dom, fld, kernel, sd.Involution.reversal(10)),
         ):
             with pytest.raises(ValueError, match="kernel size does not match"):
                 call()
@@ -137,7 +142,7 @@ class TestRestrictedBidual:
     def test_below_lagrangian_at_field_slopes(self, sincos64, sincos64_hreg):
         dom, fld = sincos64
         hreg, kernel, pset = sincos64_hreg
-        lvals, _ = lagrangian_at_field(kernel, dom, fld)
+        lvals, _ = field_lagrangian(dom, fld, kernel)
         bid = np.array(
             [
                 broadcast_restricted_bidual(hreg, dom.points[i], fld.values[i])
@@ -214,7 +219,7 @@ class TestRegularize:
         dom, fld = sincos64
         hreg, kernel, pset = sincos64_hreg
         mu = dom.cell_measure
-        lvals, _ = lagrangian_at_field(kernel, dom, fld)
+        lvals, _ = field_lagrangian(dom, fld, kernel)
         lreg = hreg.lagrangian_of(dom.points, fld.values)
         assert (lreg * mu).sum() <= (lvals * mu).sum() + 1e-6
         # pointwise version is exact up to rounding at data slopes

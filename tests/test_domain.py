@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import selfdual as sd
 from selfdual import domain, factorize, fields
-from selfdual.conjugacy import lagrangian_scores
 from selfdual.domain import (
     _covering_candidates,
     _flats,
@@ -93,6 +92,16 @@ class TestBuildGrid:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             sd.DiscreteDomain(np.array([[0.0], [0.0]]), 0.5, 1, 0.0)
+
+    @pytest.mark.parametrize(
+        "pts, dim",
+        [(np.array([0.1, 0.2, 0.3]), 1), (np.eye(2), 5), (np.eye(3), 2)],
+        ids=["flat-row-dim-1", "2-columns-dim-5", "3-columns-dim-2"],
+    )
+    def test_dim_that_contradicts_the_points_rejected(self, pts, dim):
+        # a flat array is one point in R^3, not three in R^1: its dim is refused
+        with pytest.raises(ValueError, match=f"dim {dim} does not match"):
+            sd.DiscreteDomain(pts, 1.0 / 3, dim, 0.0)
 
     def test_symmetric_square_bounds_forms(self):
         dom = build_grid({"kind": "symmetric-square", "bounds": 1, "cells": 3})
@@ -185,6 +194,15 @@ class TestMakeKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n * n + 2 * 8 * domain.ROW_BLOCK
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+    def test_from_matrix_refuses_a_table_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match="kernel table must be square"):
+            sd.AntiSymmetricKernel.from_matrix(np.ones(shape))
+
+    def test_from_matrix_halves_the_antisymmetric_part(self):
+        m = np.arange(9.0).reshape(3, 3)
+        assert np.array_equal(sd.AntiSymmetricKernel.from_matrix(m).matrix, 0.5 * (m - m.T))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
@@ -300,7 +318,11 @@ class TestPairing:
         c = sd.pairing(dom, fld)
         assert np.array_equal(c, fld.values @ dom.points.T)
         zero = sd.AntiSymmetricKernel(np.zeros((dom.n, dom.n)))
-        assert np.array_equal(lagrangian_scores(zero, dom, fld), c.T)
+        # the zero kernel's certificate scores the columns of c.T itself
+        cert = sd.weak_duality(dom, fld, zero, sd.Involution.identity(dom.n))
+        assert np.array_equal(cert.argmax, c.T.argmax(axis=0))
+        assert np.array_equal(cert.slack, c.T.max(axis=0) - np.diagonal(c))
+        assert cert.primal_value == float(c.T.max(axis=0).sum() * dom.cell_measure)
 
         seen = []
 

@@ -105,7 +105,7 @@ class TestKnownAnswers:
             return bf, dom, sol, None, None
         kernel = sd.make_kernel(dom, bf.hamiltonian)
         cert = weak_duality(dom, fld, kernel, sol.sigma)
-        converged = sd.primal_converged(dom, fld, kernel, cert.primal_value, sol.bound)
+        converged = sd.primal_converged(cert, sol.bound)
         return bf, dom, sol, cert, converged
 
     @pytest.mark.parametrize("n", [16, 64, 256])

@@ -23,6 +23,7 @@ from selfdual.factorize import (
 )
 
 from conftest import (
+    kernel_certificate,
     matrix_problem,
     monotone_problem,
     odd_cycle_problem,
@@ -153,14 +154,14 @@ class TestDecompose:
         kernel = rep.kernel
         assert kernel.matrix.tobytes() == sd.optimal_kernel(dom, fld, pot).matrix.tobytes()
         assert not kernel.matrix.flags.writeable
-        p = sd.primal_objective(dom, fld, kernel)
+        p = float((sd.pairing(dom, fld).T - kernel.matrix).max(axis=0).sum() * dom.cell_measure)
         assert rep.p_value.hex() == p.hex()
         assert rep.d_value.hex() == sd.dual_objective(dom, fld, rep.sigma).hex()
         cert = sd.weak_duality(dom, fld, kernel, rep.sigma)
         assert rep.gap.hex() == cert.gap.hex()
         assert rep.complementarity.tobytes() == cert.slack.tobytes()
         eps = rep.tolerances["eps_primal"]
-        converged = sd.primal_converged(dom, fld, kernel, p, rep.dual.bound, eps)
+        converged = sd.primal_converged(cert, rep.dual.bound, eps)
         assert rep.tolerances["primal_converged"] is converged is True
 
     def test_sincos(self):
@@ -276,8 +277,9 @@ class TestDecompose:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_settings_rejected(self, value):
         dom, fld = monotone_problem(8)
+        zero = sd.AntiSymmetricKernel(np.zeros((8, 8)))
         for make in (
-            lambda: sd.primal_converged(dom, fld, sd.AntiSymmetricKernel(np.zeros((8, 8))), 0.0, 0.0, value),
+            lambda: sd.primal_converged(kernel_certificate(dom, fld, zero), 0.0, value),
             lambda: sd.build_dual_points(dom, fld, margin=value),
         ):
             with pytest.raises(ValueError, match="finite"):

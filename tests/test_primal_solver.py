@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,11 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import selfdual as sd
-from selfdual import domain
-from selfdual.conjugacy import lagrangian_at_field
+from selfdual import domain, fields
 from selfdual.dual_solver import (
     assignment_relaxation,
     dual_objective,
+    solve,
     solve_brute,
     solve_matching,
 )
@@ -18,12 +19,12 @@ from selfdual.primal_solver import (
     kernel_cancellation,
     optimal_kernel,
     primal_converged,
-    primal_objective,
     weak_duality,
 )
 
 from conftest import (
     closed_form_primal,
+    kernel_certificate,
     monotone_problem,
     random_involution,
     random_kernel,
@@ -75,7 +76,8 @@ class TestPrimalObjective:
         kernel = sd.AntiSymmetricKernel(np.zeros((10, 10)))
         # all field values are positive, so the right endpoint wins every max
         expect = float(dom.points[-1, 0] * fld.values.sum() * dom.cell_measure)
-        assert primal_objective(dom, fld, kernel) == pytest.approx(expect, rel=1e-14)
+        p = kernel_certificate(dom, fld, kernel).primal_value
+        assert p == pytest.approx(expect, rel=1e-14)
 
     def test_sincos_near_pi(self):
         dom, fld = sincos_problem(64)
@@ -87,7 +89,8 @@ class TestPrimalObjective:
         # kernel essentially optimal already
         dom, fld = sincos_problem(64)
         kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
-        assert primal_objective(dom, fld, kernel) == pytest.approx(math.pi, rel=0.02)
+        p = kernel_certificate(dom, fld, kernel).primal_value
+        assert p == pytest.approx(math.pi, rel=0.02)
 
     def test_dominates_every_involution(self):
         rng = np.random.default_rng(20)
@@ -96,9 +99,8 @@ class TestPrimalObjective:
             dom, fld = random_problem(rng, n)
             kernel = random_kernel(rng, n)
             s = random_involution(rng, n)
-            assert primal_objective(dom, fld, kernel) >= dual_objective(
-                dom, fld, s
-            ) - 1e-12
+            p = kernel_certificate(dom, fld, kernel).primal_value
+            assert p >= dual_objective(dom, fld, s) - 1e-12
 
     def test_convex_in_kernel(self):
         rng = np.random.default_rng(21)
@@ -110,10 +112,8 @@ class TestPrimalObjective:
             mix = sd.AntiSymmetricKernel(
                 np.triu(t * k1.matrix + (1 - t) * k2.matrix, 1)
             )
-            lhs = primal_objective(dom, fld, mix)
-            rhs = t * primal_objective(dom, fld, k1) + (1 - t) * primal_objective(
-                dom, fld, k2
-            )
+            lhs, p1, p2 = (kernel_certificate(dom, fld, k).primal_value for k in (mix, k1, k2))
+            rhs = t * p1 + (1 - t) * p2
             assert lhs <= rhs + 1e-12 * max(1, abs(rhs))
 
 
@@ -160,6 +160,44 @@ class TestWeakDuality:
             s = random_involution(rng, n)
             cert = weak_duality(dom, fld, random_kernel(rng, n), s)
             assert cert.dual_value.hex() == dual_objective(dom, fld, s).hex()
+
+    @staticmethod
+    def check_against_formulas(dom, fld, kernel, s):
+        """argmax, P and floor as the Lagrangian's argmax map, the primal
+        objective and the convergence test's floor, from their formulas."""
+        cert = weak_duality(dom, fld, kernel, s)
+        c, k = sd.pairing(dom, fld), kernel.matrix
+        scores = c.T - k  # [j, i] = <x_j, u_i> - K[j, i]
+        assert cert.argmax.tobytes() == scores.argmax(axis=0).tobytes()
+        p = float(scores.max(axis=0).sum() * dom.cell_measure)
+        assert cert.primal_value.hex() == p.hex()
+        scale = np.maximum(c.max(axis=1), -c.min(axis=1)).sum()
+        scale += np.maximum(k.max(axis=0), -k.min(axis=0)).sum()
+        mu = dom.cell_measure
+        floor = float(4 * (dom.n + dom.dim + 2) * np.finfo(float).eps * mu * scale)
+        assert cert.floor.hex() == floor.hex()
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("name", fields.builtin_names())
+    def test_argmax_and_floor_match_their_formulas_on_builtins(self, name, n):
+        # the optimal kernel along the solved involution, and the builtin's
+        # closed-form kernel, where it has one, along the identity
+        bf = fields.builtin_field(name, n)
+        dom = sd.build_grid(bf.domain_spec)
+        fld = sd.sample_field(dom, bf.rule)
+        sol = solve(dom, fld)
+        self.check_against_formulas(dom, fld, optimal_kernel(dom, fld, sol.pot), sol.sigma)
+        if bf.hamiltonian is not None:
+            kernel = sd.make_kernel(dom, bf.hamiltonian)
+            self.check_against_formulas(dom, fld, kernel, sd.Involution.identity(dom.n))
+
+    def test_argmax_and_floor_match_their_formulas_on_random_pairs(self):
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            dom, fld = random_problem(rng, n, d=int(rng.integers(1, 4)))
+            kernel = random_kernel(rng, n, scale=float(rng.uniform(0.1, 10)))
+            self.check_against_formulas(dom, fld, kernel, random_involution(rng, n))
 
     def test_rejects_a_kernel_of_another_size(self):
         dom, fld = monotone_problem(3)
@@ -222,7 +260,8 @@ class TestMinimizePrimal:
     def test_closed_form_bounded_by_zero_kernel(self):
         rng = np.random.default_rng(24)
         dom, fld = random_problem(rng, 14)
-        zero_val = primal_objective(dom, fld, sd.AntiSymmetricKernel(np.zeros((14, 14))))
+        zero = sd.AntiSymmetricKernel(np.zeros((14, 14)))
+        zero_val = kernel_certificate(dom, fld, zero).primal_value
         _, value, _ = closed_form_primal(dom, fld)
         assert value <= zero_val + 1e-12
         bound = assignment_relaxation(dom, fld)[2]
@@ -268,8 +307,11 @@ class TestMinimizePrimal:
             c = sd.pairing(dom, fld)
             scale = np.abs(c).max(axis=1).sum() + np.abs(kernel.matrix).max(axis=0).sum()
             floor = float(4 * (n + d + 2) * np.finfo(float).eps * dom.cell_measure * scale)
-            assert primal_converged(dom, fld, kernel, floor, 0.0, 1e-300)
-            assert not primal_converged(dom, fld, kernel, np.nextafter(floor, 1.0), 0.0, 1e-300)
+            cert = kernel_certificate(dom, fld, kernel)
+            at_floor = dataclasses.replace(cert, primal_value=floor)
+            past = dataclasses.replace(cert, primal_value=np.nextafter(floor, 1.0))
+            assert primal_converged(at_floor, 0.0, 1e-300)
+            assert not primal_converged(past, 0.0, 1e-300)
 
     def test_lp_duality_crosscheck(self):
         # the dual of the kernel program is exactly the symmetric doubly
@@ -291,7 +333,7 @@ class TestRecoverInvolution:
 
     def test_zero_kernel_not_a_permutation(self):
         dom, fld = monotone_problem(12)
-        _, cand = lagrangian_at_field(sd.AntiSymmetricKernel(np.zeros((12, 12))), dom, fld)
+        cand = kernel_certificate(dom, fld, sd.AntiSymmetricKernel(np.zeros((12, 12)))).argmax
         # every index maxes out at the right endpoint
         assert len(np.unique(cand)) != 12
         assert (cand == 11).all()
@@ -301,7 +343,7 @@ class TestRecoverInvolution:
         # itself is the reflection involution
         dom, fld = sincos_problem(64)
         kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
-        _, cand = lagrangian_at_field(kernel, dom, fld)
+        cand = kernel_certificate(dom, fld, kernel).argmax
         refl = np.arange(64)[::-1]
         sd.Involution(cand)  # raises unless an involution
         assert (cand == refl).mean() >= 0.95
