@@ -9,7 +9,6 @@ from .conjugacy import (
     RegularHamiltonian,
     grad1,
     grad2,
-    lagrangian,
     regularize,
     residual_gradients,
 )
@@ -39,7 +38,6 @@ from .factorize import (
     check_monotone,
     check_uniqueness,
     decompose,
-    krauss_check,
     second_identity_check,
     selfdual_test,
 )

@@ -134,7 +134,15 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         _check_type(key, value, _TYPES[key])
     cfg = RunConfig(**merged)
     # the gallery runs every builtin and reads no problem settings
-    return cfg if args.command == "gallery" else cfg.validate()
+    if args.command == "gallery":
+        return cfg
+    cfg.validate()
+    # a builtin sets its own grid; a field file reads its grid off --domain
+    unread = set(merged) & ({"domain"} if cfg.builtin else {"params", "n"})
+    if unread:
+        kind = "--builtin" if cfg.builtin else "--field"
+        raise ValueError(f"a {kind} problem does not read {sorted(unread)}")
+    return cfg
 
 
 def _load_problem(cfg: RunConfig):
@@ -146,6 +154,8 @@ def _load_problem(cfg: RunConfig):
         return dom, fld, bf
     dom = build_grid(cfg.domain)
     pts, vals = _read(cfg.field_csv, "field", read_field_csv)
+    if not np.isfinite(pts).all():  # a NaN would pass the test against the grid
+        raise ValueError(f"field file {cfg.field_csv} has a non-finite point coordinate")
     if pts.shape != dom.points.shape:
         raise ValueError("field file does not match the domain grid size")
     scale = max(1.0, dom.radius)

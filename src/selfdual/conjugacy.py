@@ -40,7 +40,7 @@ chain holds at most one of K and L beside E and its product.
 grad1 is the general central-difference evaluator, and grad2 is grad1 at
 the swapped pair, negated (HR(x, y) == -HR(y, x) to the last bit). The
 residual checks use residual_gradients, grad1's bits at the grid pairs
-(x_{s(i)}, x_i).
+(x_{s(i)}, x_i) at the Hamiltonian's one step, fd_step = FD_STEP_REL R.
 It forms the bidual table at the grid a block of rows at a time, and reads
 the 2d tables at the grid shifted by +-h e_c only at the pieces whose
 maximum a step of h can move: every piece is affine with slope at most
@@ -69,13 +69,17 @@ from .domain import (
 )
 
 __all__ = [
-    "lagrangian",
+    "FD_STEP_REL",
     "RegularHamiltonian",
     "regularize",
     "grad1",
     "grad2",
     "residual_gradients",
 ]
+
+# the difference step of the residual check, as a fraction of the dual
+# ball's radius R: RegularHamiltonian.fd_step = FD_STEP_REL * R
+FD_STEP_REL = 1e-4
 
 # residual_gradients tests candidates in row blocks (domain.row_blocks)
 # and gathers them in groups of about this many candidates
@@ -100,20 +104,6 @@ if hasattr(os, "sched_getaffinity"):
     _CPUS = len(os.sched_getaffinity(0))
 else:
     _CPUS = os.cpu_count() or 1
-
-
-def lagrangian(
-    kernel: AntiSymmetricKernel, dom: DiscreteDomain, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel Lagrangian L(x_i, p) at a single slope p, for every i.
-
-    Returns the value vector and the attaining grid index per i, smallest
-    index on ties.
-    """
-    p = np.asarray(p, dtype=float).reshape(dom.dim)
-    z = dom.points @ p  # <x_j, p>
-    scores = z[:, None] - kernel.matrix  # [j, i]
-    return scores.max(axis=0), scores.argmax(axis=0)
 
 
 def _grid_pairing(dom: DiscreteDomain, pset: DualPointSet) -> np.ndarray:
@@ -218,9 +208,10 @@ class RegularHamiltonian:
         self.pset = pset
         self._xp = xp
         self.lstar_table = lstar
-        # resolution of the finite dual set, reported with every run
+        # the dual set's resolution and the residual step, reported with every run
         self.covering_radius = pset.covering_radius()
         self.tol_reg = 2.0 * pset.radius * self.covering_radius
+        self.fd_step = FD_STEP_REL * pset.radius
 
     # -- evaluators --------------------------------------------------
 
@@ -248,18 +239,6 @@ class RegularHamiltonian:
     def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """HR at batched pairs, exactly anti-symmetric by construction."""
         return 0.5 * (self.ball_ham(xs, ys) - self.ball_ham(ys, xs))
-
-    def lagrangian_of(self, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        """L_{HR}(x_b, p_b) = max over grid y of <y, p_b> - HR(y, x_b)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ps = np.atleast_2d(np.asarray(ps, dtype=float))
-        grid = self.dom.points
-        tx, tg = self.bidual_at_slopes(xs), self.bidual_at_slopes(grid)
-        # [b, j] = HB(x_j, x_b) and HB(x_b, x_j), as max-plus products over k
-        hb_gx = _maxplus(-tx, self._xp.T)
-        hb_xg = _maxplus(xs @ self.pset.pts.T, tg.T, np.subtract)
-        hg = 0.5 * (hb_gx - hb_xg)  # [b, j] = HR(x_j, x_b)
-        return (ps @ grid.T - hg).max(axis=1)
 
 
 def regularize(
@@ -326,11 +305,10 @@ def grad2(
     return -grad1(hreg, y, x, h)
 
 
-def residual_gradients(
-    hreg: RegularHamiltonian, perm: np.ndarray, h: float
-) -> np.ndarray:
-    """grad1 of HR at (x_{perm(i)}, x_i), [n, d], bit for bit. For an
-    involution, grad2 HR(x_{perm(i)}, x_i) is row perm(i), negated.
+def residual_gradients(hreg: RegularHamiltonian, perm: np.ndarray) -> np.ndarray:
+    """grad1 of HR at (x_{perm(i)}, x_i) with the step h = hreg.fd_step,
+    [n, d], bit for bit. For an involution, grad2 HR(x_{perm(i)}, x_i) is
+    row perm(i), negated.
 
     Every point at which the central differences need L**(., p_k) is the
     grid, the grid shifted by +-h e_c, or a row permutation of one of them,
@@ -362,13 +340,13 @@ def residual_gradients(
     symmetric grids) differ from grad1 in the last bits.
 
     Candidate tests run in blocks of at most domain.ROW_BLOCK pieces, and
-    the sparse gathers in groups of about _GROUP_BUDGET candidates,
-    whatever h is. The rest of the scratch is the [n, n] inner table g0,
-    one block of t0 beside one [n, m] table at a time (one row of the
-    block's product, or one shifted product), and a few numbers per pair
-    (b, k) the sparse half reads: nearly every pair when h is of the order
-    of R. A block's bits do not depend on the blocking (see _maxplus), and
-    its dense-half rows are those of the n-row shifted products: computed
+    the sparse gathers in groups of about _GROUP_BUDGET candidates. The
+    rest of the scratch is the [n, n] inner table g0, one block of t0
+    beside one [n, m] table at a time (one row of the block's product, or
+    one shifted product), and a few numbers per pair (b, k) the sparse half
+    reads; the window grows with h, which FD_STEP_REL keeps small. A
+    block's bits do not depend on the blocking (see _maxplus), and its
+    dense-half rows are those of the n-row shifted products: computed
     alone in d = 1, where a block holds at most domain.ROW_BLOCK entries,
     and read off the whole product in d >= 2, where each block re-runs the
     2d shifted products, so there t0 takes _BIDUAL_BLOCKS blocks.
@@ -379,15 +357,14 @@ def residual_gradients(
     products held. In d = 1, where groups run to the hundreds, only the
     entries read are computed.
     """
-    if h <= 0:
-        raise ValueError("difference step must be positive")
+    h = hreg.fd_step  # positive: build_dual_points keeps R^2 a normal float
     grid, lstar, xp, pts = hreg.dom.points, hreg.lstar_table, hreg._xp, hreg.pset.pts
     (n, d), m = grid.shape, hreg.pset.m
     perm = check_permutation(perm, n, "perm")
     pinv = np.argsort(perm)
     pts_t, sx = pts.T, grid[perm]
     shifts = np.array([sign * e for e in np.eye(d) * h for sign in (1, -1)])
-    tau = _candidate_margin(hreg, h)
+    tau = _candidate_margin(hreg)
 
     g0 = hreg._inner_table(grid)  # read whole by the sparse half
     # t0 = L**(grid, .) = g0 (x) E is formed a block of rows at a time, and
@@ -499,8 +476,9 @@ def _candidate_groups(pieces, thr, width):
             lo, found, size = rows.stop, [], 0
 
 
-def _candidate_margin(hreg: RegularHamiltonian, h: float) -> float:
-    """tau = 2 (h R_p + delta), the window of residual_gradients.
+def _candidate_margin(hreg: RegularHamiltonian) -> float:
+    """tau = 2 (h R_p + delta), the window of residual_gradients at its
+    step h = hreg.fd_step.
 
     A piece of any of the three nested maxima is an affine function of the
     second HB slot y whose slope is some p_k', |p_k'| <= R_p; so is each max
@@ -520,7 +498,7 @@ def _candidate_margin(hreg: RegularHamiltonian, h: float) -> float:
     rounds up by at most u (S + tau) <= 3 u S. delta = (4 d + 8) eps S
     covers u A + 2 e + 1.5 u S <= (6.06 d + 8.5) u S with room to spare.
     """
-    eps = np.finfo(float).eps
+    eps, h = np.finfo(float).eps, hreg.fd_step
     r_p = float(row_norms(hreg.pset.pts).max())
     a = (hreg.dom.radius + h) * r_p
     lstar = hreg.lstar_table

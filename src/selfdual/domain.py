@@ -35,7 +35,6 @@ __all__ = [
     "sample_field",
     "make_kernel",
     "build_dual_points",
-    "rotation_permutation",
     "swap_permutation",
     "read_field_csv",
     "write_field_csv",
@@ -641,14 +640,6 @@ def _index_of_points(dom: DiscreteDomain, targets: np.ndarray) -> np.ndarray:
         return np.array([index[tuple(t)] for t in targets.tolist()], dtype=np.intp)
     except KeyError:
         raise ValueError("grid is not closed under the requested map") from None
-
-
-def rotation_permutation(dom: DiscreteDomain) -> np.ndarray:
-    """Index permutation of the quarter turn (x1, x2) -> (x2, -x1)."""
-    if dom.dim != 2:
-        raise ValueError("rotation map needs a planar grid")
-    targets = np.stack([dom.points[:, 1], -dom.points[:, 0]], axis=1)
-    return _index_of_points(dom, targets)
 
 
 def swap_permutation(dom: DiscreteDomain) -> Involution:

@@ -18,9 +18,10 @@ carry O(step + mesh) defects near kinks, so the report publishes the
 scale factor median / (step + mesh) instead of asserting a universal
 constant.
 
-decompose takes the field and nothing else. Its step is FD_STEP_REL times
-the dual ball's radius, whose margin is domain.RADIUS_MARGIN; P is held to
-the bound within primal_solver.EPS_PRIMAL; the shell in d >= 3 and the
+decompose takes the field and nothing else. Its step is
+conjugacy.FD_STEP_REL times the dual ball's radius (the Hamiltonian's
+fd_step), whose margin is domain.RADIUS_MARGIN; P is held to the bound
+within primal_solver.EPS_PRIMAL; the shell in d >= 3 and the
 sample of check_uniqueness are drawn from seed 0. The report's config
 records each value.
 """
@@ -53,16 +54,11 @@ __all__ = [
     "selfdual_test",
     "check_monotone",
     "check_uniqueness",
-    "krauss_check",
     "second_identity_check",
     "MonotoneVerdict",
     "UniquenessVerdict",
     "ResidualStats",
 ]
-
-# the difference step of the residual check, as a fraction of the dual
-# ball's radius R: h = FD_STEP_REL * R
-FD_STEP_REL = 1e-4
 
 # check_uniqueness takes every triple up to this many, a seeded sample
 # above; it scans its (point, pair) ratios, and the sample-only Jacobian
@@ -169,8 +165,7 @@ def decompose(
     # a temporary kernel, which regularize frees once L is formed
     hreg = conjugacy.regularize(primal_solver.optimal_kernel(dom, fld, dual.pot), dom, pset)
 
-    h = FD_STEP_REL * pset.radius
-    g1 = residual_gradients(hreg, sigma.sigma, h)
+    g1 = residual_gradients(hreg, sigma.sigma)
     res1 = ResidualStats(np.linalg.norm(fld.values - g1, axis=1))
     res2 = ResidualStats(res1.values[sigma.sigma])
 
@@ -186,14 +181,14 @@ def decompose(
 
     tolerances = {
         "eps_primal": primal_solver.EPS_PRIMAL,
-        "fd_step": h,
+        "fd_step": hreg.fd_step,
         "mesh": dom.mesh,
         "radius": pset.radius,
         "radius_margin": RADIUS_MARGIN,
         "tol_reg": hreg.tol_reg,
         "pset_covering_radius": hreg.covering_radius,
         "pset_size": pset.m,
-        "residual_scale_factor": res1.median / (h + dom.mesh),
+        "residual_scale_factor": res1.median / (hreg.fd_step + dom.mesh),
         "dual_bound": dual.bound,
         "certificate": dual.certificate,
         "primal_iterations": 0,  # no iterative primal; a key the benchmark reads
@@ -394,41 +389,19 @@ def check_uniqueness(
     return UniquenessVerdict(verdict, min_ratio, med, witness)
 
 
-def krauss_check(
-    dom: DiscreteDomain,
-    fld: SampledField,
-    hreg: RegularHamiltonian,
-    h: float | None = None,
-) -> ResidualStats:
-    """Diagonal gradient identity for monotone fields, u_i ~ grad1 HR(x_i, x_i):
-    second_identity_check at the identity, where both identities agree.
-
-    Refuses non-monotone fields: the identity-diagonal representation is
-    only available for monotone maps.
-    """
-    verdict = check_monotone(dom, fld)
-    if verdict.verdict == "non-monotone":
-        raise ValueError(
-            "field is not monotone; the diagonal representation does not apply "
-            f"(worst pair {verdict.worst_pair}, pairing {verdict.min_pairing:.3e})"
-        )
-    return second_identity_check(dom, fld, hreg, Involution.identity(dom.n), h)
-
-
 def second_identity_check(
     dom: DiscreteDomain,
     fld: SampledField,
     hreg: RegularHamiltonian,
     s: Involution,
-    h: float | None = None,
 ) -> ResidualStats:
     """Residuals of u_{s(i)} + grad2 HR(x_{s(i)}, x_i): those of the first
-    identity, u_i - grad1 HR(x_{s(i)}, x_i), read at s(i)."""
+    identity, u_i - grad1 HR(x_{s(i)}, x_i), read at s(i), at the step
+    hreg.fd_step."""
     check_pairing(dom, fld)
     if s.n != dom.n:
         raise ValueError("involution length does not match domain")
     if not np.array_equal(hreg.dom.points, dom.points):
         raise ValueError("hamiltonian was built on another grid")
-    h = h if h is not None else FD_STEP_REL * hreg.pset.radius
-    g1 = residual_gradients(hreg, s.sigma, h)
+    g1 = residual_gradients(hreg, s.sigma)
     return ResidualStats(np.linalg.norm(fld.values - g1, axis=1)[s.sigma])

@@ -125,9 +125,7 @@ def optimal_kernel(dom: DiscreteDomain, fld: SampledField, pot: np.ndarray):
     return AntiSymmetricKernel(k)
 
 
-def primal_converged(cert: DualityCertificate, bound: float, eps_rel: float = EPS_PRIMAL) -> bool:
+def primal_converged(cert: DualityCertificate, bound: float) -> bool:
     """Whether the certificate's P meets the assignment bound:
-    P - bound <= eps_rel * |P| + cert.floor."""
-    if not (np.isfinite(eps_rel) and eps_rel > 0):
-        raise ValueError("eps_rel must be positive and finite")
-    return cert.primal_value - bound <= eps_rel * abs(cert.primal_value) + cert.floor
+    P - bound <= EPS_PRIMAL * |P| + cert.floor."""
+    return cert.primal_value - bound <= EPS_PRIMAL * abs(cert.primal_value) + cert.floor

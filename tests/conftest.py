@@ -82,6 +82,24 @@ def shifted_dual(dom, fld, s) -> float:
     return float(norms - 2 * dual_objective(dom, fld, s))
 
 
+def lagrangian(kernel, dom, p):
+    """Kernel Lagrangian L(x_i, p) = max_j <x_j, p> - K[j, i] at a single
+    slope p, for every i: the value vector and the attaining grid index per
+    i, smallest index on ties."""
+    p = np.asarray(p, dtype=float).reshape(dom.dim)
+    scores = (dom.points @ p)[:, None] - kernel.matrix  # [j, i]
+    return scores.max(axis=0), scores.argmax(axis=0)
+
+
+def rotation_permutation(dom) -> np.ndarray:
+    """Index permutation of the quarter turn (x1, x2) -> (x2, -x1), found as
+    the library's swap_permutation finds its map (so -0.0 finds 0.0)."""
+    if dom.dim != 2:
+        raise ValueError("rotation map needs a planar grid")
+    targets = np.stack([dom.points[:, 1], -dom.points[:, 0]], axis=1)
+    return sd.domain._index_of_points(dom, targets)
+
+
 def random_kernel(rng, n: int, scale: float = 1.0) -> sd.AntiSymmetricKernel:
     return sd.AntiSymmetricKernel(scale * np.triu(rng.normal(size=(n, n)), k=1))
 
@@ -101,8 +119,8 @@ def field_lagrangian(dom, fld, kernel):
 
 def closed_form_primal(dom, fld):
     """(kernel, P, converged): the optimal kernel from the assignment
-    potentials, its value and the convergence test at its default
-    eps_rel, EPS_PRIMAL, as the primal subcommand takes them."""
+    potentials, its value and the convergence test, as the primal
+    subcommand takes them."""
     _, pot, bound = sd.assignment_relaxation(dom, fld)
     kernel = sd.optimal_kernel(dom, fld, pot)
     cert = kernel_certificate(dom, fld, kernel)

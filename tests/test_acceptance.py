@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 import selfdual as sd
-from selfdual.conjugacy import lagrangian
-from selfdual.domain import rotation_permutation
 from selfdual.dual_solver import (
     dual_objective,
     solve_brute,
@@ -29,10 +27,12 @@ from selfdual.primal_solver import (
 
 from conftest import (
     closed_form_primal,
+    lagrangian,
     monotone_problem,
     random_involution,
     random_kernel,
     random_problem,
+    rotation_permutation,
     sincos_problem,
     symmetric_transport_cost,
     tent_problem,

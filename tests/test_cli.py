@@ -2,12 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import selfdual as sd
-from selfdual import cli, domain, dual_solver, factorize, fields, primal_solver
+from selfdual import cli, conjugacy, domain, dual_solver, factorize, fields, primal_solver
 from selfdual.domain import write_field_csv
 
 from conftest import BAD_PERMUTATIONS, closed_form_primal
@@ -192,6 +193,41 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert f"{command} does not read config keys {sorted(keys)}" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, problem, key, text",
+        [
+            ("dual", "builtin", "domain", '{"kind": "interval", "bounds": [0, 9], "cells": 3}'),
+            ("decompose", "field", "params", "{}"),
+            ("dual", "field", "n", "2"),
+            ("verify", "field", "n", "64"),
+        ],
+        ids=["builtin-domain", "field-params", "field-n", "field-default-n"],
+    )
+    def test_problem_key_the_problem_does_not_read_exits_2(
+        self, tmp_path, monkeypatch, capsys, command, problem, key, text
+    ):
+        # a builtin sets its own grid and a field file takes its grid from
+        # --domain, so the other kind's keys would be ignored; they are
+        # refused, as a flag and as a config key, even at the default n
+        monkeypatch.chdir(tmp_path)
+        spec = {"kind": "interval", "bounds": [0, 1], "cells": 2}
+        write_field_csv("f.csv", sd.interval_grid(0.0, 1.0, 2), sd.SampledField([[0.5], [0.25]]))
+        if problem == "builtin":
+            cfg = {"builtin": "sincos", "n": 4}
+            base = ["--builtin", "sincos", "--n", "4"]
+        else:
+            cfg = {"field_csv": "f.csv", "domain": spec}
+            base = ["--field", "f.csv", "--domain", json.dumps(spec)]
+        assert run_cli([command, *base, "--out", "r.json"]) == 0
+        Path("r.json").unlink()
+        message = f"a --{problem} problem does not read {[key]}"
+        assert run_cli([command, *base, f"--{key}", text, "--out", "r.json"]) == 2
+        assert message in capsys.readouterr().err
+        Path("cfg.json").write_text(json.dumps({**cfg, key: json.loads(text)}))
+        assert run_cli([command, "--config", "cfg.json", "--out", "r.json"]) == 2
+        assert message in capsys.readouterr().err
+        assert not Path("r.json").exists()
 
     @pytest.mark.parametrize(
         "command, key",
@@ -433,6 +469,18 @@ class TestRunDecompose:
         assert f"field csv {fcsv} is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("coordinate", ["nan", "inf"])
+    def test_non_finite_field_point_exits_2(self, tmp_path, capsys, coordinate):
+        # a NaN point passed the comparison with the grid, and dual printed
+        # a D for it
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text(f"x0,u0\n{coordinate},0.5\n0.75,0.25\n")
+        spec = '{"kind": "interval", "bounds": [0, 1], "cells": 2}'
+        out = tmp_path / "r.json"
+        assert run_cli(["dual", "--field", str(fcsv), "--domain", spec, "--out", str(out)]) == 2
+        assert f"field file {fcsv} has a non-finite point coordinate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_mismatch_exits_2(self, tmp_path):
         dom = sd.interval_grid(0.0, 1.0, 12)
         fld = sd.sample_field(dom, lambda x: x)
@@ -444,6 +492,18 @@ class TestRunDecompose:
 
 
 class TestVerify:
+    def test_large_non_monotone_field_stays_non_monotone(self, tmp_path):
+        # u = -(swap(x) + x) 1e155 pairs to -1e155 (dx_1 + dx_2)^2; squaring
+        # its entries overflows, so check_monotone's allowance reads the
+        # overflow-safe radii, and verify reports the verdict
+        dom = domain.box_grid([(0, 1), (0, 1)], [2, 2])
+        fcsv, out = tmp_path / "f.csv", tmp_path / "v.json"
+        write_field_csv(fcsv, dom, sd.SampledField(-(dom.points[:, ::-1] + dom.points) * 1e155))
+        spec = {"kind": "box", "bounds": [[0, 1], [0, 1]], "cells": [2, 2]}
+        argv = ["verify", "--field", str(fcsv), "--domain", json.dumps(spec), "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert json.loads(out.read_text())["monotone"] == "non-monotone"
+
     @pytest.mark.parametrize(
         "bounds, cells, scale, message",
         [
@@ -574,8 +634,9 @@ class TestVerify:
         assert "selfdual_verdict" in json.loads(by_file.read_text())
 
     def test_fd_step_rel_sets_residual_step(self, tmp_path):
-        # verify's step is factorize.FD_STEP_REL times the dual ball's radius,
-        # second_identity_check's default; another step moves the residuals
+        # verify's step is the Hamiltonian's fd_step, conjugacy.FD_STEP_REL
+        # times the dual ball's radius; another step, set on the Hamiltonian,
+        # moves the residuals
         sigma_file = tmp_path / "refl.json"
         sigma_file.write_text(json.dumps(list(range(15, -1, -1))))
         out = tmp_path / "v.json"
@@ -588,8 +649,10 @@ class TestVerify:
         pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(sd.make_kernel(dom, bf.hamiltonian), dom, pset)
         reversal = sd.Involution.reversal(16)
-        for h in (factorize.FD_STEP_REL * pset.radius, 0.05 * pset.radius):
-            res2 = sd.second_identity_check(dom, fld, hreg, reversal, h)
+        assert hreg.fd_step == conjugacy.FD_STEP_REL * pset.radius
+        for h in (hreg.fd_step, 0.05 * pset.radius):
+            hreg.fd_step = h
+            res2 = sd.second_identity_check(dom, fld, hreg, reversal)
             same = payload["residual2"] == {"median": res2.median, "max": res2.max}
             assert same == (h < 0.05 * pset.radius)
 

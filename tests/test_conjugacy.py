@@ -15,7 +15,6 @@ from selfdual import conjugacy, domain, fields
 from selfdual.conjugacy import (
     grad1,
     grad2,
-    lagrangian,
     regularize,
     residual_gradients,
 )
@@ -23,6 +22,7 @@ from selfdual.conjugacy import (
 from conftest import (
     field_lagrangian,
     kernel_certificate,
+    lagrangian,
     odd_cycle_problem,
     random_problem,
     sincos_problem,
@@ -220,7 +220,11 @@ class TestRegularize:
         hreg, kernel, pset = sincos64_hreg
         mu = dom.cell_measure
         lvals, _ = field_lagrangian(dom, fld, kernel)
-        lreg = hreg.lagrangian_of(dom.points, fld.values)
+        # L_HR(x_b, u_b) = max over grid j of <x_j, u_b> - HR(x_j, x_b),
+        # off one batch of the n^2 grid pairs, [b, j] = HR(x_j, x_b)
+        grid, n = dom.points, dom.n
+        hg = hreg(np.tile(grid, (n, 1)), np.repeat(grid, n, axis=0)).reshape(n, n)
+        lreg = (fld.values @ grid.T - hg).max(axis=1)
         assert (lreg * mu).sum() <= (lvals * mu).sum() + 1e-6
         # pointwise version is exact up to rounding at data slopes
         assert (lreg - lvals).max() <= 1e-9
@@ -369,14 +373,13 @@ class TestGradients:
         hreg, *_ = sincos64_hreg
         with pytest.raises(ValueError):
             grad1(hreg, [0.5], [0.5], 0.0)
-        with pytest.raises(ValueError):
-            residual_gradients(hreg, np.arange(hreg.dom.n), 0.0)
 
 
-def fd_residual_gradients(hreg, perm, h):
-    """grad1 at (x_{perm(i)}, x_i) through the general evaluator."""
+def fd_residual_gradients(hreg, perm):
+    """grad1 at (x_{perm(i)}, x_i) through the general evaluator, at the
+    Hamiltonian's step."""
     grid = hreg.dom.points
-    return np.atleast_2d(grad1(hreg, grid[perm], grid, h))
+    return np.atleast_2d(grad1(hreg, grid[perm], grid, hreg.fd_step))
 
 
 def builtin_problem(name, n):
@@ -392,9 +395,9 @@ def pair_swap(n):
     return sigma
 
 
-def assert_shared_pass_matches(hreg, perm, h):
-    got = residual_gradients(hreg, perm, h)
-    assert np.array_equal(got, fd_residual_gradients(hreg, perm, h))
+def assert_shared_pass_matches(hreg, perm):
+    got = residual_gradients(hreg, perm)
+    assert np.array_equal(got, fd_residual_gradients(hreg, perm))
 
 
 def assert_second_is_first_permuted(rep, fld):
@@ -436,9 +439,8 @@ class TestResidualGradients:
         dom, fld, bf = builtin_problem(name, n)
         rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         assert_second_is_first_permuted(rep, fld)
-        h = rep.tolerances["fd_step"]
         for perm in (np.arange(dom.n), rep.sigma.sigma, three_cycle(dom.n)):
-            assert_shared_pass_matches(rep.hamiltonian, perm, h)
+            assert_shared_pass_matches(rep.hamiltonian, perm)
 
     # (3, 6, 0) and (3, 5, 5) fail when the 1 + 2d shifted grids share one
     # matrix product: its edge tiles round some rows without FMA
@@ -451,20 +453,18 @@ class TestResidualGradients:
         dom, fld = random_problem(np.random.default_rng(seed), n, d)
         rep = sd.decompose(dom, fld)
         assert_second_is_first_permuted(rep, fld)
-        h = rep.tolerances["fd_step"]
         if (d, n, seed) == (3, 16, 4):
             assert rep.dual.certificate == "kept-graph-exact"
         perms = (np.arange(n), pair_swap(n), rep.sigma.sigma, three_cycle(n))
         for perm in perms:
-            assert_shared_pass_matches(rep.hamiltonian, perm, h)
+            assert_shared_pass_matches(rep.hamiltonian, perm)
 
     def test_odd_cycle_bit_identical(self):
         dom, fld = odd_cycle_problem()
         rep = sd.decompose(dom, fld)
         assert rep.dual.certificate == "kept-graph-exact"
-        h = rep.tolerances["fd_step"]
         for perm in (np.arange(3), pair_swap(3), rep.sigma.sigma):
-            assert_shared_pass_matches(rep.hamiltonian, perm, h)
+            assert_shared_pass_matches(rep.hamiltonian, perm)
 
     @pytest.mark.parametrize(
         "problem",
@@ -491,13 +491,13 @@ class TestResidualGradients:
             fallback_cloud(),
         ):
             rep = sd.decompose(dom, sd.SampledField(scale * fld.values))
-            h = rep.tolerances["fd_step"]
             for perm in (np.arange(dom.n), rep.sigma.sigma):
-                assert_shared_pass_matches(rep.hamiltonian, perm, h)
+                assert_shared_pass_matches(rep.hamiltonian, perm)
 
-    # h = R: 98-100 % of the pieces lie in the window; h = 1e-12 R and
-    # 1e-300 R: the window is 2 h R_p plus the rounding allowance, and at
-    # 1e-300 R the allowance is nearly all of it
+    # the window at steps no caller takes, set on the Hamiltonian: h = R:
+    # 98-100 % of the pieces lie in the window; h = 1e-12 R and 1e-300 R:
+    # the window is 2 h R_p plus the rounding allowance, and at 1e-300 R
+    # the allowance is nearly all of it
     @pytest.mark.parametrize("step", [1.0, 1e-12, 1e-300])
     def test_extreme_steps_bit_identical(self, step):
         for dom, fld in (
@@ -508,8 +508,9 @@ class TestResidualGradients:
         ):
             rep = sd.decompose(dom, fld)
             hreg = rep.hamiltonian
+            hreg.fd_step = step * hreg.pset.radius
             for perm in (np.arange(dom.n), rep.sigma.sigma):
-                assert_shared_pass_matches(hreg, perm, step * hreg.pset.radius)
+                assert_shared_pass_matches(hreg, perm)
 
     @pytest.mark.parametrize("step", [1e-300, 1e-320])
     def test_margin_keeps_rounding_allowance(self, step):
@@ -529,7 +530,8 @@ class TestResidualGradients:
                 dom.points @ hreg.pset.pts.T - t0,  # the pieces of HB
             )
             scale = max(float(np.abs(a).max()) for a in pieces)
-            tau = conjugacy._candidate_margin(hreg, step * hreg.pset.radius)
+            hreg.fd_step = step * hreg.pset.radius
+            tau = conjugacy._candidate_margin(hreg)
             assert tau >= 8 * np.spacing(scale)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -539,20 +541,20 @@ class TestResidualGradients:
             random_problem(np.random.default_rng(5), n, 2),
         ):
             rep = sd.decompose(dom, fld)
-            h = rep.tolerances["fd_step"]
             for perm in (np.arange(n), pair_swap(n), rep.sigma.sigma):
-                assert_shared_pass_matches(rep.hamiltonian, perm, h)
+                assert_shared_pass_matches(rep.hamiltonian, perm)
 
     def test_small_blocks_bit_identical(self, monkeypatch):
         # one-row test blocks and groups closed after every block
         dom, fld, bf = builtin_problem("matrix", 36)
         rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         hreg, perm = rep.hamiltonian, rep.sigma.sigma
-        for h in (rep.tolerances["fd_step"], 0.1 * hreg.pset.radius):
-            want = residual_gradients(hreg, perm, h)
+        for h in (hreg.fd_step, 0.1 * hreg.pset.radius):
+            hreg.fd_step = h
+            want = residual_gradients(hreg, perm)
             monkeypatch.setattr(domain, "ROW_BLOCK", 1)
             monkeypatch.setattr(conjugacy, "_GROUP_BUDGET", 1)
-            got = residual_gradients(hreg, perm, h)
+            got = residual_gradients(hreg, perm)
             monkeypatch.undo()
             assert np.array_equal(got, want)
 
@@ -566,7 +568,7 @@ class TestResidualGradients:
         else:
             dom, fld = builtin_problem("matrix", 36)[:2]
         hreg = sd.decompose(dom, fld).hamiltonian
-        (n, m), h = hreg._xp.shape, 1e-4 * hreg.pset.radius
+        n, m = hreg._xp.shape
         blocks, maxplus = [], conjugacy._maxplus
 
         def spy(a, b, *args, **kw):
@@ -575,15 +577,15 @@ class TestResidualGradients:
             return maxplus(a, b, *args, **kw)
 
         for perm in (np.arange(n), three_cycle(n), pair_swap(n)):
-            want = residual_gradients(hreg, perm, h).tobytes()
+            want = residual_gradients(hreg, perm).tobytes()
             if np.array_equal(perm, np.arange(n)):
-                assert want == fd_residual_gradients(hreg, perm, h).tobytes()
+                assert want == fd_residual_gradients(hreg, perm).tobytes()
             for rows in (1, 3, n):  # d = 1 reads the first, d = 2 the second
                 monkeypatch.setattr(domain, "ROW_BLOCK", rows * m)
                 monkeypatch.setattr(conjugacy, "_BIDUAL_BLOCKS", -(-n // rows))
                 monkeypatch.setattr(conjugacy, "_maxplus", spy)
                 blocks.clear()
-                assert residual_gradients(hreg, perm, h).tobytes() == want
+                assert residual_gradients(hreg, perm).tobytes() == want
                 assert blocks == [rows] * (n // rows)
             monkeypatch.undo()
 
@@ -592,7 +594,7 @@ class TestResidualGradients:
         n = hreg.dom.n
         for perm in (np.arange(n - 1), np.arange(n + 1), np.arange(n).reshape(2, -1)):
             with pytest.raises(ValueError, match="permutation"):
-                residual_gradients(hreg, perm, 1e-4)
+                residual_gradients(hreg, perm)
 
     def test_repeated_or_foreign_index_rejected(self, sincos64_hreg):
         hreg = sincos64_hreg[0]
@@ -602,7 +604,7 @@ class TestResidualGradients:
         out_of_range, floats = np.arange(1, n + 1), np.arange(n) + 0.0
         for perm in (repeated, out_of_range, np.arange(n) - 1, floats):
             with pytest.raises(ValueError, match="permutation"):
-                residual_gradients(hreg, perm, 1e-4)
+                residual_gradients(hreg, perm)
 
     # the dense pass over 1 + 2d bidual tables peaked at 4.02 and 0.94 MB,
     # the sparse pass with its 2d shifted products held together at 2.55
@@ -619,11 +621,11 @@ class TestResidualGradients:
     def test_peak_memory_below_dense_pass(self, name, n, peak_mb):
         dom, fld, bf = builtin_problem(name, n)
         rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
-        hreg, h = rep.hamiltonian, rep.tolerances["fd_step"]
+        hreg = rep.hamiltonian
         gc.collect()
         tracemalloc.start()
         try:
-            residual_gradients(hreg, rep.sigma.sigma, h)
+            residual_gradients(hreg, rep.sigma.sigma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -646,10 +648,11 @@ class TestResidualGradients:
                 yield group
 
         monkeypatch.setattr(conjugacy, "_candidate_groups", counted)
-        for h in (rep.tolerances["fd_step"], 0.05 * hreg.pset.radius):
+        for h in (hreg.fd_step, 0.05 * hreg.pset.radius):
+            hreg.fd_step = h
             for perm in (np.arange(n), rep.sigma.sigma):
                 groups.clear()
-                assert_shared_pass_matches(hreg, perm, h)
+                assert_shared_pass_matches(hreg, perm)
                 assert groups.count(m) >= 3
 
 

@@ -18,12 +18,17 @@ from selfdual.domain import (
     build_grid,
     check_permutation,
     read_field_csv,
-    rotation_permutation,
     swap_permutation,
     write_field_csv,
 )
 
-from conftest import BAD_PERMUTATIONS, monotone_problem, random_problem, sincos_problem
+from conftest import (
+    BAD_PERMUTATIONS,
+    monotone_problem,
+    random_problem,
+    rotation_permutation,
+    sincos_problem,
+)
 
 
 class TestBuildGrid:
@@ -276,7 +281,7 @@ PERMUTATION_READERS = {
         sd.AntiSymmetricKernel(np.zeros((dom.n, dom.n))), s
     ),
     "residual_gradients": lambda dom, fld, s: sd.residual_gradients(
-        _zero_hamiltonian(dom, fld), s, 1e-4
+        _zero_hamiltonian(dom, fld), s
     ),
 }
 

@@ -9,27 +9,26 @@ import numpy as np
 import pytest
 
 import selfdual as sd
-from selfdual import domain, dual_solver, factorize, fields
-from selfdual.domain import box_grid, rotation_permutation, swap_permutation
+from selfdual import conjugacy, domain, dual_solver, factorize, fields
+from selfdual.domain import box_grid, swap_permutation
 from selfdual.factorize import (
     UniquenessVerdict,
     _estimate_jacobians,
     check_monotone,
     check_uniqueness,
     decompose,
-    krauss_check,
     second_identity_check,
     selfdual_test,
 )
 
 from conftest import (
-    kernel_certificate,
     matrix_problem,
     monotone_problem,
     odd_cycle_problem,
     random_involution,
     random_kernel,
     random_problem,
+    rotation_permutation,
     sincos_problem,
     tent_problem,
 )
@@ -160,8 +159,7 @@ class TestDecompose:
         cert = sd.weak_duality(dom, fld, kernel, rep.sigma)
         assert rep.gap.hex() == cert.gap.hex()
         assert rep.complementarity.tobytes() == cert.slack.tobytes()
-        eps = rep.tolerances["eps_primal"]
-        converged = sd.primal_converged(cert, rep.dual.bound, eps)
+        converged = sd.primal_converged(cert, rep.dual.bound)
         assert rep.tolerances["primal_converged"] is converged is True
 
     def test_sincos(self):
@@ -207,7 +205,8 @@ class TestDecompose:
         assert np.array_equal(rep.sigma.sigma, np.arange(16))
         assert rep.monotone.verdict == "strictly-monotone"
         assert rep.uniqueness.verdict == "unique"
-        stats = krauss_check(dom, fld, rep.hamiltonian)
+        # the diagonal identity u_i ~ grad1 HR(x_i, x_i) of a monotone field
+        stats = second_identity_check(dom, fld, rep.hamiltonian, sd.Involution.identity(16))
         h = rep.tolerances["fd_step"]
         assert stats.median <= 10 * (h + dom.mesh)
 
@@ -277,13 +276,9 @@ class TestDecompose:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_settings_rejected(self, value):
         dom, fld = monotone_problem(8)
-        zero = sd.AntiSymmetricKernel(np.zeros((8, 8)))
-        for make in (
-            lambda: sd.primal_converged(kernel_certificate(dom, fld, zero), 0.0, value),
-            lambda: sd.build_dual_points(dom, fld, margin=value),
-        ):
-            with pytest.raises(ValueError, match="finite"):
-                make()
+        # the margin is the one of these a library call still sets
+        with pytest.raises(ValueError, match="finite"):
+            sd.build_dual_points(dom, fld, margin=value)
 
     def test_brute_path_on_small_instance(self):
         # the brute enumerator is an oracle, no longer a path of decompose
@@ -348,14 +343,30 @@ class TestDecompose:
         assert not hasattr(sd, "PipelineConfig")
         assert not hasattr(factorize, "PipelineConfig")
 
+    def test_checks_take_no_step_or_tolerance(self):
+        # the residual step is the Hamiltonian's fd_step and the tolerance
+        # EPS_PRIMAL; the diagonal check is second_identity_check at the identity
+        def params(f):
+            return list(inspect.signature(f).parameters)
+
+        assert params(sd.residual_gradients) == ["hreg", "perm"]
+        assert params(second_identity_check) == ["dom", "fld", "hreg", "s"]
+        assert params(sd.primal_converged) == ["cert", "bound"]
+        for name in ("krauss_check", "FD_STEP_REL"):
+            assert not hasattr(factorize, name) and not hasattr(sd, name)
+
     def test_report_config_holds_the_constants(self):
         dom, fld = sincos_problem(16)
-        config = decompose(dom, fld).to_dict()["config"]
+        rep = decompose(dom, fld)
+        config = rep.to_dict()["config"]
         assert config["eps_primal"] == 1e-6 == sd.primal_solver.EPS_PRIMAL
         assert config["radius_margin"] == 0.05 == domain.RADIUS_MARGIN
         assert config["seed"] == 0 and type(config["seed"]) is int
-        assert config["fd_step"] == 1e-4 * config["radius"]
-        assert factorize.FD_STEP_REL == 1e-4
+        # the step is computed once, on the Hamiltonian, and reported as is
+        hreg = rep.hamiltonian
+        step = conjugacy.FD_STEP_REL * hreg.pset.radius
+        assert config["fd_step"].hex() == hreg.fd_step.hex() == step.hex()
+        assert config["radius"] == hreg.pset.radius and conjugacy.FD_STEP_REL == 1e-4
 
 
 class TestSelfdualTest:
@@ -459,7 +470,7 @@ class TestCheckMonotone:
         hreg = sd.decompose(dom, sd.SampledField(dom.points)).hamiltonian
         calls = [
             lambda: check_monotone(dom, fld),
-            lambda: krauss_check(dom, fld, hreg),
+            lambda: second_identity_check(dom, fld, hreg, sd.Involution.identity(4)),
             lambda: decompose(dom, fld),
             lambda: dual_solver.solve(dom, fld),
             lambda: sd.pairing(dom, fld),
@@ -497,13 +508,6 @@ class TestCheckMonotone:
         v = check_monotone(dom, fld)
         assert v.verdict == "non-monotone"
         assert v.min_pairing == pytest.approx(-s, rel=1e-14)
-
-    def test_krauss_refuses_a_large_non_monotone_field(self):
-        dom = box_grid([(0, 1), (0, 1)], [2, 2])
-        u = -(dom.points[:, ::-1] + dom.points)
-        hreg = sd.decompose(dom, sd.SampledField(u)).hamiltonian
-        with pytest.raises(ValueError, match="not monotone"):
-            krauss_check(dom, sd.SampledField(u * 1e155), hreg)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_allowance_bounds_rounding(self, d):
@@ -865,14 +869,16 @@ class TestUniquenessCertificate:
 
 
 class TestKraussCheck:
+    """The diagonal identity of a monotone field, u_i ~ grad1 HR(x_i, x_i):
+    the second identity at the identity involution."""
+
     def test_quadratic_pair(self):
         dom, fld = monotone_problem(64)
         kernel = sd.make_kernel(dom, lambda x, y: 0.5 * x * x - 0.5 * y * y)
         pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
-        h = 1e-4 * pset.radius
-        stats = krauss_check(dom, fld, hreg, h)
-        assert stats.median <= 10 * (h + dom.mesh)
+        stats = second_identity_check(dom, fld, hreg, sd.Involution.identity(64))
+        assert stats.median <= 10 * (hreg.fd_step + dom.mesh)
 
     def test_gradient_plus_skew_pair(self):
         dom = sd.symmetric_square_grid(1.0, 8)
@@ -883,17 +889,21 @@ class TestKraussCheck:
         )
         pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
-        h = 1e-4 * pset.radius
-        stats = krauss_check(dom, fld, hreg, h)
-        assert stats.median <= 10 * (h + dom.mesh)
+        stats = second_identity_check(dom, fld, hreg, sd.Involution.identity(dom.n))
+        assert stats.median <= 10 * (hreg.fd_step + dom.mesh)
 
     def test_refuses_non_monotone(self):
+        # the diagonal representation is only available for monotone maps:
+        # sincos is not one, and its Hamiltonian misses u on the diagonal
+        # (median 1.15) where it meets it along the reflection (0.019)
         dom, fld = sincos_problem(16)
         kernel = sd.make_kernel(dom, lambda x, y: x * np.sin(y) - y * np.sin(x))
         pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
-        with pytest.raises(ValueError):
-            krauss_check(dom, fld, hreg)
+        assert check_monotone(dom, fld).verdict == "non-monotone"
+        diagonal = second_identity_check(dom, fld, hreg, sd.Involution.identity(16))
+        reflection = second_identity_check(dom, fld, hreg, sd.Involution.reversal(16))
+        assert diagonal.median > 0.5 > 10 * reflection.median
 
     def test_refuses_hamiltonian_of_another_grid(self):
         # the residual gradients are taken at the Hamiltonian's own grid
@@ -902,8 +912,6 @@ class TestKraussCheck:
         kernel = sd.make_kernel(other, lambda x, y: 0.5 * x * x - 0.5 * y * y)
         pset = sd.build_dual_points(other, ofld)
         hreg = sd.regularize(kernel, other, pset)
-        with pytest.raises(ValueError, match="another grid"):
-            krauss_check(dom, fld, hreg)
         with pytest.raises(ValueError, match="another grid"):
             second_identity_check(dom, fld, hreg, sd.Involution.identity(16))
 
@@ -918,15 +926,17 @@ class TestSecondIdentity:
         assert stats.median <= 0.1
 
     def test_monotone_identity_reduces_to_krauss(self):
+        # at the identity the second identity is the diagonal one, u_i ~
+        # grad1 HR(x_i, x_i), to the bit of the general evaluator
         dom, fld = monotone_problem(32)
         kernel = sd.make_kernel(dom, lambda x, y: 0.5 * x * x - 0.5 * y * y)
         pset = sd.build_dual_points(dom, fld)
         hreg = sd.regularize(kernel, dom, pset)
-        h = 1e-4 * pset.radius
-        res2 = second_identity_check(dom, fld, hreg, sd.Involution.identity(32), h)
-        krauss = krauss_check(dom, fld, hreg, h)
-        # same points, second-slot derivative of the sign-flipped evaluator
-        assert res2.median == pytest.approx(krauss.median, abs=10 * (h + dom.mesh))
+        res2 = second_identity_check(dom, fld, hreg, sd.Involution.identity(32))
+        g1 = np.atleast_2d(sd.grad1(hreg, dom.points, dom.points, hreg.fd_step))
+        krauss = np.linalg.norm(fld.values - g1, axis=1)
+        assert res2.values.tobytes() == krauss.tobytes()
+        assert res2.median <= 10 * (hreg.fd_step + dom.mesh)
 
 
 class TestGapTrend:

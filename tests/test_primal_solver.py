@@ -16,6 +16,7 @@ from selfdual.dual_solver import (
     solve_matching,
 )
 from selfdual.primal_solver import (
+    EPS_PRIMAL,
     kernel_cancellation,
     optimal_kernel,
     primal_converged,
@@ -299,19 +300,23 @@ class TestMinimizePrimal:
 
     def test_convergence_floor(self):
         # the floor is 4 (n + d + 2) eps mu (sum_i max_j |C_ij| + sum_i
-        # max_j |K_ji|), to the bit: a value of exactly the floor over the
-        # bound converges and the next float does not (eps_rel far below an ulp)
+        # max_j |K_ji|), to the bit: at P = 0, where EPS_PRIMAL |P| is 0, a
+        # P exactly the floor over the bound converges and the next float
+        # does not
         for n, d in ((1, 1), (9, 1), (12, 2)):
             dom, fld = random_problem(np.random.default_rng([n, d, 7]), n, d=d)
             kernel = optimal_kernel(dom, fld, assignment_relaxation(dom, fld)[1])
             c = sd.pairing(dom, fld)
             scale = np.abs(c).max(axis=1).sum() + np.abs(kernel.matrix).max(axis=0).sum()
             floor = float(4 * (n + d + 2) * np.finfo(float).eps * dom.cell_measure * scale)
-            cert = kernel_certificate(dom, fld, kernel)
-            at_floor = dataclasses.replace(cert, primal_value=floor)
-            past = dataclasses.replace(cert, primal_value=np.nextafter(floor, 1.0))
-            assert primal_converged(at_floor, 0.0, 1e-300)
-            assert not primal_converged(past, 0.0, 1e-300)
+            cert = dataclasses.replace(kernel_certificate(dom, fld, kernel), primal_value=0.0)
+            assert cert.floor == floor
+            assert primal_converged(cert, -floor)
+            assert not primal_converged(cert, -np.nextafter(floor, np.inf))
+            # and at P = 1 the relative part, EPS_PRIMAL |P|, decides
+            one = dataclasses.replace(cert, primal_value=1.0)
+            assert primal_converged(one, 1.0 - 0.5 * EPS_PRIMAL)
+            assert not primal_converged(one, 1.0 - 2.0 * EPS_PRIMAL)
 
     def test_lp_duality_crosscheck(self):
         # the dual of the kernel program is exactly the symmetric doubly
