@@ -1,8 +1,9 @@
 """Self-dual polar factorization of sampled vector fields.
 
 Factor u(x) = grad1 H(S(x), x) at grid scale: S a measure preserving
-involution of equal-measure cells, H an anti-symmetric convex-concave
-Hamiltonian obtained by restricted conjugation of an optimal kernel.
+involution of equal-measure cells, H an anti-symmetric Hamiltonian,
+Lipschitz in each slot with constant max |u_i| but not convex-concave at
+grid scale, obtained by restricted conjugation of an optimal kernel.
 """
 
 from .conjugacy import (

@@ -154,8 +154,10 @@ def _load_problem(cfg: RunConfig):
         return dom, fld, bf
     dom = build_grid(cfg.domain)
     pts, vals = _read(cfg.field_csv, "field", read_field_csv)
-    if not np.isfinite(pts).all():  # a NaN would pass the test against the grid
-        raise ValueError(f"field file {cfg.field_csv} has a non-finite point coordinate")
+    # a NaN point would pass the test against the grid
+    for what, a in (("point coordinate", pts), ("field value", vals)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"field file {cfg.field_csv} has a non-finite {what}")
     if pts.shape != dom.points.shape:
         raise ValueError("field file does not match the domain grid size")
     scale = max(1.0, dom.radius)

@@ -5,8 +5,9 @@ over the grid representatives, suprema over the dual ball run over a
 DualPointSet. That makes every evaluator an exact finite program, and the
 chain of inequalities relating the kernel Lagrangian, its restricted dual
 and bidual, and the regularized Hamiltonian holds exactly (up to floating
-point rounding) at grid and dual-set points. Away from those points the
-defect is controlled by the dual set resolution, reported as ``tol_reg``.
+point rounding) at grid and dual-set points. The dual set holds the
+origin and the field values, the slopes the identity reads
+(domain.build_dual_points).
 
 Notation used throughout, for a kernel K on a domain with points x_j and
 a dual set with points p_k:
@@ -91,9 +92,10 @@ _BIDUAL_BLOCKS = 4
 # _maxplus takes its rows in blocks of at most this many [row, s, c] cells,
 # and a block must stay below decompose's peak, the residual pass. Beside
 # its result a broadcasting call traces np.getbufsize() cells (8192, 64 KiB;
-# fewer in a smaller call) of iteration buffer per operand numpy buffers:
-# one in a one-row call of [1, 196, 325] cells, two in one of [4, 64, 64]
-_MAXPLUS_BUDGET = 1 << 13
+# fewer in a smaller call) of iteration buffer per operand numpy buffers.
+# On matrix-64 (m = 9) a budget of 2^13, two rows of [64, 64] cells, raised
+# the peak from 245,306 to 251,107 B; 2^12 takes one row and does not
+_MAXPLUS_BUDGET = 1 << 12
 # _maxplus shares a product among workers only where each worker's calls
 # hold at least this many cells: on 2 cores, 128-row products took 1.48x
 # the one-worker time with calls of 12288 cells and 0.82x with 16384, and
@@ -191,12 +193,17 @@ def _maxplus_share(a, b, op, out, rows, parts, errors) -> None:
 
 
 class RegularHamiltonian:
-    """Finitely represented convex-concave anti-symmetric Hamiltonian.
+    """Finitely represented anti-symmetric Hamiltonian.
 
     Built from a kernel by restricted double conjugation; evaluable at any
     pair of points in R^d x R^d through nested finite maxima. The
     symmetrized formula makes the sign flip HR(x, y) == -HR(y, x) exact to
-    the last bit.
+    the last bit. HR is Lipschitz in each slot with constant
+    R_p = max |p_k| (max |u_i| for the dual set of the data): HB(x, y) is
+    a max of pieces <x, p_k> - L**(y, p_k), and L**(y, p) a max of pieces
+    affine in y with slopes p_k. It is not convex-concave at grid scale: a
+    max of functions concave in y need not be concave, and 400 seeded
+    midpoint triples at n = 64 find defects up to 0.051 (rotationJ).
     """
 
     def __init__(
@@ -208,9 +215,7 @@ class RegularHamiltonian:
         self.pset = pset
         self._xp = xp
         self.lstar_table = lstar
-        # the dual set's resolution and the residual step, reported with every run
-        self.covering_radius = pset.covering_radius()
-        self.tol_reg = 2.0 * pset.radius * self.covering_radius
+        # the residual step, reported with every run
         self.fd_step = FD_STEP_REL * pset.radius
 
     # -- evaluators --------------------------------------------------
@@ -249,8 +254,12 @@ def regularize(
     """Regularized Hamiltonian of a grid kernel.
 
     The returned object satisfies, exactly up to rounding: the sign flip at
-    every probed pair, the growth bound |HR(x,y)| <= R|x| + R|y| + 4R^2,
-    and L_{HR}(x_i, p) <= L(x_i, p) for grid points and dual-set slopes.
+    every probed pair, the growth bound |HR(x, y)| <= R_p |x - y| (HR is
+    R_p-Lipschitz in each slot and HR(y, y) = 0), and L_{HR}(x_i, p) <=
+    L(x_i, p) for grid points and dual-set slopes (L* <= L and L** <= L
+    there, term by term). R_p = max |p_k| <= R. Both hold for any finite
+    set of slopes, so the dual set is the origin and the field values
+    (domain.build_dual_points), and no point stands in for the ball.
 
     L* is the chain of products L = E^T (x) -K, the [n, n] table E (x) -L,
     then its product with E. A caller that passes the kernel with no
@@ -269,7 +278,6 @@ def regularize(
     a = _maxplus(e, a, np.subtract)
     lstar = np.empty((e.shape[1], e.shape[0]))  # written through its transpose
     _maxplus(a, e, out=lstar.T)
-    del a  # before the covering radius
     return RegularHamiltonian(dom, pset, e, lstar)
 
 

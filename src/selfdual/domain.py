@@ -11,14 +11,12 @@ simply a permutation that squares to the identity.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
 
 __all__ = [
     "DiscreteDomain",
@@ -192,12 +190,14 @@ def pairing(dom: DiscreteDomain, fld: SampledField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualPointSet:
-    """Finite stand-in for the dual ball in all slope suprema.
+    """The finite set of slopes every supremum over the dual ball runs over.
 
-    Contains the origin, every sampled field value and a shell of
-    near-uniform sphere samples at radius R, so suprema attained in the
-    data are exact and sphere-attained suprema are approximable. The
-    points must be finite and R finite and positive.
+    Holds the origin and the sampled field values: the identity reads H
+    only at the slopes u_i, and a max over any finite set of slopes gives
+    an H that is anti-symmetric and Lipschitz with constant max |p_k|
+    (conjugacy.RegularHamiltonian). The points must be finite and lie in
+    the ball of radius R, finite and positive, which sets the residual
+    step (conjugacy.FD_STEP_REL R).
     """
 
     pts: np.ndarray
@@ -212,162 +212,30 @@ class DualPointSet:
             raise ValueError("dual point outside the ball")
         if not (norms == 0).any():
             raise ValueError("dual point set must contain the origin")
-        if norms.max() < 0.99 * self.radius:
-            raise ValueError("dual point set needs a point of norm >= 0.99 R")
         object.__setattr__(self, "pts", pts)
 
     @property
     def m(self) -> int:
         return self.pts.shape[0]
 
-    def covering_radius(self) -> float:
-        """Largest distance from a point of the ball to its nearest point of
-        the set, exact up to rounding in every d: from the sorted points in
-        d = 1, and in d >= 2 from one Delaunay triangulation of the set (see
-        _covering_candidates) and one KD-tree query.
-        """
-        if self.pts.shape[1] == 1:
-            xs = np.sort(self.pts[:, 0])
-            gaps = np.diff(np.concatenate([[-self.radius], xs, [self.radius]]))
-            return float(max(gaps[0], gaps[-1], 0.5 * gaps[1:-1].max()))
-        cands = _covering_candidates(self.pts, self.radius)
-        return float(cKDTree(self.pts).query(cands)[0].max())
 
-
-def _covering_candidates(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Points of the ball |z| <= radius among which one is farthest from the
-    sites pts (d >= 2, the origin among them): the centre of the largest
-    empty sphere centred in the ball (Toussaint, Int. J. Comput. Inf. Sci.
-    12, 1983; Aurenhammer, ACM Comput. Surv. 23, 1991).
-
-    If k + 1 sites are nearest to a farthest point z, z lies on their flat F
-    of equidistant points, where the distance to them is strictly convex. So
-    z is a Voronoi vertex (k = d) inside the ball or lies on the sphere,
-    which F meets around c0, its point nearest the origin, at radius r with
-    r^2 = R^2 - |c0|^2 >= 0 up to rounding. There |z - a|^2 = R^2 + |a|^2 -
-    2 <z, a> is extreme at c0 +- r P_V a / |P_V a|, P_V projecting onto F's
-    directions, or constant if P_V a = 0. No cell (k = 0) holds z, as the
-    origin is a site. Only faces whose Voronoi face can reach the sphere are
-    kept: a simplex holding the face has its circumcentre outside the ball,
-    or the face is on the hull.
+def build_dual_points(dom: DiscreteDomain, fld: SampledField) -> DualPointSet:
+    """Assemble {0} + sampled field values, duplicates dropped, in the ball
+    of radius R = (1 + RADIUS_MARGIN) * max(domain radius, field radius),
+    which holds the domain and the field values.
     """
-    m, d = pts.shape
-    if m > d + 1:
-        # the joggle only picks among the triangulations of cospherical or
-        # affinely dependent sites; candidates come from the unjoggled sites
-        tri = Delaunay(pts, qhull_options="QJ")
-        simplices, hull = tri.simplices, tri.neighbors < 0
-    else:  # too few sites for qhull: one simplex, every face on the hull
-        simplices, hull = np.arange(m)[None, :], np.ones((1, m), dtype=bool)
-    s = simplices.shape[1]
-    centres = _flats(pts, simplices)[0]
-    # NaN for a flat simplex; fewer than d + 1 sites have no vertex
-    inside = (_sq(centres) <= radius * radius) & (s == d + 1)
-    cands = [centres[inside]]
-    for k in range(1, min(s, d)):
-        sub = np.array(list(itertools.combinations(range(s), k + 1)))
-        # the hull facet opposite a vertex outside the face holds it
-        out = (np.arange(s)[:, None, None] != sub).all(axis=2)
-        centre, q = _flats(pts, simplices[:, sub][~inside[:, None] | (hull @ out)])
-        c0 = _span_part(q, centre)
-        r2 = radius * radius - _sq(c0)
-        meets = r2 >= -1e-12 * radius * radius
-        centre, q, c0 = centre[meets], q[meets], c0[meets]
-        r, w = np.sqrt(r2[meets].clip(0)), centre - c0  # w = P_V a
-        zero = _sq(w) <= 1e-24 * _sq(centre)
-        w -= _span_part(q, w)  # twice projected, so in F's directions
-        if zero.any():  # F's longest projected coordinate axis
-            axis = np.eye(d)[(q[zero] ** 2).sum(axis=1).argmin(axis=1)]
-            w[zero] = axis - _span_part(q[zero], axis)
-        step = (r / np.sqrt(_sq(w)))[:, None] * w
-        cands += [c0 + step, c0 - step]
-    return np.vstack(cands)
-
-
-def _flats(pts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Circumcentre of each face (a row of k + 1 site indices) in its affine
-    hull, NaN if the face is affinely dependent up to rounding, and an
-    orthonormal basis [face, k, d] of the hull's directions: Gram-Schmidt,
-    each step projected twice, over the edges e_i = a_i - a_0.
-    """
-    a0 = pts[faces[:, 0]]
-    edges = pts[faces[:, 1:]] - a0[:, None, :]
-    q = np.empty_like(edges)
-    u = np.zeros_like(a0)  # c - a_0 in the span of q[:, :i]
-    for i in range(edges.shape[1]):
-        e = v = edges[:, i]
-        for _ in range(2 if i else 0):
-            v = v - _span_part(q[:, :i], v)
-        ee, vv = _sq(e), _sq(v)
-        nv = np.sqrt(np.where(vv > 1e-24 * ee, vv, np.nan))
-        q[:, i] = v / nv[:, None]
-        # <e_i, q_j> = 0 for j > i, and <e_i, q_i> = |v|
-        u += ((0.5 * ee - np.einsum("fi,fi->f", u, e)) / nv)[:, None] * q[:, i]
-    return a0 + u, q
-
-
-def _span_part(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Projection of each v onto the span of the orthonormal rows q[f]."""
-    return np.einsum("fk,fki->fi", np.einsum("fki,fi->fk", q, v), q)
-
-
-def _sq(v: np.ndarray) -> np.ndarray:
-    """Squared norm of each row."""
-    return np.einsum("fi,fi->f", v, v)
-
-
-def _sphere_samples(dim: int, m: int, radius: float) -> np.ndarray:
-    if dim == 1:
-        return np.array([[-radius], [radius]])
-    if dim == 2:
-        ang = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-        return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    g = np.random.default_rng(0).standard_normal((m, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return radius * g
-
-
-def build_dual_points(
-    dom: DiscreteDomain,
-    fld: SampledField,
-    *,
-    margin: float = RADIUS_MARGIN,
-    sphere_points: int | None = None,
-) -> DualPointSet:
-    """Assemble {0} + sampled field values + sphere shell, duplicates dropped.
-
-    The shell lies on the ball of radius R = (1 + margin) * max(domain
-    radius, field radius), which holds the domain and the field values; the
-    margin keeps suprema off the ball boundary, and the containment
-    invariants only need margin >= 0. The shell has sphere_points samples
-    (default 64 * d; in d >= 3 drawn from seed 0) in d >= 2 and is the two
-    points +-R in d = 1, where a sphere_points is refused.
-    """
-    if not (np.isfinite(margin) and margin >= 0):
-        raise ValueError("margin must be non-negative and finite")
     check_pairing(dom, fld)
-    radius = float((1.0 + margin) * max(dom.radius, fld.field_radius))
-    # tol_reg (2 R times a covering radius up to R) and the covering radius need R^2
+    radius = float((1.0 + RADIUS_MARGIN) * max(dom.radius, fld.field_radius))
+    # with R^2 a normal float, so are the residual step h = FD_STEP_REL R and
+    # FD_STEP_REL R^2, the bound on h R_p in the pass's window (R_p <= R)
     if not np.finfo(float).tiny <= radius * radius < np.inf:
         raise ValueError(
             f"field radius {fld.field_radius:.3e} and domain radius {dom.radius:.3e} "
             f"are out of scale: R = {radius:.3e}, and R^2 is not a normal float"
         )
-    if sphere_points is not None and dom.dim == 1:
-        raise ValueError("sphere_points sets no shell in d = 1, where the shell is +-R")
-    m = 64 * dom.dim if sphere_points is None else int(sphere_points)
-    if m < 1:
-        raise ValueError("need at least one sphere sample")
-    pts = np.vstack(
-        [
-            np.zeros((1, dom.dim)),
-            fld.values,
-            _sphere_samples(dom.dim, m, radius),
-        ]
-    )
+    pts = np.vstack([np.zeros((1, dom.dim)), fld.values])
     _, keep = np.unique(pts, axis=0, return_index=True)
-    pts = pts[np.sort(keep)]
-    return DualPointSet(pts, radius)
+    return DualPointSet(pts[np.sort(keep)], radius)
 
 
 class AntiSymmetricKernel:
@@ -675,7 +543,8 @@ def write_field_csv(path: str | Path, dom: DiscreteDomain, fld: SampledField) ->
 
 
 def read_field_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read points and values back; pairing with a domain is the caller's job."""
+    """Read points and values back; pairing with a domain is the caller's job.
+    A malformed file raises ValueError naming it, and a bad row its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
@@ -683,9 +552,16 @@ def read_field_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"field csv {path} is empty")
         d = sum(1 for c in header if c.startswith("x"))
         if d == 0 or len(header) != 2 * d:
-            raise ValueError("field csv must have columns x0..x{d-1}, u0..u{d-1}")
-        rows = [list(map(float, row)) for row in r if row]
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2 * d:
-        raise ValueError("malformed field csv")
+            raise ValueError(f"field csv {path} must have columns x0..x{{d-1}}, u0..u{{d-1}}")
+        rows = []
+        for row in filter(None, r):
+            try:
+                if len(row) != 2 * d:
+                    raise ValueError(f"{len(row)} columns where the header has {2 * d}")
+                rows.append([float(c) for c in row])
+            except ValueError as exc:
+                raise ValueError(f"malformed field csv {path}, line {r.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"field csv {path} has no rows")
+    data = np.array(rows)
     return data[:, :d], data[:, d:]

@@ -21,9 +21,8 @@ constant.
 decompose takes the field and nothing else. Its step is
 conjugacy.FD_STEP_REL times the dual ball's radius (the Hamiltonian's
 fd_step), whose margin is domain.RADIUS_MARGIN; P is held to the bound
-within primal_solver.EPS_PRIMAL; the shell in d >= 3 and the
-sample of check_uniqueness are drawn from seed 0. The report's config
-records each value.
+within primal_solver.EPS_PRIMAL; the sample of check_uniqueness is
+drawn from seed 0. The report's config records each value.
 """
 
 from __future__ import annotations
@@ -185,8 +184,6 @@ def decompose(
         "mesh": dom.mesh,
         "radius": pset.radius,
         "radius_margin": RADIUS_MARGIN,
-        "tol_reg": hreg.tol_reg,
-        "pset_covering_radius": hreg.covering_radius,
         "pset_size": pset.m,
         "residual_scale_factor": res1.median / (hreg.fd_step + dom.mesh),
         "dual_bound": dual.bound,

@@ -91,6 +91,54 @@ def lagrangian(kernel, dom, p):
     return scores.max(axis=0), scores.argmax(axis=0)
 
 
+def slope_radius(hreg) -> float:
+    """R_p = max |p_k|, HR's Lipschitz constant in each slot."""
+    return float(np.linalg.norm(hreg.pset.pts, axis=1).max())
+
+
+def chain_rounding(hreg, kernel, probe_radius: float) -> float:
+    """A bound on how far any computed value of the regularization chain
+    (L, L*, g, L**, HB, HR, and a Lagrangian read off HR or K) at points of
+    norm at most probe_radius lies from its exact value.
+
+    Every <x, p> is at most A = max(probe_radius, X) R_p in modulus and
+    every value at most S = 4 A + max |K| + max |L*|. Along the longest
+    chain, the Lagrangian of HR, a value passes through at most 10
+    roundings, each within u S (u = eps / 2), and reads at most 8 dot
+    products of length d, each within gamma_d A <= 1.01 d u S. A max adds
+    no error and moves by at most the largest error of its pieces, so the
+    errors add up to at most (4.04 d + 5) eps S, which (5 d + 8) eps S
+    covers.
+    """
+    a = max(probe_radius, hreg.dom.radius) * slope_radius(hreg)
+    lstar = hreg.lstar_table
+    s = 4 * a + np.abs(kernel.matrix).max() + max(lstar.max(), -lstar.min())
+    return float((5 * hreg.dom.dim + 8) * np.finfo(float).eps * s)
+
+
+def lipschitz_quotients(hreg, a, a2, b):
+    """|HR(a, b) - HR(a2, b)| / |a - a2| and the same in the second slot,
+    over the pairs with a != a2."""
+    den = np.linalg.norm(a - a2, axis=1)
+    keep = den > 0
+    a, a2, b, den = a[keep], a2[keep], b[keep], den[keep]
+    return (
+        np.abs(hreg(a, b) - hreg(a2, b)) / den,
+        np.abs(hreg(b, a) - hreg(b, a2)) / den,
+        den,
+    )
+
+
+def lipschitz_allowance(hreg, kernel, probe_radius: float, den):
+    """The largest computed quotient the Lipschitz bound R_p allows at
+    steps den: the two evaluations of a difference are each within e =
+    chain_rounding of exact, and the norms, the difference and the quotient
+    round by at most (d + 4) u relative."""
+    e = chain_rounding(hreg, kernel, probe_radius)
+    d = hreg.dom.dim
+    return (slope_radius(hreg) + 2 * e / den) * (1 + (d + 4) * np.finfo(float).eps)
+
+
 def rotation_permutation(dom) -> np.ndarray:
     """Index permutation of the quarter turn (x1, x2) -> (x2, -x1), found as
     the library's swap_permutation finds its map (so -0.0 finds 0.0)."""

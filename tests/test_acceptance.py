@@ -26,14 +26,18 @@ from selfdual.primal_solver import (
 )
 
 from conftest import (
+    chain_rounding,
     closed_form_primal,
     lagrangian,
+    lipschitz_allowance,
+    lipschitz_quotients,
     monotone_problem,
     random_involution,
     random_kernel,
     random_problem,
     rotation_permutation,
     sincos_problem,
+    slope_radius,
     symmetric_transport_cost,
     tent_problem,
 )
@@ -193,6 +197,8 @@ def test_criterion_6_regularization_suite(sincos64, sincos64_hreg):
     dom, fld = sincos64
     hreg, kernel, pset = sincos64_hreg
     r = pset.radius
+    r_p = slope_radius(hreg)
+    e = chain_rounding(hreg, kernel, 2.3 * r)
     rng = np.random.default_rng(106)
 
     a = rng.uniform(-2 * r, 2 * r, size=(1000, 1))
@@ -200,23 +206,23 @@ def test_criterion_6_regularization_suite(sincos64, sincos64_hreg):
     va = hreg(a, b)
     antisym_ok = np.array_equal(va, -hreg(b, a))
 
-    bound = r * np.abs(a[:, 0]) + r * np.abs(b[:, 0]) + 4 * r * r
-    growth_ok = bool((np.abs(va) <= bound + 1e-9).all())
+    # HR(b, b) = 0 and HR is R_p-Lipschitz, so |HR(a, b)| <= R_p |a - b|
+    bound = r_p * np.abs(a - b)[:, 0] * (1 + 4 * np.finfo(float).eps)
+    growth_ok = bool((np.abs(va) <= bound + e).all())
 
     a2 = a + rng.uniform(-0.3, 0.3, size=a.shape)
-    den = np.abs(a - a2)[:, 0]
-    keep = den > 1e-12
-    quot = np.abs(hreg(a, b) - hreg(a2, b))[keep] / den[keep]
-    lipschitz_ok = bool(quot.max() <= 4 * dom.dim * r + 1e-9)
+    q1, q2, den = lipschitz_quotients(hreg, a, a2, b)
+    allowed = lipschitz_allowance(hreg, kernel, 2.3 * r, den)
+    lipschitz_ok = bool((q1 <= allowed).all() and (q2 <= allowed).all())
 
-    # L_{HR} <= L + tol_reg over grid points and every dual-set slope
+    # L_{HR} <= L over grid points and every dual-set slope, up to rounding
     hg = hreg(
         np.repeat(dom.points, dom.n, axis=0), np.tile(dom.points, (dom.n, 1))
     ).reshape(dom.n, dom.n)  # hg[j, i] = HR(x_j, x_i)
     xp = dom.points @ pset.pts.T  # [j, k]
     lreg = (xp[:, None, :] - hg[:, :, None]).max(axis=0)  # [i, k]
     lh = np.stack([lagrangian(kernel, dom, p)[0] for p in pset.pts], axis=1)
-    lag_ok = bool((lreg - lh).max() <= hreg.tol_reg)
+    lag_ok = bool((lreg - lh).max() <= e)
 
     ok = antisym_ok and growth_ok and lipschitz_ok and lag_ok
     assert verdict(
@@ -224,8 +230,8 @@ def test_criterion_6_regularization_suite(sincos64, sincos64_hreg):
         ok,
         "regularized Hamiltonian: exact sign flip, growth bound, Lipschitz, "
         "Lagrangian domination",
-        f"defect {(lreg - lh).max():.2e} vs tol_reg {hreg.tol_reg:.2e}, "
-        f"max quotient {quot.max():.3f} vs {4 * dom.dim * r:.3f}",
+        f"defect {(lreg - lh).max():.2e} vs rounding {e:.2e}, "
+        f"max quotient {max(q1.max(), q2.max()):.6f} vs R_p {r_p:.6f}",
     )
 
 

@@ -412,7 +412,7 @@ class TestRunDecompose:
         assert code == 0
         rows = dump.read_text().strip().splitlines()
         assert rows[0] == "x0,u0,sx0,residual1"
-        assert rows[1] == "0.03125,0.0625,0.03125,1.0484374999999968"
+        assert rows[1] == "0.03125,0.0625,0.03125,0.03124999999999993"
         assert len(rows) == 17
 
     def test_field_out_of_scale_exits_2(self, tmp_path, capsys):
@@ -480,6 +480,32 @@ class TestRunDecompose:
         assert run_cli(["dual", "--field", str(fcsv), "--domain", spec, "--out", str(out)]) == 2
         assert f"field file {fcsv} has a non-finite point coordinate" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_field_value_exits_2(self, tmp_path, capsys):
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("x0,u0\n0.25,nan\n0.75,0.25\n")
+        spec = '{"kind": "interval", "bounds": [0, 1], "cells": 2}'
+        out = tmp_path / "r.json"
+        assert run_cli(["dual", "--field", str(fcsv), "--domain", spec, "--out", str(out)]) == 2
+        assert f"field file {fcsv} has a non-finite field value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, line, reason",
+        [
+            ("0.25,0.5\n0.75\n", 3, "1 columns where the header has 2"),
+            ("0.25,0.5,1.0\n0.75,0.25\n", 2, "3 columns where the header has 2"),
+            ("0.25,abc\n0.75,0.25\n", 2, "could not convert"),
+        ],
+        ids=["short-row", "long-row", "not-a-number"],
+    )
+    def test_ragged_field_csv_names_file_and_line(self, tmp_path, capsys, body, line, reason):
+        fcsv = tmp_path / "f.csv"
+        fcsv.write_text("x0,u0\n" + body)
+        spec = '{"kind": "interval", "bounds": [0, 1], "cells": 2}'
+        assert run_cli(["dual", "--field", str(fcsv), "--domain", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed field csv {fcsv}, line {line}: {reason}" in err
 
     def test_grid_mismatch_exits_2(self, tmp_path):
         dom = sd.interval_grid(0.0, 1.0, 12)

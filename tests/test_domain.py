@@ -1,5 +1,4 @@
 import gc
-import itertools
 import json
 import math
 import tracemalloc
@@ -12,8 +11,6 @@ from hypothesis import strategies as st
 import selfdual as sd
 from selfdual import domain, factorize, fields
 from selfdual.domain import (
-    _covering_candidates,
-    _flats,
     box_grid,
     build_grid,
     check_permutation,
@@ -24,6 +21,7 @@ from selfdual.domain import (
 
 from conftest import (
     BAD_PERMUTATIONS,
+    matrix_problem,
     monotone_problem,
     random_problem,
     rotation_permutation,
@@ -351,13 +349,15 @@ class TestPairing:
 class TestBallAndDualPoints:
     def test_radius_dominates(self):
         dom, fld = sincos_problem(16)
-        pset = sd.build_dual_points(dom, fld, margin=0.05)
+        pset = sd.build_dual_points(dom, fld)
         assert pset.radius >= dom.radius and pset.radius >= fld.field_radius
 
     @pytest.mark.parametrize("margin", [0.0, 0.05, 0.2])
-    def test_radius_is_the_margin_over_both_radii(self, margin):
+    def test_radius_is_the_margin_over_both_radii(self, margin, monkeypatch):
+        # build_dual_points reads domain.RADIUS_MARGIN as it is called
+        monkeypatch.setattr(domain, "RADIUS_MARGIN", margin)
         for dom, fld in (sincos_problem(16), random_problem(np.random.default_rng(5), 9, d=2)):
-            pset = sd.build_dual_points(dom, fld, margin=margin)
+            pset = sd.build_dual_points(dom, fld)
             assert pset.radius == (1 + margin) * max(dom.radius, fld.field_radius)
 
     def test_radii_are_the_plain_row_norms_on_builtins(self):
@@ -376,12 +376,13 @@ class TestBallAndDualPoints:
         big = sd.DiscreteDomain(pts, 1.0, 2, 0.0)
         assert big.radius == np.ldexp(dom.radius, power)
         assert sd.SampledField(vals).field_radius == np.ldexp(fld.field_radius, power)
-        # the norm checks of a dual set see its points at that scale
+        # the norm checks of a dual set see its points at that scale; its
+        # farthest point is the largest field value
         pset = sd.build_dual_points(dom, fld)
         pts, radius = np.ldexp(pset.pts, power), np.ldexp(pset.radius, power)
         sd.DualPointSet(pts, radius)
         with pytest.raises(ValueError, match="outside the ball"):
-            sd.DualPointSet(pts, 0.9 * radius)
+            sd.DualPointSet(pts, 0.9 * np.ldexp(fld.field_radius, power))
 
     @pytest.mark.parametrize("power", [-600, 600])
     def test_radius_whose_square_leaves_the_floats_rejected(self, power):
@@ -392,184 +393,39 @@ class TestBallAndDualPoints:
 
     @pytest.mark.parametrize("margin", [math.nan, math.inf, -0.01])
     def test_bad_margin_rejected(self, margin):
+        # the margin is the module constant RADIUS_MARGIN, no parameter
         dom, fld = sincos_problem(8)
-        with pytest.raises(ValueError, match="margin"):
+        with pytest.raises(TypeError, match="margin"):
             sd.build_dual_points(dom, fld, margin=margin)
 
     def test_settings_are_keywords(self):
+        # build_dual_points takes the problem and nothing else
         dom, fld = sincos_problem(8)
         with pytest.raises(TypeError):
             sd.build_dual_points(dom, fld, 0.05)
 
-    def test_dual_point_invariants(self):
-        dom, fld = sincos_problem(16)
-        pset = sd.build_dual_points(dom, fld)
-        norms = np.linalg.norm(pset.pts, axis=1)
-        assert norms.max() <= pset.radius * (1 + 1e-12)
-        assert norms.max() >= 0.99 * pset.radius
-        assert (norms == 0).any()
-        for u in fld.values:
-            assert (pset.pts == u).all(axis=1).any()
-
-    def test_covering_radius_1d(self):
-        pset = sd.DualPointSet(np.array([[-1.0], [0.0], [1.0]]), 1.0)
-        assert pset.covering_radius() == pytest.approx(0.5)
-
-    def test_covering_radius_2d_closed_form(self):
-        # the point of the disk farthest from the origin and 32 unit-circle
-        # points is the circumcentre of the origin and two neighbours, at
-        # 1 / (2 cos(pi/32)) from each
-        ang = 2 * np.pi * np.arange(32) / 32
-        pts = np.vstack([[[0.0, 0.0]], np.stack([np.cos(ang), np.sin(ang)], axis=1)])
-        pset = sd.DualPointSet(pts, 1.0)
-        expect = 1.0 / (2.0 * math.cos(math.pi / 32))
-        assert pset.covering_radius() == pytest.approx(expect, rel=1e-12, abs=0)
-
-    def test_covering_radius_2d_at_a_circle_crossing(self):
-        # unit-circle points every 30 degrees from 90 to 330 and at 0, and the
-        # origin: the farthest point is the circle point at 45 degrees, where
-        # the bisector of the two sites at 0 and 90 degrees crosses the
-        # circle; negating the set swaps which of the bisector's two
-        # crossings it is
-        ang = np.radians([0.0, *range(90, 360, 30)])
-        pts = np.vstack([[[0.0, 0.0]], np.stack([np.cos(ang), np.sin(ang)], axis=1)])
-        for sign in (1.0, -1.0):
-            pset = sd.DualPointSet(sign * pts, 1.0)
-            rho = pset.covering_radius()
-            assert rho == pytest.approx(2.0 * math.sin(math.pi / 8), rel=1e-12, abs=0)
-            assert rho == pytest.approx(_covering_oracle(pset.pts, 1.0), rel=1e-9, abs=0)
-
-    def test_covering_radius_2d_matches_oracle(self):
-        for pset in _small_planar_psets():
-            assert pset.m <= 30
-            expect = _covering_oracle(pset.pts, pset.radius)
-            assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
-
-    def test_covering_radius_2d_dominates_probes(self):
-        # the seeded probes are points of the disk, so none is farther from
-        # the set than the exact covering radius
-        psets = [p for p in _seeded_psets() if p.pts.shape[1] == 2]
-        for pset in psets + _small_planar_psets():
-            probes = _seeded_probes(pset)
-            d2 = ((probes[:, None, :] - pset.pts[None, :, :]) ** 2).sum(axis=2)
-            assert pset.covering_radius() >= float(np.sqrt(d2.min(axis=1)).max())
-
-    @pytest.mark.parametrize(
-        "pts",
-        [
-            [[0.0, 0.0], [1.0, 0.0]],
-            [[0.0, 0.0], [0.6, -0.8]],
-            [[0.0, 0.0], [0.3, 0.1], [-0.2, 0.99]],
-            [[0.0, 0.0], [0.5, 0.5], [-0.3, -0.3], [0.7, 0.7]],
-            [[0.0, 0.0], [0.0, 0.25], [0.0, -0.5], [0.0, 0.9], [0.0, 1.0], [0.0, -1.0]],
-            [[k / 8.0, -k / 16.0] for k in range(-8, 9)],
-        ],
-        ids=["m2", "m2-oblique", "m3", "collinear-4", "collinear-axis", "collinear-17"],
-    )
-    def test_covering_radius_2d_few_or_collinear_sites(self, pts):
-        pts = np.array(pts)
-        pset = sd.DualPointSet(pts, float(np.linalg.norm(pts, axis=1).max()))
-        expect = _covering_oracle(pset.pts, pset.radius)
-        assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
-
     @pytest.mark.parametrize("sphere_points", [1, 2, 64])
     def test_sphere_points_refused_in_d_1(self, sphere_points):
-        # the d = 1 shell is +-R whatever the count: a count is refused,
-        # not ignored
-        dom = sd.interval_grid(0.0, 1.0, 8)
-        fld = sd.sample_field(dom, lambda x: x)
-        with pytest.raises(ValueError, match="sphere_points sets no shell in d = 1"):
-            sd.build_dual_points(dom, fld, sphere_points=sphere_points)
-        pset = sd.build_dual_points(dom, fld)
-        assert {-pset.radius, pset.radius} <= set(pset.pts[:, 0].tolist())
+        # no dimension has a shell, so no count is taken in d = 1 or d = 2
+        for dom, fld in (sincos_problem(8), random_problem(np.random.default_rng(5), 9, d=2)):
+            with pytest.raises(TypeError, match="sphere_points"):
+                sd.build_dual_points(dom, fld, sphere_points=sphere_points)
 
-    def test_covering_radius_2d_collinear_field(self):
-        # field values on the first axis and a one-point shell at -R: the
-        # sites lie on one line up to the rounding of sin(pi)
-        dom = box_grid([(0.0, 1.0), (0.0, 1.0)], [3, 3])
-        x, y = dom.points.T
-        fld = sd.SampledField(np.stack([x - y, np.zeros(dom.n)], axis=1))
-        for sphere_points in (1, 8):
-            pset = sd.build_dual_points(dom, fld, sphere_points=sphere_points)
-            expect = _covering_oracle(pset.pts, pset.radius)
-            assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
-
-    @pytest.mark.parametrize("name", ["matrix", "rotationJ"])
-    def test_covering_radius_2d_grid_valued_builtins(self, name):
-        # grid values and the shell put many sites on common circles
-        bf = fields.builtin_field(name, 16)
-        dom = build_grid(bf.domain_spec)
-        fld = sd.sample_field(dom, bf.rule)
-        for sphere_points in (4, 8, 12):
-            pset = sd.build_dual_points(dom, fld, sphere_points=sphere_points)
-            expect = _covering_oracle(pset.pts, pset.radius)
-            assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
-
-    def test_covering_radius_is_deterministic(self):
-        bf = fields.builtin_field("gradskew", 196)
-        dom = build_grid(bf.domain_spec)
-        pset = sd.build_dual_points(dom, sd.sample_field(dom, bf.rule))
-        assert pset.covering_radius() == pset.covering_radius()
-
-    def test_covering_radius_3d_closed_form(self):
-        # the origin and +-R e_i: the farthest point is R (1, 1, 1) / sqrt(3),
-        # where the line equidistant from R e_1, R e_2 and R e_3 meets the
-        # sphere
-        for radius in (1.0, 2.5):
-            pts = radius * np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
-            pset = sd.DualPointSet(pts, radius)
-            expect = radius * math.sqrt(2.0 - 2.0 / math.sqrt(3.0))
-            assert pset.covering_radius() == pytest.approx(expect, rel=1e-12, abs=0)
-
-    def test_covering_radius_3d_and_4d_match_oracle(self):
-        for pset in _small_spatial_psets():
-            assert pset.m <= (20 if pset.pts.shape[1] == 3 else 10)
-            expect = _covering_oracle(pset.pts, pset.radius)
-            assert pset.covering_radius() == pytest.approx(expect, rel=1e-9, abs=0)
-
-    def test_covering_radius_dominates_probes_in_every_dimension(self):
-        # the seeded probes are points of the ball, so none is farther from
-        # the set than the exact covering radius
-        for pset in _seeded_psets():
-            probes = _seeded_probes(pset)
-            d2 = ((probes[:, None, :] - pset.pts[None, :, :]) ** 2).sum(axis=2)
-            assert pset.covering_radius() >= float(np.sqrt(d2.min(axis=1)).max())
-
-    def test_covering_candidates_lie_in_the_ball(self):
-        # a flat that misses the ball adds no candidate. In the last set the
-        # bisector of (0.3, 1e-10) and (0.9, 0) has P_V a of about 1e-10, so
-        # its rounding would tilt the crossings off the circle if it were
-        # projected onto the bisector only once
-        psets = _seeded_psets() + _small_planar_psets() + _small_spatial_psets()
-        psets.append(sd.DualPointSet(np.array([[0.0, 0.0], [0.3, 1e-10], [0.9, 0.0]]), 0.9))
-        for pset in psets:
-            cands = _covering_candidates(pset.pts, pset.radius)
-            assert np.linalg.norm(cands, axis=1).max() <= pset.radius * (1 + 1e-12)
-
-    def test_covering_radius_where_a_bisector_meets_the_circle_at_equal_distance(self):
-        # the bisector of the origin and (0.5, 0) is the line x = 0.25; the
-        # distance to the origin is the same at both of its crossings, so
-        # the projection P_V a that picks one of them is 0
-        pts = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
-        cands = _covering_candidates(pts, 1.0)
-        crossing = [0.25, math.sqrt(1.0 - 0.25**2)]
-        for z in (crossing, [0.25, -crossing[1]]):
-            assert np.abs(cands - z).max(axis=1).min() <= 1e-15
-        assert sd.DualPointSet(pts, 1.0).covering_radius() == pytest.approx(1.0, rel=1e-12)
-        assert sd.DualPointSet(pts, 1.0).covering_radius() == pytest.approx(
-            _covering_oracle(pts, 1.0), rel=1e-9, abs=0
-        )
-
-    def test_affinely_dependent_faces_have_no_centre(self):
-        # three sites on a line and four on a plane, up to rounding
-        a, b, x = np.array([[0.1, 0.2, 0.3], [0.7, -0.4, 1.1], [-0.5, 0.9, 0.2]])
-        pts = np.array([a, b, x, a + 0.3 * (b - a), a + 0.2 * (b - a) + 0.5 * (x - a)])
-        assert np.isnan(_flats(pts, np.array([[0, 1, 3], [1, 3, 0], [3, 0, 1]]))[0]).all()
-        assert np.isnan(_flats(pts, np.array([[0, 1, 2, 4], [4, 2, 1, 0]]))[0]).all()
-        centre, q = _flats(pts, np.array([[0, 1, 2]]))
-        dist = np.linalg.norm(pts[:3] - centre, axis=1)
-        assert dist.max() - dist.min() <= 1e-15 * dist.max()
-        np.testing.assert_allclose(q[0] @ q[0].T, np.eye(2), rtol=0, atol=1e-15)
+    def test_dual_point_invariants(self):
+        # the origin and the field values, each once, in the order of first
+        # occurrence: the matrix field takes few distinct values
+        for dom, fld in (sincos_problem(16), matrix_problem(8)[:2]):
+            pset = sd.build_dual_points(dom, fld)
+            rows = [(0.0,) * dom.dim]
+            for u in map(tuple, fld.values.tolist()):
+                if u not in rows:
+                    rows.append(u)
+            assert pset.pts.tolist() == [list(r) for r in rows]
+            norms = np.linalg.norm(pset.pts, axis=1)
+            assert norms.max() <= pset.radius * (1 + 1e-12)
+            assert (norms == 0).any()
+        # no point need lie near the sphere
+        assert sd.DualPointSet(np.array([[0.0], [0.1]]), 1.0).m == 2
 
     @pytest.mark.parametrize(
         "pts, radius",
@@ -588,108 +444,6 @@ class TestBallAndDualPoints:
             sd.DualPointSet(np.array(pts), radius)
 
 
-def _seeded_probes(pset):
-    """4096 seeded uniform probes of the ball."""
-    samples, d = 4096, pset.pts.shape[1]
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((samples, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return g * (pset.radius * rng.random(samples) ** (1.0 / d))[:, None]
-
-
-def _seeded_psets():
-    rng = np.random.default_rng(40)
-    psets = []
-    for n, d in ((8, 2), (48, 2), (200, 2), (30, 3)):
-        dom = sd.DiscreteDomain(rng.normal(size=(n, d)), 1.0 / n, d, 0.0)
-        fld = sd.SampledField(rng.normal(size=(n, d)))
-        psets.append(sd.build_dual_points(dom, fld))
-    return psets
-
-
-def _small_planar_psets():
-    """Seeded planar dual sets of at most 30 points: random field values,
-    tenths-rounded ones (sites on common lines and circles), and shells of
-    one to three points far outside the field values, where the farthest
-    point is often on the circle."""
-    rng = np.random.default_rng(41)
-    psets = []
-    for n, sphere_points in ((3, 4), (8, 8), (12, 12), (16, 8), (20, 6)):
-        for decimals in (None, 1):
-            dom, fld = random_problem(rng, n, d=2)
-            if decimals is not None:
-                fld = sd.SampledField(np.round(fld.values, decimals))
-            psets.append(sd.build_dual_points(dom, fld, sphere_points=sphere_points))
-    for n, sphere_points, margin in ((7, 2, 1.0), (11, 3, 1.0), (17, 1, 0.5), (18, 2, 0.5)):
-        for _ in range(8):
-            dom, fld = random_problem(rng, n, d=2)
-            fld = sd.SampledField(fld.values * rng.random((n, 1)))
-            psets.append(
-                sd.build_dual_points(dom, fld, sphere_points=sphere_points, margin=margin)
-            )
-    return psets
-
-
-def _small_spatial_psets():
-    """Seeded dual sets of at most 20 points in d = 3 and 10 in d = 4:
-    random field values, integer-rounded ones (sites on common planes and
-    spheres), and coplanar sites plus a pole."""
-    rng = np.random.default_rng(42)
-    psets = []
-    for d, sizes in ((3, ((5, 4), (8, 6), (12, 7))), (4, ((4, 4), (5, 4)))):
-        for n, sphere_points in sizes:
-            for scale in (None, 2.0):
-                dom, fld = random_problem(rng, n, d=d)
-                if scale is not None:
-                    fld = sd.SampledField(np.round(scale * fld.values))
-                psets.append(sd.build_dual_points(dom, fld, sphere_points=sphere_points))
-    for n in (6, 12, 18):
-        for _ in range(3):
-            pts = np.zeros((n + 2, 3))
-            pts[1:-1, :2] = rng.normal(size=(n, 2))
-            radius = float(np.linalg.norm(pts, axis=1).max())
-            pts[-1, 2] = radius
-            psets.append(sd.DualPointSet(pts, radius))
-    return psets
-
-
-def _covering_oracle(pts, radius):
-    """Covering radius of the sites pts (d >= 2) in the ball |z| <= radius
-    by brute force: the distance to the nearest site, against every site,
-    maximised over the antipodes -R p/|p| and, for every k + 1 affinely
-    independent sites (k = 1..d), points of their flat F, the points
-    equidistant from them. F's point c0 nearest the origin if k = d and it
-    is inside the ball; else both points c0 +- r w of F on the sphere,
-    r^2 = R^2 - |c0|^2, with w the unit direction of F that a site's
-    projection onto F's directions points along (any direction of F if
-    that projection is 0). A flat that misses the ball adds nothing."""
-    m, d = pts.shape
-    cands = [-radius * p / np.linalg.norm(p) for p in pts if p.any()]
-    for k in range(1, min(m - 1, d) + 1):
-        a = pts[np.array(list(itertools.combinations(range(m), k + 1)))]
-        e = a[:, 1:] - a[:, :1]
-        # F = {z : <z, e_i> = (|a_i|^2 - |a_0|^2) / 2}
-        h = 0.5 * ((a[:, 1:] ** 2).sum(axis=2) - (a[:, :1] ** 2).sum(axis=2))
-        u, sv, vt = np.linalg.svd(e)
-        ok = sv[:, -1] > 1e-12 * sv[:, 0]
-        u, sv, vt, h, a0 = u[ok], sv[ok], vt[ok], h[ok], a[ok, 0]
-        # the least-norm solution, through the pseudo-inverse of e
-        coef = np.einsum("fki,fk->fi", u, h) / sv
-        c0 = np.einsum("fk,fki->fi", coef, vt[:, :k])
-        if k == d:
-            cands += list(c0[np.linalg.norm(c0, axis=1) <= radius])
-            continue
-        flat = vt[:, k:]  # rows: an orthonormal basis of F's directions
-        w = np.einsum("fj,fji->fi", np.einsum("fji,fi->fj", flat, a0), flat)
-        wn = np.linalg.norm(w, axis=1)
-        big = wn > 1e-12 * radius
-        w = np.where(big[:, None], w / np.where(big, wn, 1.0)[:, None], flat[:, 0])
-        r2 = radius * radius - (c0 * c0).sum(axis=1)
-        meets = r2 >= -1e-12 * radius * radius
-        r = np.sqrt(np.maximum(r2[meets], 0.0))[:, None]
-        cands += list(c0[meets] + r * w[meets]) + list(c0[meets] - r * w[meets])
-    c = np.array(cands)
-    return float(np.sqrt(((c[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max())
 
 
 class TestSymmetricGridMaps:

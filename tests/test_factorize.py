@@ -256,13 +256,11 @@ class TestDecompose:
             "mesh",
             "primal_converged",
             "primal_iterations",
-            "pset_covering_radius",
             "pset_size",
             "radius",
             "radius_margin",
             "residual_scale_factor",
             "seed",
-            "tol_reg",
         }
         # the one dual path: the rounded assignment, or on an odd cycle the
         # kept-graph blossom
@@ -275,9 +273,10 @@ class TestDecompose:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_settings_rejected(self, value):
+        # no library call takes a margin, finite or not: the dual ball's
+        # margin is the module constant domain.RADIUS_MARGIN
         dom, fld = monotone_problem(8)
-        # the margin is the one of these a library call still sets
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(TypeError, match="margin"):
             sd.build_dual_points(dom, fld, margin=value)
 
     def test_brute_path_on_small_instance(self):
