@@ -26,6 +26,7 @@ from conftest import (
     random_problem,
     rotation_permutation,
     sincos_problem,
+    tent_problem,
 )
 
 
@@ -426,6 +427,47 @@ class TestBallAndDualPoints:
             assert (norms == 0).any()
         # no point need lie near the sphere
         assert sd.DualPointSet(np.array([[0.0], [0.1]]), 1.0).m == 2
+
+    def test_covering_radius_1d(self):
+        # the covering radius measured the gaps of a +-R shell; d = 1 has no
+        # shell now, so the farthest dual point is the largest field value,
+        # R_p = field radius < R
+        for dom, fld in (sincos_problem(16), tent_problem(16)):
+            pset = sd.build_dual_points(dom, fld)
+            assert pset.m <= dom.n + 1
+            assert np.abs(pset.pts).max() == fld.field_radius < pset.radius
+            assert not np.isin(pset.pts, [-pset.radius, pset.radius]).any()
+
+    @pytest.mark.parametrize("name", ["matrix", "rotationJ"])
+    def test_covering_radius_2d_grid_valued_builtins(self, name):
+        # grid values put many sites on common points and circles: the dual
+        # set holds the origin and each distinct value once, whatever n
+        for n in (16, 64, 196):
+            bf = fields.builtin_field(name, n)
+            dom = build_grid(bf.domain_spec)
+            fld = sd.sample_field(dom, bf.rule)
+            pset = sd.build_dual_points(dom, fld)
+            distinct = np.unique(np.vstack([np.zeros((1, 2)), fld.values]), axis=0)
+            assert pset.m == len(distinct) == len(np.unique(pset.pts, axis=0))
+            for u in fld.values:
+                assert (pset.pts == u).all(axis=1).any()
+
+    def test_covering_radius_is_deterministic(self):
+        # the dual set is built the same way, in the same order, every time
+        bf = fields.builtin_field("gradskew", 196)
+        dom = build_grid(bf.domain_spec)
+        first = sd.build_dual_points(dom, sd.sample_field(dom, bf.rule))
+        again = sd.build_dual_points(dom, sd.sample_field(dom, bf.rule))
+        assert np.array_equal(first.pts, again.pts) and first.radius == again.radius
+
+    def test_covering_candidates_lie_in_the_ball(self):
+        # the dual points, the candidate slopes of HR's max, lie in the ball
+        # of radius R in every dimension
+        rng = np.random.default_rng(40)
+        for n, d in ((8, 2), (48, 2), (200, 2), (30, 3), (10, 4)):
+            dom, fld = random_problem(rng, n, d=d)
+            pset = sd.build_dual_points(dom, fld)
+            assert np.linalg.norm(pset.pts, axis=1).max() <= pset.radius * (1 + 1e-12)
 
     @pytest.mark.parametrize(
         "pts, radius",
