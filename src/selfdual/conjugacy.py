@@ -48,9 +48,11 @@ maximum a step of h can move: every piece is affine with slope at most
 R_p = max |p_k|, so a piece more than 2 (h R_p + delta) below its maximum
 stays below it, delta being a rounding allowance (_candidate_margin derives
 it). A float max over a superset of the argmax is the same float, so the
-bits do not change. It never holds two shifted [n, m] products at once:
-in d = 1 it computes each entry it reads as one rounded product, and in
-d >= 2 it recomputes a product for each group of candidates that reads it.
+bits do not change however the candidates are grouped: a group holds
+max(ROW_BLOCK, n m) // 16 (_group_budget), one row block's or [n, m]
+table's worth at about 16 numbers each. It never holds two shifted [n, m]
+products at once: in d = 1 it computes each entry it reads as one rounded
+product, and in d >= 2 recomputes a product per group that reads it.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ import threading
 import numpy as np
 
 from .domain import (
+    ROW_BLOCK,
     AntiSymmetricKernel,
     DiscreteDomain,
     DualPointSet,
@@ -82,9 +85,6 @@ __all__ = [
 # ball's radius R: RegularHamiltonian.fd_step = FD_STEP_REL * R
 FD_STEP_REL = 1e-4
 
-# residual_gradients tests candidates in row blocks (domain.row_blocks)
-# and gathers them in groups of about this many candidates
-_GROUP_BUDGET = 1 << 10
 # residual_gradients forms the grid bidual t0 in row blocks: of at most
 # domain.ROW_BLOCK entries in d = 1, and in d >= 2, where each block re-runs
 # the 2d shifted n-row products of the dense half, in this many blocks
@@ -348,7 +348,9 @@ def residual_gradients(hreg: RegularHamiltonian, perm: np.ndarray) -> np.ndarray
     symmetric grids) differ from grad1 in the last bits.
 
     Candidate tests run in blocks of at most domain.ROW_BLOCK pieces, and
-    the sparse gathers in groups of about _GROUP_BUDGET candidates. The
+    the sparse gathers in groups of _group_budget(n, m) candidates; a fixed
+    1024 made one group's bookkeeping the peak of a d = 1 pass at n = 64,
+    and made 26,525 groups, each with its own numpy calls, on sincos-1000. The
     rest of the scratch is the [n, n] inner table g0, one block of t0
     beside one [n, m] table at a time (one row of the block's product, or
     one shifted product), and a few numbers per pair (b, k) the sparse half
@@ -358,12 +360,9 @@ def residual_gradients(hreg: RegularHamiltonian, perm: np.ndarray) -> np.ndarray
     alone in d = 1, where a block holds at most domain.ROW_BLOCK entries,
     and read off the whole product in d >= 2, where each block re-runs the
     2d shifted products, so there t0 takes _BIDUAL_BLOCKS blocks.
-    In d >= 2 each group of candidates of the sparse half also recomputes
-    the 2d shifted products, one at a time: gradskew and matrix up to
-    n = 900 make 1 to 8 groups, but rotationJ, whose pieces tie, makes 583
-    at n = 400, and its pass takes about a fifth longer than with the
-    products held. In d = 1, where groups run to the hundreds, only the
-    entries read are computed.
+    In d >= 2 each inner group of the sparse half also recomputes the 2d
+    shifted products, one at a time: 1 on gradskew-900, 29 on matrix-400
+    and 67 on rotationJ-400, whose pieces tie.
     """
     h = hreg.fd_step  # positive: build_dual_points keeps R^2 a normal float
     grid, lstar, xp, pts = hreg.dom.points, hreg.lstar_table, hreg._xp, hreg.pset.pts
@@ -372,7 +371,7 @@ def residual_gradients(hreg: RegularHamiltonian, perm: np.ndarray) -> np.ndarray
     pinv = np.argsort(perm)
     pts_t, sx = pts.T, grid[perm]
     shifts = np.array([sign * e for e in np.eye(d) * h for sign in (1, -1)])
-    tau = _candidate_margin(hreg)
+    tau, budget = _candidate_margin(hreg), _group_budget(n, m)
 
     g0 = hreg._inner_table(grid)  # read whole by the sparse half
     # t0 = L**(grid, .) = g0 (x) E is formed a block of rows at a time, and
@@ -400,7 +399,7 @@ def residual_gradients(hreg: RegularHamiltonian, perm: np.ndarray) -> np.ndarray
     hb_1 = np.full((2 * d, n), -np.inf)
     # L**(y_b + s, p_k) = max over j of <p_k, x_j> + g(y_b + s, x_j)
     for lo, hi, r, j in _candidate_groups(
-        lambda rows: xp.T[need[rows] % m] + g0[need[rows] // m], thr, n
+        lambda rows: xp.T[need[rows] % m] + g0[need[rows] // m], thr, n, budget
     ):
         b, k = np.divmod(need[lo:hi], m)
         starts2 = np.flatnonzero(np.diff(r, prepend=-1))
@@ -410,7 +409,7 @@ def residual_gradients(hreg: RegularHamiltonian, perm: np.ndarray) -> np.ndarray
         # g(y_b + s, x_j) = max over k' of <y_b + s, p_k'> - L*(p_k', x_j)
         g = np.empty((2 * d, len(bj)))
         for lo1, hi1, r1, k1 in _candidate_groups(
-            lambda rows: xp[b1[rows]] - lstar.T[j1[rows]], g0[b1, j1] - tau, m
+            lambda rows: xp[b1[rows]] - lstar.T[j1[rows]], g0[b1, j1] - tau, m, budget
         ):
             starts1 = np.flatnonzero(np.diff(r1, prepend=-1))
             r1 += lo1
@@ -465,21 +464,26 @@ def _near_max(pieces, n: int, width: int, tau: float) -> np.ndarray:
     return keep
 
 
-def _candidate_groups(pieces, thr, width):
+def _group_budget(n: int, m: int) -> int:
+    """Candidates per sparse group, at about 16 numbers each: one row block or [n, m] table."""
+    return max(ROW_BLOCK, n * m) // 16
+
+
+def _candidate_groups(pieces, thr, width, budget):
     """Candidate entries of a [len(thr), width] table, in row groups.
 
     ``pieces(rows)`` evaluates a block of rows; an entry (r, c) is a
     candidate when it is >= thr[r]. The table is evaluated in row blocks
-    (domain.row_blocks), and a group closes once it holds
-    _GROUP_BUDGET candidates. Yields (lo, hi, r, c) with rows lo..hi-1,
-    r counted from lo, in row-major order.
+    (domain.row_blocks), and a group closes once it holds budget
+    candidates. Yields (lo, hi, r, c) with rows lo..hi-1, r counted from
+    lo, in row-major order.
     """
     lo, found, size = 0, [], 0
     for rows in row_blocks(len(thr), width):
         r, c = np.nonzero(pieces(rows) >= thr[rows, None])
         found.append((r + (rows.start - lo), c))
         size += len(r)
-        if size >= _GROUP_BUDGET or rows.stop == len(thr):
+        if size >= budget or rows.stop == len(thr):
             yield lo, rows.stop, *map(np.concatenate, zip(*found))
             lo, found, size = rows.stop, [], 0
 

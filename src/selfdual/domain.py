@@ -220,9 +220,9 @@ class DualPointSet:
 
 
 def build_dual_points(dom: DiscreteDomain, fld: SampledField) -> DualPointSet:
-    """Assemble {0} + sampled field values, duplicates dropped, in the ball
-    of radius R = (1 + RADIUS_MARGIN) * max(domain radius, field radius),
-    which holds the domain and the field values.
+    """Assemble {0} + sampled field values, duplicates (-0.0 equal to 0.0)
+    dropped in order of first occurrence, in the ball of radius R = (1 +
+    RADIUS_MARGIN) * max(domain radius, field radius), which holds both.
     """
     check_pairing(dom, fld)
     radius = float((1.0 + RADIUS_MARGIN) * max(dom.radius, fld.field_radius))
@@ -234,8 +234,9 @@ def build_dual_points(dom: DiscreteDomain, fld: SampledField) -> DualPointSet:
             f"are out of scale: R = {radius:.3e}, and R^2 is not a normal float"
         )
     pts = np.vstack([np.zeros((1, dom.dim)), fld.values])
-    _, keep = np.unique(pts, axis=0, return_index=True)
-    return DualPointSet(pts[np.sort(keep)], radius)
+    order = np.lexsort(pts.T)  # stable: a run of equal rows starts at the first
+    first = np.concatenate(([True], (pts[order[1:]] != pts[order[:-1]]).any(axis=1)))
+    return DualPointSet(pts[np.sort(order[first])], radius)
 
 
 class AntiSymmetricKernel:

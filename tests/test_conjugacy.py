@@ -30,6 +30,7 @@ from conftest import (
     random_problem,
     sincos_problem,
     slope_radius,
+    tent_problem,
 )
 
 
@@ -571,6 +572,20 @@ class TestResidualGradients:
             for perm in (np.arange(n), pair_swap(n), rep.sigma.sigma):
                 assert_shared_pass_matches(rep.hamiltonian, perm)
 
+    @pytest.mark.parametrize(
+        "problem", [sincos_problem, tent_problem], ids=["sincos-160", "tent-160"]
+    )
+    def test_large_groups_bit_identical(self, problem, monkeypatch):
+        # at n = 160 in d = 1 the derived budget passes the old fixed 1024
+        # candidates; the residuals keep the bytes of one-candidate groups
+        dom, fld = problem(160)
+        rep = sd.decompose(dom, fld)
+        hreg, perm = rep.hamiltonian, rep.sigma.sigma
+        assert conjugacy._group_budget(dom.n, hreg.pset.m) > 1024
+        want = residual_gradients(hreg, perm).tobytes()
+        monkeypatch.setattr(conjugacy, "_group_budget", lambda n, m: 1)
+        assert residual_gradients(hreg, perm).tobytes() == want
+
     def test_small_blocks_bit_identical(self, monkeypatch):
         # one-row test blocks and groups closed after every block
         dom, fld, bf = builtin_problem("matrix", 36)
@@ -580,7 +595,7 @@ class TestResidualGradients:
             hreg.fd_step = h
             want = residual_gradients(hreg, perm)
             monkeypatch.setattr(domain, "ROW_BLOCK", 1)
-            monkeypatch.setattr(conjugacy, "_GROUP_BUDGET", 1)
+            monkeypatch.setattr(conjugacy, "_group_budget", lambda n, m: 1)
             got = residual_gradients(hreg, perm)
             monkeypatch.undo()
             assert np.array_equal(got, want)
@@ -639,15 +654,21 @@ class TestResidualGradients:
     # 0.47 MB, and with the grid bidual in row blocks 1.11 and 0.414 MB
     # (gradskew-196: 63700 entries per [n, m] table). With 3 or more CPUs
     # gradskew-196's products take 3 workers, one more iteration buffer
-    # each: 1.19 MB
+    # each: 1.19 MB. On a random d = 1 field at n = 64 (m = 65) one group
+    # of 1024 candidates' bookkeeping set the peak, 312,507 B; groups of
+    # max(ROW_BLOCK, n m) // 16 = 260 candidates read 219,725 B
     @pytest.mark.parametrize(
         "name, n, peak_mb",
-        [("gradskew", 196, 1.31), ("sincos", 128, 0.46)],
-        ids=["gradskew-196", "sincos-128"],  # the same names when a bound moves
+        [("gradskew", 196, 1.31), ("sincos", 128, 0.46), ("random", 64, 0.24)],
+        # the same names when a bound moves
+        ids=["gradskew-196", "sincos-128", "random-d1-64"],
     )
     def test_peak_memory_below_dense_pass(self, name, n, peak_mb):
-        dom, fld, bf = builtin_problem(name, n)
-        rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
+        if name == "random":
+            rep = sd.decompose(*random_problem(np.random.default_rng(n), n, d=1))
+        else:
+            dom, fld, bf = builtin_problem(name, n)
+            rep = sd.decompose(dom, fld, rule=bf.rule, jacobian=bf.jacobian)
         hreg = rep.hamiltonian
         gc.collect()
         tracemalloc.start()
@@ -666,11 +687,11 @@ class TestResidualGradients:
         rep = sd.decompose(dom, fld)
         hreg, m = rep.hamiltonian, rep.hamiltonian.pset.m
         assert m != n
-        monkeypatch.setattr(conjugacy, "_GROUP_BUDGET", 16)
+        monkeypatch.setattr(conjugacy, "_group_budget", lambda n, m: 16)
         groups, candidate_groups = [], conjugacy._candidate_groups
 
-        def counted(pieces, thr, width):
-            for group in candidate_groups(pieces, thr, width):
+        def counted(pieces, thr, width, budget):
+            for group in candidate_groups(pieces, thr, width, budget):
                 groups.append(width)
                 yield group
 

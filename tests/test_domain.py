@@ -428,6 +428,24 @@ class TestBallAndDualPoints:
         # no point need lie near the sphere
         assert sd.DualPointSet(np.array([[0.0], [0.1]]), 1.0).m == 2
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dual_points_are_the_first_occurrences(self, d):
+        # the bytes of np.unique(axis=0)'s first occurrences in their order:
+        # a -0.0 coordinate equals 0.0, so a -0.0 field value is the origin
+        rng = np.random.default_rng(d)
+        for n in (1, 2, 9, 40):
+            dom = sd.DiscreteDomain(rng.normal(size=(n, d)), 1.0 / n, d, 0.0)
+            vals = np.round(rng.normal(size=(n, d)))  # few distinct values
+            vals[rng.random((n, d)) < 0.3] = -0.0
+            pts = np.vstack([np.zeros((1, d)), vals])
+            _, keep = np.unique(pts, axis=0, return_index=True)
+            want = pts[np.sort(keep)]
+            got = sd.build_dual_points(dom, sd.SampledField(vals)).pts
+            assert got.tobytes() == want.tobytes()
+        negzero = sd.SampledField(np.full((1, d), -0.0))
+        pset = sd.build_dual_points(sd.DiscreteDomain(np.ones((1, d)), 1.0, d, 0.0), negzero)
+        assert pset.m == 1 and not np.signbit(pset.pts).any()
+
     def test_covering_radius_1d(self):
         # the covering radius measured the gaps of a +-R shell; d = 1 has no
         # shell now, so the farthest dual point is the largest field value,
